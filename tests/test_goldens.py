@@ -1,0 +1,101 @@
+"""Pinned outputs: metrics.csv of five small scenarios and the default manifest.
+
+Each scenario's metrics.csv must match its file under tests/goldens/ byte
+for byte, so a refactor that drifts any number, even in the last digit,
+fails here. Together the scenarios reach every branch of the FELLO, CL and
+DL round loops: handovers, re-clusterings, coverage gaps before and after
+the first cluster forms, AWGN and packet corruption, distance and SNR
+thresholds, the fixed aggregation denominator and a process-pool sweep.
+
+A change that alters numbers on purpose regenerates the files with
+`PYTHONPATH=src python tests/test_goldens.py` and says why in CHANGES.md.
+"""
+
+import logging
+import os
+import sys
+from dataclasses import replace
+
+import pytest
+
+from fello_sim.config import ScenarioConfig, serialize_config
+from fello_sim.scenario import run_scenario
+
+GOLDENS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "goldens")
+
+BASE = replace(
+    ScenarioConfig(),
+    master_seed=5,
+    train_hidden_size=8,
+    dataset_n_classes=3,
+    dataset_n_features=8,
+    dataset_train_per_class=60,
+    dataset_test_per_class=15,
+    dataset_spread=0.12,
+    dataset_samples_per_client=30,
+)
+DISTANCE_AWGN = dict(
+    n_orbits=6, sats_per_orbit=8, lesc_delta_d_km=6000.0, lesc_round_time_s=200.0,
+    lesc_rounds=16, corruption_kind="awgn", corruption_awgn_scale=5.0,
+)
+SCENARIOS = {
+    # handovers, re-clusterings and a coverage gap
+    "distance_awgn": DISTANCE_AWGN,
+    # SNR-threshold membership with packet erasures and last-good fallback
+    "snr_packet": dict(
+        lesc_threshold_mode="snr", lesc_delta_gamma=50.0, lesc_round_time_s=60.0,
+        lesc_rounds=10, corruption_kind="packet",
+    ),
+    # coverage gaps both before and after the first cluster forms
+    "coverage": dict(
+        n_orbits=5, sats_per_orbit=5, lesc_delta_d_km=8000.0, lesc_round_time_s=300.0,
+        lesc_rounds=16, corruption_kind="awgn", corruption_awgn_scale=5.0,
+    ),
+    # the paper-literal bundle, which fixes the aggregation denominator
+    "literal": dict(DISTANCE_AWGN, paper_literal=True, corruption_kind="none"),
+    # sweep points on the process pool
+    "sweep_pool": dict(
+        lesc_round_time_s=60.0, lesc_rounds=2, corruption_kind="awgn",
+        sweep_parameter="lesc.delta_d_km", sweep_values=(1800.0, 2600.0), workers=2,
+    ),
+}
+
+
+def run_metrics(name: str, output_dir: str) -> bytes:
+    cfg = replace(BASE, output_dir=output_dir, **SCENARIOS[name])
+    assert run_scenario(cfg) == 0
+    with open(os.path.join(output_dir, "metrics.csv"), "rb") as f:
+        return f.read()
+
+
+def manifest() -> bytes:
+    return serialize_config(ScenarioConfig()).encode()
+
+
+def read_golden(filename: str) -> bytes:
+    with open(os.path.join(GOLDENS, filename), "rb") as f:
+        return f.read()
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_metrics_match_golden(name, tmp_path):
+    assert run_metrics(name, str(tmp_path)) == read_golden(f"{name}.csv")
+
+
+def test_default_manifest_matches_golden():
+    assert manifest() == read_golden("manifest.cfg")
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    logging.disable(logging.WARNING)
+    os.makedirs(GOLDENS, exist_ok=True)
+    outputs = {"manifest.cfg": manifest()}
+    for scenario in SCENARIOS:
+        with tempfile.TemporaryDirectory() as tmp:
+            outputs[f"{scenario}.csv"] = run_metrics(scenario, tmp)
+    for filename, data in outputs.items():
+        with open(os.path.join(GOLDENS, filename), "wb") as f:
+            f.write(data)
+        print(f"wrote {filename} ({len(data)} bytes)", file=sys.stderr)
