@@ -1,9 +1,11 @@
 """Centralized and distributed baseline architectures.
 
-Both baselines reuse the LESC membership schedule (edge selection,
-pruning, re-clustering, handover) so their curves share the federated
-run's time axis and cluster composition. The centralized edge trains on
-raw data shipped once per clustering epoch, with the same channel
+Both baselines run the LESC membership schedule (edge selection, pruning,
+re-clustering, handover) through the same round driver as the federated
+run, so their curves share its time axis. In distance mode they also share
+its cluster composition; in SNR mode each architecture's schedule follows
+its own pointing-error draws and can differ. The centralized edge trains
+on raw data shipped once per clustering epoch, with the same channel
 impairment applied to the feature payload that the federated run applies
 to models. Distributed clients train purely locally and never transmit.
 """
@@ -20,14 +22,26 @@ from .fl_engine import (
     TrainConfig,
     corrupt_vector,
     evaluate,
-    init_model,
-    partition_data,
     sgd_epoch,
 )
-from .lesc import LescConfig, RoundLog, membership_schedule, parallel_map
+from .lesc import (
+    LescConfig,
+    initial_model,
+    mean_or_nan,
+    member_rounds,
+    membership_schedule,
+    parallel_map,
+    round_log,
+)
 from .optical_link import OpticalParams
 from .orbits import WalkerConfig
 from .seeding import Substreams
+
+
+@dataclass
+class _ClClient:
+    shard: Dataset
+    shipped: Dataset = None  # the edge's copy, impaired by the link it crossed
 
 
 @dataclass
@@ -43,12 +57,6 @@ def _ship_shard(
     """One client's raw upload: features impaired per link, labels intact."""
     flat = corrupt_vector(shard.features.ravel(), link, corruption, rng)
     return Dataset(flat.reshape(shard.features.shape), shard.labels, shard.n_classes)
-
-
-def _concat(shards: list, n_classes: int) -> Dataset:
-    features = np.concatenate([s.features for s in shards], axis=0)
-    labels = np.concatenate([s.labels for s in shards], axis=0)
-    return Dataset(features, labels, n_classes)
 
 
 def run_cl(
@@ -71,58 +79,37 @@ def run_cl(
     exactly the current members' uploads.
     """
     schedule = membership_schedule(cfg, walker, isl, gsl, streams, train_cfg.local_epochs)
-    model = init_model(
-        train_set.n_features, train_cfg.hidden_size, train_set.n_classes,
-        streams.derive("init"),
-    )
+    model = initial_model(train_set, train_cfg, streams)
     edge_rng = streams.derive("cltrain")
     times = overhead.PRESET_TIMES["cl"]
-    shards = {}
-    pool = {}
+    clients = {}
+    admit = lambda sat, shard, _: _ClClient(shard)
     logs = []
-    for rec in schedule:
-        if rec.coverage_failed:
-            accuracy, loss = evaluate(model, test_set)
-            logs.append(
-                RoundLog(rec.round_index, rec.edge, len(rec.members), False, False,
-                         accuracy, loss, math.nan,
-                         train_cfg.local_epochs * times["t_epoch_s"])
-            )
-            continue
-        member_set = set(rec.members)
-        for sat in list(shards):
-            if sat not in member_set:
-                del shards[sat]
-                del pool[sat]
-        if rec.admitted:
-            shard_rng = streams.derive("shard", rec.round_index)
-            for sat, shard in partition_data(
-                train_set, list(rec.admitted), samples_per_client, shard_rng
-            ).items():
-                shards[sat] = shard
-        # a handover moves the server, so every member re-ships to it
-        shippers = rec.members if rec.handover else rec.admitted
-        shipped_snrs = []
-        for sat in shippers:
-            link = rec.links.sample(sat)
-            ship_rng = streams.derive("ship", rec.round_index, sat.plane, sat.slot)
-            pool[sat] = _ship_shard(shards[sat], link, corruption, ship_rng)
-            shipped_snrs.append(link.snr_db)
-        if rec.members:
-            pooled = _concat([pool[sat] for sat in rec.members], train_set.n_classes)
-            for _ in range(train_cfg.local_epochs):
-                model = sgd_epoch(model, pooled, train_cfg, edge_rng)
-        accuracy, loss = evaluate(model, test_set)
-        mean_snr = float(np.mean(shipped_snrs)) if shipped_snrs else math.nan
+    for rec in member_rounds(schedule, clients, admit, train_set, samples_per_client, streams):
         delay = train_cfg.local_epochs * times["t_epoch_s"]
-        if shippers:
-            delay += times["t_send_s"]
-        logs.append(
-            RoundLog(
-                rec.round_index, rec.edge, len(rec.members), rec.reclustered,
-                rec.handover, accuracy, loss, mean_snr, delay,
-            )
-        )
+        shipped_snrs = []
+        if not rec.coverage_failed:
+            # a handover moves the server, so every member re-ships to it
+            shippers = rec.members if rec.handover else rec.admitted
+            for sat in shippers:
+                link = rec.links.sample(sat)
+                ship_rng = streams.derive("ship", rec.round_index, sat.plane, sat.slot)
+                client = clients[sat]
+                client.shipped = _ship_shard(client.shard, link, corruption, ship_rng)
+                shipped_snrs.append(link.snr_db)
+            if shippers:
+                delay += times["t_send_s"]
+            if rec.members:
+                shipped = [clients[sat].shipped for sat in rec.members]
+                pooled = Dataset(
+                    np.concatenate([d.features for d in shipped]),
+                    np.concatenate([d.labels for d in shipped]),
+                    train_set.n_classes,
+                )
+                for _ in range(train_cfg.local_epochs):
+                    model = sgd_epoch(model, pooled, train_cfg, edge_rng)
+        accuracy, loss = evaluate(model, test_set)
+        logs.append(round_log(rec, accuracy, loss, mean_or_nan(shipped_snrs), delay))
     return logs
 
 
@@ -146,64 +133,31 @@ def run_dl(
     the logs cannot depend on channel parameters.
     """
     schedule = membership_schedule(cfg, walker, isl, gsl, streams, train_cfg.local_epochs)
-    w0 = init_model(
-        train_set.n_features, train_cfg.hidden_size, train_set.n_classes,
-        streams.derive("init"),
-    )
-    times = overhead.PRESET_TIMES["dl"]
-    delay = train_cfg.local_epochs * times["t_epoch_s"]
+    w0 = initial_model(train_set, train_cfg, streams)
+    delay = train_cfg.local_epochs * overhead.PRESET_TIMES["dl"]["t_epoch_s"]
     clients = {}
+
+    def admit(sat, shard, round_index):
+        rng = streams.derive("dltrain", round_index, sat.plane, sat.slot)
+        return _DlClient(shard=shard, model=w0.copy(), rng=rng)
+
+    def client_round(sat):
+        client = clients[sat]
+        model = client.model
+        for _ in range(train_cfg.local_epochs):
+            model = sgd_epoch(model, client.shard, train_cfg, client.rng)
+        return model
+
     logs = []
-    for rec in schedule:
+    for rec in member_rounds(schedule, clients, admit, train_set, samples_per_client, streams):
         if rec.coverage_failed:
-            held = [clients[sat].model for sat in rec.members if sat in clients]
-            if held:
-                scores = [evaluate(m, test_set) for m in held]
-                acc = float(np.mean([s[0] for s in scores]))
-                loss = float(np.mean([s[1] for s in scores]))
-            else:
-                acc, loss = math.nan, math.nan
-            logs.append(
-                RoundLog(rec.round_index, rec.edge, len(rec.members), False, False,
-                         acc, loss, math.nan, delay)
-            )
-            continue
-        member_set = set(rec.members)
-        for sat in list(clients):
-            if sat not in member_set:
-                del clients[sat]
-        if rec.admitted:
-            shard_rng = streams.derive("shard", rec.round_index)
-            shards = partition_data(
-                train_set, list(rec.admitted), samples_per_client, shard_rng
-            )
-            for sat in rec.admitted:
-                clients[sat] = _DlClient(
-                    shard=shards[sat],
-                    model=w0.copy(),
-                    rng=streams.derive("dltrain", rec.round_index, sat.plane, sat.slot),
-                )
-
-        def client_round(sat):
-            client = clients[sat]
-            model = client.model
-            for _ in range(train_cfg.local_epochs):
-                model = sgd_epoch(model, client.shard, train_cfg, client.rng)
-            return model
-
-        results = parallel_map(client_round, list(rec.members), workers)
-        accuracies, losses = [], []
-        for sat, model in zip(rec.members, results):
-            clients[sat].model = model
-            accuracy, loss = evaluate(model, test_set)
-            accuracies.append(accuracy)
-            losses.append(loss)
-        mean_acc = float(np.mean(accuracies)) if accuracies else math.nan
-        mean_loss = float(np.mean(losses)) if losses else math.nan
-        logs.append(
-            RoundLog(
-                rec.round_index, rec.edge, len(rec.members), rec.reclustered,
-                rec.handover, mean_acc, mean_loss, math.nan, delay,
-            )
-        )
+            models = [clients[sat].model for sat in rec.members]
+        else:
+            models = parallel_map(client_round, list(rec.members), workers)
+            for sat, model in zip(rec.members, models):
+                clients[sat].model = model
+        scores = [evaluate(model, test_set) for model in models]
+        accuracy = mean_or_nan([s[0] for s in scores])
+        loss = mean_or_nan([s[1] for s in scores])
+        logs.append(round_log(rec, accuracy, loss, math.nan, delay))
     return logs

@@ -1,9 +1,11 @@
 """Scenario configuration: INI surface, defaults, validation, round trip.
 
 One flat frozen dataclass mirrors the config file key for key (angles in
-degrees, SI units otherwise); builder methods assemble the domain objects
-from it. Serialization echoes every field at full precision via repr, so
-a serialized config loads back equal to the original.
+degrees, SI units otherwise). Each field is the only declaration of its
+key: SCHEMA is derived from the field list, and builder methods pass each
+section's keys to its domain object by name. Serialization echoes every
+field at full precision via repr, so a serialized config loads back equal
+to the original.
 """
 
 import configparser
@@ -113,161 +115,73 @@ class ScenarioConfig:
     sweep_parameter: str = None
     sweep_values: tuple = ()
 
-    def walker(self) -> WalkerConfig:
+    def _build(self, cls, section: str, **overrides):
+        """cls from one section's keys, then overrides; *_deg keys pass as radians."""
         kwargs = {}
-        if self.paper_literal:
-            kwargs = {"phasing_factor": "paper_literal", "y_sign": -1.0}
-        return WalkerConfig(
-            n_orbits=self.n_orbits,
-            sats_per_orbit=self.sats_per_orbit,
-            inclination=math.radians(self.inclination_deg),
-            altitude_km=self.altitude_km,
-            earth_radius_km=self.earth_radius_km,
-            **kwargs,
-        )
+        for key, (field, _) in SCHEMA[section].items():
+            value = getattr(self, field)
+            if key.endswith("_deg"):
+                key, value = key[: -len("_deg")], math.radians(value)
+            kwargs[key] = value
+        return cls(**{**kwargs, **overrides})
 
-    def _optics(self, prefix: str) -> OpticalParams:
-        get = lambda key: getattr(self, prefix + key)
-        return OpticalParams(
-            wavelength_m=get("wavelength_m"),
-            bandwidth_hz=get("bandwidth_hz"),
-            tx_power_w=get("tx_power_w"),
-            rx_efficiency=get("rx_efficiency"),
-            tx_efficiency=get("tx_efficiency"),
-            telescope_diameter_m=get("telescope_diameter_m"),
-            pointing_sd_rad=get("pointing_sd_rad"),
-            responsivity_a_per_w=get("responsivity_a_per_w"),
-            dark_current_a=get("dark_current_a"),
-            noise_temp_k=get("noise_temp_k"),
-            load_resistance_ohm=get("load_resistance_ohm"),
-            snr_mode="paper" if self.paper_literal else get("snr_mode"),
-            ber_scheme=get("ber_scheme"),
-            ber_fixed=get("ber_fixed"),
-        )
+    def walker(self) -> WalkerConfig:
+        if self.paper_literal:
+            return self._build(WalkerConfig, "constellation",
+                               phasing_factor="paper_literal", y_sign=-1.0)
+        return self._build(WalkerConfig, "constellation")
+
+    def _optics(self, section: str) -> OpticalParams:
+        if self.paper_literal:
+            return self._build(OpticalParams, section, snr_mode="paper")
+        return self._build(OpticalParams, section)
 
     def isl_optics(self) -> OpticalParams:
-        return self._optics("isl_")
+        return self._optics("isl_optics")
 
     def gsl_optics(self) -> OpticalParams:
-        return self._optics("gsl_")
+        return self._optics("gsl_optics")
 
     def lesc(self) -> LescConfig:
-        return LescConfig(
-            threshold_mode=self.lesc_threshold_mode,
-            delta_d_km=self.lesc_delta_d_km,
-            delta_gamma=self.lesc_delta_gamma,
-            recluster_period=self.lesc_recluster_period,
-            recluster_fraction=self.lesc_recluster_fraction,
-            gsl_snr_threshold=self.lesc_gsl_snr_threshold,
-            rounds=self.lesc_rounds,
-            gs_lat=math.radians(self.lesc_gs_lat_deg),
-            gs_lon=math.radians(self.lesc_gs_lon_deg),
-            min_elevation=math.radians(self.lesc_min_elevation_deg),
-            snr_units=self.lesc_snr_units,
-            round_time_s=self.lesc_round_time_s,
-        )
+        return self._build(LescConfig, "lesc")
 
     def train(self) -> TrainConfig:
-        return TrainConfig(
-            learning_rate=self.train_learning_rate,
-            local_epochs=self.train_local_epochs,
-            batch_size=self.train_batch_size,
-            hidden_size=self.train_hidden_size,
-            seed=self.master_seed,
-        )
+        return self._build(TrainConfig, "train", seed=self.master_seed)
 
     def corruption(self) -> CorruptionSpec:
-        return CorruptionSpec(
-            kind=self.corruption_kind,
-            awgn_scale=self.corruption_awgn_scale,
-            packet_bits=self.corruption_packet_bits,
-        )
+        return self._build(CorruptionSpec, "corruption")
 
 
-_OPTICS_SCHEMA = {
-    "wavelength_m": "float",
-    "bandwidth_hz": "float",
-    "tx_power_w": "float",
-    "tx_efficiency": "float",
-    "rx_efficiency": "float",
-    "telescope_diameter_m": "float",
-    "pointing_sd_rad": "float",
-    "responsivity_a_per_w": "float",
-    "dark_current_a": "float",
-    "noise_temp_k": "float",
-    "load_resistance_ohm": "float",
-    "snr_mode": "str",
-    "ber_scheme": "str",
-    "ber_fixed": "float",
+# field-name prefix -> section; unprefixed fields are [run] or [constellation]
+_PREFIX_SECTIONS = {
+    "isl": "isl_optics", "gsl": "gsl_optics", "lesc": "lesc", "train": "train",
+    "dataset": "dataset", "corruption": "corruption", "overhead": "overhead",
+    "sweep": "sweep",
+}
+_RUN_KEYS = ("architectures", "master_seed", "output_dir", "paper_literal", "workers")
+# fields whose INI form is not named by their annotation
+_TAGS = {
+    "architectures": "str_list",
+    "lesc_round_time_s": "float_or_auto",
+    "sweep_parameter": "str_or_none",
+    "sweep_values": "str_list",
 }
 
-# section -> key -> (flat field name, type tag)
-SCHEMA = {
-    "run": {
-        "architectures": ("architectures", "str_list"),
-        "master_seed": ("master_seed", "int"),
-        "output_dir": ("output_dir", "str"),
-        "paper_literal": ("paper_literal", "bool"),
-        "workers": ("workers", "int"),
-    },
-    "constellation": {
-        "n_orbits": ("n_orbits", "int"),
-        "sats_per_orbit": ("sats_per_orbit", "int"),
-        "inclination_deg": ("inclination_deg", "float"),
-        "altitude_km": ("altitude_km", "float"),
-        "earth_radius_km": ("earth_radius_km", "float"),
-    },
-    "isl_optics": {k: ("isl_" + k, tag) for k, tag in _OPTICS_SCHEMA.items()},
-    "gsl_optics": {k: ("gsl_" + k, tag) for k, tag in _OPTICS_SCHEMA.items()},
-    "lesc": {
-        "threshold_mode": ("lesc_threshold_mode", "str"),
-        "delta_d_km": ("lesc_delta_d_km", "float"),
-        "delta_gamma": ("lesc_delta_gamma", "float"),
-        "recluster_period": ("lesc_recluster_period", "float"),
-        "recluster_fraction": ("lesc_recluster_fraction", "float"),
-        "gsl_snr_threshold": ("lesc_gsl_snr_threshold", "float"),
-        "rounds": ("lesc_rounds", "int"),
-        "gs_lat_deg": ("lesc_gs_lat_deg", "float"),
-        "gs_lon_deg": ("lesc_gs_lon_deg", "float"),
-        "min_elevation_deg": ("lesc_min_elevation_deg", "float"),
-        "snr_units": ("lesc_snr_units", "str"),
-        "round_time_s": ("lesc_round_time_s", "float_or_auto"),
-    },
-    "train": {
-        "learning_rate": ("train_learning_rate", "float"),
-        "local_epochs": ("train_local_epochs", "int"),
-        "batch_size": ("train_batch_size", "int"),
-        "hidden_size": ("train_hidden_size", "int"),
-    },
-    "dataset": {
-        "kind": ("dataset_kind", "str"),
-        "n_classes": ("dataset_n_classes", "int"),
-        "n_features": ("dataset_n_features", "int"),
-        "train_per_class": ("dataset_train_per_class", "int"),
-        "test_per_class": ("dataset_test_per_class", "int"),
-        "spread": ("dataset_spread", "float"),
-        "samples_per_client": ("dataset_samples_per_client", "int"),
-        "train_images": ("dataset_train_images", "str"),
-        "train_labels": ("dataset_train_labels", "str"),
-        "test_images": ("dataset_test_images", "str"),
-        "test_labels": ("dataset_test_labels", "str"),
-    },
-    "corruption": {
-        "kind": ("corruption_kind", "str"),
-        "awgn_scale": ("corruption_awgn_scale", "float"),
-        "packet_bits": ("corruption_packet_bits", "int"),
-    },
-    "overhead": {
-        "accounting": ("overhead_accounting", "str"),
-        "cluster_size": ("overhead_cluster_size", "int"),
-        "device_flops": ("overhead_device_flops", "float"),
-        "link_rate_bps": ("overhead_link_rate_bps", "float"),
-    },
-    "sweep": {
-        "parameter": ("sweep_parameter", "str_or_none"),
-        "values": ("sweep_values", "raw_list"),
-    },
-}
+
+def _schema() -> dict:
+    """section -> key -> (flat field name, type tag), in field order."""
+    schema = {}
+    for f in fields(ScenarioConfig):
+        prefix, _, key = f.name.partition("_")
+        if prefix in _PREFIX_SECTIONS:
+            section = _PREFIX_SECTIONS[prefix]
+        else:
+            section, key = ("run" if f.name in _RUN_KEYS else "constellation"), f.name
+        schema.setdefault(section, {})[key] = (f.name, _TAGS.get(f.name, f.type.__name__))
+    return schema
+
+
+SCHEMA = _schema()
 
 _BOOL_WORDS = {"true": True, "yes": True, "on": True, "1": True,
                "false": False, "no": False, "off": False, "0": False}
@@ -290,8 +204,6 @@ def _parse_value(tag: str, text: str, where: str):
             return None if text in ("", "auto") else float(text)
         if tag == "str_list":
             return tuple(part.strip() for part in text.split(",") if part.strip())
-        if tag == "raw_list":
-            return tuple(part.strip() for part in text.split(",") if part.strip())
     except (ValueError, KeyError):
         raise ConfigError(f"{where}: cannot parse {text!r} as {tag}") from None
     raise ConfigError(f"{where}: unknown schema tag {tag}")
@@ -306,7 +218,7 @@ def _format_value(tag: str, value) -> str:
         return repr(float(value))
     if tag == "bool":
         return "true" if value else "false"
-    if tag in ("str_list", "raw_list"):
+    if tag == "str_list":
         return ",".join(_format_value("float", v) if isinstance(v, float)
                         else str(v) for v in value)
     raise ConfigError(f"unknown schema tag {tag}")

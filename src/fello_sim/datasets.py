@@ -17,11 +17,14 @@ IDX_LABELS_MAGIC = 2049
 
 def _read_idx(path: str, expected_magic: int) -> np.ndarray:
     with open(path, "rb") as f:
-        magic, = struct.unpack(">I", f.read(4))
-        if magic != expected_magic:
-            raise ValueError(f"{path}: bad IDX magic {magic}, expected {expected_magic}")
-        n_dims = magic & 0xFF  # low byte of the magic encodes the rank
-        dims = struct.unpack(f">{n_dims}I", f.read(4 * n_dims))
+        try:
+            magic, = struct.unpack(">I", f.read(4))
+            if magic != expected_magic:
+                raise ValueError(f"{path}: bad IDX magic {magic}, expected {expected_magic}")
+            n_dims = magic & 0xFF  # low byte of the magic encodes the rank
+            dims = struct.unpack(f">{n_dims}I", f.read(4 * n_dims))
+        except struct.error:
+            raise ValueError(f"{path}: truncated IDX header") from None
         data = np.frombuffer(f.read(), dtype=np.uint8)
     if data.size != int(np.prod(dims)):
         raise ValueError(f"{path}: payload size {data.size} mismatches dims {dims}")

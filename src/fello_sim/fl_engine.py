@@ -328,7 +328,7 @@ def corrupt_vector(
         raise ValueError(f"prev shape {prev.shape} mismatches vector {vec.shape}")
     params_per_packet = max(1, spec.packet_bits // PACKET_BITS_PER_PARAM)
     n_packets = math.ceil(vec.size / params_per_packet)
-    p_fail = 1.0 - (1.0 - link.ber) ** spec.packet_bits
+    p_fail = -math.expm1(spec.packet_bits * math.log1p(-link.ber))
     lost = rng.random(n_packets) < p_fail
     out = vec.copy()
     for i in np.nonzero(lost)[0]:

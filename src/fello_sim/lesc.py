@@ -130,7 +130,6 @@ class ClusterState:
     edge: SatIndex
     clients: tuple
     baseline_size: int
-    global_model: ModelParams = None
 
     def __post_init__(self):
         if self.edge in self.clients:
@@ -367,8 +366,11 @@ def membership_schedule(
 ) -> list:
     """Evolve edge and cluster membership over all rounds, without training.
 
-    Membership depends only on geometry and keyed link draws, so every
-    architecture sharing a master seed sees the same schedule.
+    Membership depends only on geometry and link draws keyed from streams.
+    In distance mode that makes it the same for every architecture; in SNR
+    mode admission and pruning read pointing-error draws, and each
+    architecture's streams come from its own derive_seed(master, arch,
+    point), so the architectures' schedules can differ.
     """
     dt = round_interval(cfg, local_epochs)
     gs = ground_station_position(cfg.gs_lat, cfg.gs_lon, walker.earth_radius_km)
@@ -424,6 +426,60 @@ def parallel_map(fn, items, workers: int) -> list:
         return list(pool.map(fn, items))
 
 
+def initial_model(
+    train_set: Dataset, train_cfg: TrainConfig, streams: Substreams
+) -> ModelParams:
+    """The run's starting model, drawn from its "init" substream."""
+    return init_model(
+        train_set.n_features, train_cfg.hidden_size, train_set.n_classes,
+        streams.derive("init"),
+    )
+
+
+def member_rounds(
+    schedule: list,
+    clients: dict,
+    admit,
+    train_set: Dataset,
+    samples_per_client: int,
+    streams: Substreams,
+):
+    """Yield each scheduled round once clients holds exactly its members.
+
+    Before yielding a covered round, members that left are evicted from
+    clients, and each admitted member gets clients[sat] = admit(sat, shard,
+    round_index), with shards drawn in admission order from the round's
+    "shard" substream. Rounds without coverage pass through untouched.
+    """
+    for rec in schedule:
+        if not rec.coverage_failed:
+            for sat in set(clients).difference(rec.members):
+                del clients[sat]
+            if rec.admitted:
+                shard_rng = streams.derive("shard", rec.round_index)
+                shards = partition_data(
+                    train_set, list(rec.admitted), samples_per_client, shard_rng
+                )
+                for sat in rec.admitted:
+                    clients[sat] = admit(sat, shards[sat], rec.round_index)
+        yield rec
+
+
+def mean_or_nan(values: list) -> float:
+    """Mean of the values, or NaN when there are none."""
+    return float(np.mean(values)) if values else math.nan
+
+
+def round_log(
+    rec: MembershipRound, accuracy: float, loss: float, mean_snr_db: float, delay_s: float
+) -> RoundLog:
+    """The RoundLog of one scheduled round with its training outcome."""
+    return RoundLog(
+        rec.round_index, rec.edge, len(rec.members), rec.reclustered, rec.handover,
+        accuracy, loss, mean_snr_db, delay_s,
+    )
+
+
 def run_fello(
     cfg: LescConfig,
     walker: WalkerConfig,
@@ -445,64 +501,44 @@ def run_fello(
     """
     schedule = membership_schedule(cfg, walker, isl, gsl, streams, train_cfg.local_epochs)
     dt = round_interval(cfg, train_cfg.local_epochs)
-    global_model = init_model(
-        train_set.n_features, train_cfg.hidden_size, train_set.n_classes,
-        streams.derive("init"),
-    )
+    global_model = initial_model(train_set, train_cfg, streams)
     clients = {}
+    admit = lambda sat, shard, _: ClientState(sat=sat, shard=shard)
     logs = []
-    for rec in schedule:
-        if rec.coverage_failed:
-            accuracy, loss = evaluate(global_model, test_set)
-            logs.append(
-                RoundLog(rec.round_index, rec.edge, len(rec.members), False, False,
-                         accuracy, loss, math.nan, dt)
-            )
-            continue
-        member_set = set(rec.members)
-        for sat in list(clients):
-            if sat not in member_set:
-                del clients[sat]
-        if rec.admitted:
-            shard_rng = streams.derive("shard", rec.round_index)
-            shards = partition_data(train_set, list(rec.admitted), samples_per_client, shard_rng)
-            for sat in rec.admitted:
-                clients[sat] = ClientState(sat=sat, shard=shards[sat])
-        link_by_sat = {sat: rec.links.sample(sat) for sat in rec.members}
+    for rec in member_rounds(schedule, clients, admit, train_set, samples_per_client, streams):
+        snrs = []
+        if not rec.coverage_failed:
+            link_by_sat = {sat: rec.links.sample(sat) for sat in rec.members}
 
-        def client_round(sat):
-            # pure function of keyed substreams: safe to run on any worker
-            record = clients[sat]
-            link = link_by_sat[sat]
-            down_rng = streams.derive("down", rec.round_index, sat.plane, sat.slot)
-            received = corrupt_model(
-                global_model, link, corruption, down_rng, prev=record.local_model
-            )
-            train_rng = streams.derive("train", rec.round_index, sat.plane, sat.slot)
-            trained = train_local(record, received, train_cfg, train_rng)
-            up_rng = streams.derive("up", rec.round_index, sat.plane, sat.slot)
-            uploaded = corrupt_model(trained, link, corruption, up_rng, prev=record.last_upload)
-            return trained, uploaded
+            def client_round(sat):
+                # pure function of keyed substreams: safe to run on any worker
+                record = clients[sat]
+                link = link_by_sat[sat]
+                down_rng = streams.derive("down", rec.round_index, sat.plane, sat.slot)
+                received = corrupt_model(
+                    global_model, link, corruption, down_rng, prev=record.local_model
+                )
+                train_rng = streams.derive("train", rec.round_index, sat.plane, sat.slot)
+                trained = train_local(record, received, train_cfg, train_rng)
+                up_rng = streams.derive("up", rec.round_index, sat.plane, sat.slot)
+                uploaded = corrupt_model(
+                    trained, link, corruption, up_rng, prev=record.last_upload
+                )
+                return trained, uploaded
 
-        results = parallel_map(client_round, list(rec.members), workers)
-        uploads = []
-        for sat, (trained, uploaded) in zip(rec.members, results):
-            record = clients[sat]
-            record.local_model = trained
-            record.last_upload = uploaded
-            uploads.append((uploaded, record.shard.n_samples))
-        if uploads:
-            global_model = aggregate(uploads, total_samples=fixed_total)
-        else:
-            logger.warning("round %d: no participants, skipping aggregation",
-                           rec.round_index)
+            results = parallel_map(client_round, list(rec.members), workers)
+            uploads = []
+            for sat, (trained, uploaded) in zip(rec.members, results):
+                record = clients[sat]
+                record.local_model = trained
+                record.last_upload = uploaded
+                uploads.append((uploaded, record.shard.n_samples))
+            if uploads:
+                global_model = aggregate(uploads, total_samples=fixed_total)
+            else:
+                logger.warning("round %d: no participants, skipping aggregation",
+                               rec.round_index)
+            snrs = [link_by_sat[sat].snr_db for sat in rec.members]
         accuracy, loss = evaluate(global_model, test_set)
-        snrs = [link_by_sat[sat].snr_db for sat in rec.members]
-        mean_snr = float(np.mean(snrs)) if snrs else math.nan
-        logs.append(
-            RoundLog(
-                rec.round_index, rec.edge, len(rec.members), rec.reclustered,
-                rec.handover, accuracy, loss, mean_snr, dt,
-            )
-        )
+        logs.append(round_log(rec, accuracy, loss, mean_or_nan(snrs), dt))
     return logs

@@ -69,6 +69,21 @@ def test_idx_truncated_payload(tmp_path):
         load_idx_images(str(path))
 
 
+@pytest.mark.parametrize(
+    "header, loader",
+    [
+        (bytes(2), load_idx_images),
+        (struct.pack(">I", 2049), load_idx_labels),  # magic, but no dimensions
+    ],
+    ids=["two_bytes", "labels_magic_only"],
+)
+def test_idx_truncated_header_names_the_file(tmp_path, header, loader):
+    path = tmp_path / "short.idx"
+    path.write_bytes(header)
+    with pytest.raises(ValueError, match="short.idx: truncated IDX header"):
+        loader(str(path))
+
+
 def test_blobs_shape_and_balance():
     data = synthetic_blobs(4, 6, 25, np.random.default_rng(1), spread=0.1)
     assert data.n_samples == 100

@@ -332,6 +332,23 @@ def test_corrupt_packet_loss_rate():
     assert np.array_equal(clean, vec)
 
 
+class _ZeroDraws:
+    """Generator stand-in whose uniform draws are all 0.0."""
+
+    def random(self, n):
+        return np.zeros(n)
+
+
+def test_corrupt_packet_tiny_ber_still_loses_packets():
+    # At ber 1e-17 an 8192-bit packet is lost with probability 8.19e-14;
+    # 1 - (1 - ber)**bits rounds that to exactly 0, so a 0.0 draw kept it.
+    vec = np.ones(1000)
+    prev = np.full(1000, 7.0)
+    spec = CorruptionSpec(kind="packet", packet_bits=8192)
+    out = corrupt_vector(vec, make_link(ber_prob=1e-17), spec, _ZeroDraws(), prev=prev)
+    assert np.array_equal(out, prev)
+
+
 def test_corrupt_packet_prev_slices():
     vec = np.ones(23)
     prev = np.full(23, 7.0)

@@ -292,10 +292,9 @@ def test_maybe_recluster(table1_walker, table1_optics):
 
 def test_maybe_handover(table1_walker, table1_optics):
     streams = Substreams(6)
-    model = init_model(4, 3, 2, streams.derive("init"))
     # Edge far below horizon, threshold 20 dB: must hand over.
     cfg = LescConfig(delta_d_km=2600.0, gsl_snr_threshold=20.0)
-    lost = ClusterState(5, SatIndex(1, 11), (SatIndex(1, 12),), 1, global_model=model)
+    lost = ClusterState(5, SatIndex(1, 11), (SatIndex(1, 12),), 1)
     state, flag, links = maybe_handover(
         lost, cfg, table1_walker, table1_optics, table1_optics, GS_EQUATOR, 0.0,
         streams,
@@ -304,7 +303,6 @@ def test_maybe_handover(table1_walker, table1_optics):
     assert state.edge == select_edge(table1_walker, GS_EQUATOR, 0.0, cfg.min_elevation)
     assert state.edge not in state.clients
     assert state.baseline_size == len(state.clients)
-    assert state.global_model is model
     assert links.edge == state.edge
     # Threshold 0 linear never fires, even below the horizon.
     never_cfg = LescConfig(delta_d_km=2600.0, gsl_snr_threshold=0.0,
@@ -319,7 +317,7 @@ def test_maybe_handover(table1_walker, table1_optics):
     # An absurd threshold fires even at zenith.
     always_cfg = LescConfig(delta_d_km=2600.0, gsl_snr_threshold=1e15,
                             snr_units="linear")
-    zenith = ClusterState(5, SatIndex(1, 1), (), 0, global_model=model)
+    zenith = ClusterState(5, SatIndex(1, 1), (), 0)
     _, flag, _ = maybe_handover(
         zenith, always_cfg, table1_walker, table1_optics, table1_optics,
         GS_EQUATOR, 0.0, streams,
