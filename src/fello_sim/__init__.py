@@ -15,7 +15,7 @@ Subsystems:
 
 __version__ = "0.1.0"
 
-from .orbits import EcefPosition, SatIndex, WalkerConfig
+from .orbits import SatIndex, WalkerConfig
 from .optical_link import LinkSample, OpticalParams
 from .fl_engine import CorruptionSpec, Dataset, ModelParams, TrainConfig
 from .lesc import ClusterState, LescConfig, RoundLog
@@ -25,7 +25,6 @@ from .config import ScenarioConfig, load_config
 __all__ = [
     "WalkerConfig",
     "SatIndex",
-    "EcefPosition",
     "OpticalParams",
     "LinkSample",
     "Dataset",

@@ -11,7 +11,7 @@ from dataclasses import replace
 
 from .config import ConfigError, load_config, validate_config
 from .optical_link import db, evaluate_link
-from .orbits import SatIndex, distance, validate_index
+from .orbits import SatIndex, distance
 from .scenario import emit_overhead_report, run_scenario
 from .seeding import Substreams
 
@@ -75,10 +75,11 @@ def _load(args) -> "ScenarioConfig":
 
 
 def _linkbudget(cfg, sat_from: SatIndex, sat_to: SatIndex, t: float) -> int:
-    walker = cfg.walker()
-    validate_index(walker, sat_from)
-    validate_index(walker, sat_to)
-    d = distance(walker, sat_from, sat_to, t)
+    if sat_from == sat_to:
+        raise ConfigError(
+            f"--from and --to both name satellite {sat_from.plane},{sat_from.slot}"
+        )
+    d = distance(cfg.walker(), sat_from, sat_to, t)
     rng = Substreams(cfg.master_seed).derive(
         "linkbudget", sat_from.plane, sat_from.slot, sat_to.plane, sat_to.slot, t
     )
@@ -117,7 +118,7 @@ def main(argv=None) -> int:
                 f"rounds={cfg.lesc_rounds} dataset={cfg.dataset_kind} sweep={sweep}"
             )
             return 0
-    except IndexError as e:
+    except (ConfigError, IndexError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
     except Exception:

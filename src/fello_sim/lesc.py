@@ -43,13 +43,12 @@ from .optical_link import (
     snr,
 )
 from .orbits import (
-    EcefPosition,
     SatIndex,
     WalkerConfig,
     all_indices,
     ground_station_position,
     positions_at,
-    validate_index,
+    row_of,
 )
 from .seeding import Substreams
 
@@ -166,17 +165,13 @@ class MembershipRound:
     links: object
 
 
-def _row_of(walker: WalkerConfig, sat: SatIndex) -> int:
-    return (sat.plane - 1) * walker.sats_per_orbit + (sat.slot - 1)
-
-
 class RoundLinks:
     """Cached link realizations around one edge at one round.
 
-    Each (edge, satellite) pair gets exactly one pointing-error draw per
-    round from its own keyed substream, so admission, pruning, corruption
-    and metrics all see the same realization regardless of evaluation
-    order or worker count.
+    positions is the round's positions_at block. Each (edge, satellite)
+    pair gets exactly one pointing-error draw per round from its own keyed
+    substream, so admission, pruning, corruption and metrics all see the
+    same realization regardless of evaluation order or worker count.
     """
 
     def __init__(
@@ -185,22 +180,22 @@ class RoundLinks:
         walker: WalkerConfig,
         round_index: int,
         edge: SatIndex,
-        t: float,
+        positions: np.ndarray,
         streams: Substreams,
     ):
         self.round_index = round_index
         self.edge = edge
         self._isl = isl
-        self._walker = walker
         self._streams = streams
-        positions = positions_at(walker, t)
+        # Plane-major rows fold into a (plane, slot) grid; only the edge's
+        # index is validated, not each per-satellite lookup.
         self._distances = np.linalg.norm(
-            positions - positions[_row_of(walker, edge)], axis=1
-        )
+            positions - positions[row_of(walker, edge)], axis=1
+        ).reshape(walker.n_orbits, walker.sats_per_orbit)
         self._cache = {}
 
     def distance_km(self, sat: SatIndex) -> float:
-        return float(self._distances[_row_of(self._walker, sat)])
+        return float(self._distances[sat.plane - 1, sat.slot - 1])
 
     def sample(self, sat: SatIndex) -> LinkSample:
         if sat == self.edge:
@@ -217,9 +212,9 @@ class RoundLinks:
 def gsl_quality(
     gsl: OpticalParams,
     walker: WalkerConfig,
-    gs: EcefPosition,
+    gs: np.ndarray,
     sat: SatIndex,
-    t: float,
+    positions: np.ndarray,
     min_elevation: float,
 ) -> tuple:
     """(linear SNR, elevation) of the ground-satellite link.
@@ -227,11 +222,9 @@ def gsl_quality(
     The GSL budget reuses the optical model at zero pointing error, so it
     is deterministic; SNR reports as 0 below the elevation mask.
     """
-    validate_index(walker, sat)
-    positions = positions_at(walker, t)
-    rel = positions[_row_of(walker, sat)] - gs.as_array()
+    rel = positions[row_of(walker, sat)] - gs
     dist = float(np.linalg.norm(rel))
-    up = gs.as_array() / np.linalg.norm(gs.as_array())
+    up = gs / np.linalg.norm(gs)
     elevation = math.asin(float(np.dot(up, rel)) / dist)
     if elevation < min_elevation:
         return 0.0, elevation
@@ -242,24 +235,20 @@ def gsl_quality(
 
 
 def select_edge(
-    walker: WalkerConfig, gs: EcefPosition, t: float, min_elevation: float
+    walker: WalkerConfig,
+    gs: np.ndarray,
+    positions: np.ndarray,
+    min_elevation: float,
 ) -> SatIndex:
     """Nearest visible satellite; ties break to the lowest index."""
-    positions = positions_at(walker, t)
-    gs_vec = gs.as_array()
-    rel = positions - gs_vec
+    rel = positions - gs
     dists = np.linalg.norm(rel, axis=1)
-    up = gs_vec / np.linalg.norm(gs_vec)
-    elevations = np.arcsin((rel @ up) / dists)
-    best = None
-    best_dist = math.inf
-    for row, sat in enumerate(all_indices(walker)):
-        if elevations[row] >= min_elevation and dists[row] < best_dist:
-            best = sat
-            best_dist = dists[row]
-    if best is None:
-        raise CoverageError(f"no satellite above elevation mask at t={t}")
-    return best
+    up = gs / np.linalg.norm(gs)
+    visible = np.arcsin((rel @ up) / dists) >= min_elevation
+    if not visible.any():
+        raise CoverageError("no satellite above the elevation mask")
+    # argmin returns the first minimum, which is the lowest index
+    return all_indices(walker)[int(np.argmin(np.where(visible, dists, np.inf)))]
 
 
 def cluster(
@@ -324,8 +313,8 @@ def maybe_handover(
     walker: WalkerConfig,
     isl: OpticalParams,
     gsl: OpticalParams,
-    gs: EcefPosition,
-    t: float,
+    gs: np.ndarray,
+    positions: np.ndarray,
     streams: Substreams,
 ) -> tuple:
     """Hand the edge role over when its GSL quality falls below threshold.
@@ -334,11 +323,13 @@ def maybe_handover(
     edge ended up current). The global model transfers unchanged; the new
     edge re-clusters and the baseline size resets.
     """
-    gamma, _ = gsl_quality(gsl, walker, gs, state.edge, t, cfg.min_elevation)
+    gamma, _ = gsl_quality(gsl, walker, gs, state.edge, positions, cfg.min_elevation)
     if not gamma < cfg.gsl_threshold_linear:
-        return state, False, RoundLinks(isl, walker, state.round_index, state.edge, t, streams)
-    new_edge = select_edge(walker, gs, t, cfg.min_elevation)
-    links = RoundLinks(isl, walker, state.round_index, new_edge, t, streams)
+        return state, False, RoundLinks(
+            isl, walker, state.round_index, state.edge, positions, streams
+        )
+    new_edge = select_edge(walker, gs, positions, cfg.min_elevation)
+    links = RoundLinks(isl, walker, state.round_index, new_edge, positions, streams)
     members = cluster(new_edge, walker, cfg, links)
     new_state = replace(state, edge=new_edge, clients=members, baseline_size=len(members))
     return new_state, True, links
@@ -370,7 +361,9 @@ def membership_schedule(
     In distance mode that makes it the same for every architecture; in SNR
     mode admission and pruning read pointing-error draws, and each
     architecture's streams come from its own derive_seed(master, arch,
-    point), so the architectures' schedules can differ.
+    point), so the architectures' schedules can differ. The shell's
+    positions are computed once per round and shared by the GSL check,
+    edge selection and the round's links.
     """
     dt = round_interval(cfg, local_epochs)
     gs = ground_station_position(cfg.gs_lat, cfg.gs_lon, walker.earth_radius_km)
@@ -378,14 +371,15 @@ def membership_schedule(
     out = []
     for a in range(1, cfg.rounds + 1):
         t = a * dt
+        positions = positions_at(walker, t)
         if state is None:
             try:
-                edge = select_edge(walker, gs, t, cfg.min_elevation)
+                edge = select_edge(walker, gs, positions, cfg.min_elevation)
             except CoverageError:
                 logger.warning("round %d: no coverage, retrying next round", a)
                 out.append(MembershipRound(a, t, None, (), (), False, False, True, None))
                 continue
-            links = RoundLinks(isl, walker, a, edge, t, streams)
+            links = RoundLinks(isl, walker, a, edge, positions, streams)
             members = cluster(edge, walker, cfg, links)
             state = ClusterState(a, edge, members, len(members))
             out.append(MembershipRound(a, t, edge, members, members, False, False, False, links))
@@ -394,7 +388,7 @@ def membership_schedule(
         state = replace(state, round_index=a)
         try:
             state, handover, links = maybe_handover(
-                state, cfg, walker, isl, gsl, gs, t, streams
+                state, cfg, walker, isl, gsl, gs, positions, streams
             )
         except CoverageError:
             logger.warning("round %d: handover found no coverage, retrying", a)

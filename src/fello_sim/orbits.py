@@ -31,17 +31,6 @@ class SatIndex(NamedTuple):
     slot: int
 
 
-class EcefPosition(NamedTuple):
-    """Earth-fixed Cartesian position, kilometers."""
-
-    x: float
-    y: float
-    z: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self, dtype=float)
-
-
 @dataclass(frozen=True)
 class WalkerConfig:
     """Shape of one Walker Delta shell.
@@ -109,11 +98,13 @@ class WalkerConfig:
         return self.n_orbits * self.sats_per_orbit
 
 
-def validate_index(cfg: WalkerConfig, sat: SatIndex) -> None:
+def row_of(cfg: WalkerConfig, sat: SatIndex) -> int:
+    """Row of one satellite in positions_at's plane-major block."""
     if not 1 <= sat.plane <= cfg.n_orbits:
         raise IndexError(f"plane {sat.plane} out of range [1, {cfg.n_orbits}]")
     if not 1 <= sat.slot <= cfg.sats_per_orbit:
         raise IndexError(f"slot {sat.slot} out of range [1, {cfg.sats_per_orbit}]")
+    return (sat.plane - 1) * cfg.sats_per_orbit + (sat.slot - 1)
 
 
 def all_indices(cfg: WalkerConfig) -> list[SatIndex]:
@@ -125,44 +116,13 @@ def all_indices(cfg: WalkerConfig) -> list[SatIndex]:
     ]
 
 
-def initial_anomaly(cfg: WalkerConfig, sat: SatIndex) -> float:
-    """In-plane angle of (plane l, slot k) at t=0, radians."""
-    validate_index(cfg, sat)
-    c = cfg.phase_constant
-    return (sat.slot - 1) * c / cfg.sats_per_orbit + (sat.plane - 1) * c / (
-        cfg.sats_per_orbit * cfg.n_orbits
-    )
-
-
-def initial_raan(cfg: WalkerConfig, plane: int) -> float:
-    """Right ascension of plane l at t=0, radians."""
-    if not 1 <= plane <= cfg.n_orbits:
-        raise IndexError(f"plane {plane} out of range [1, {cfg.n_orbits}]")
-    return (plane - 1) * cfg.phase_constant / cfg.n_orbits
-
-
-def angular_state(cfg: WalkerConfig, sat: SatIndex, t: float) -> tuple[float, float]:
-    """(raan, anomaly) of one satellite at time t seconds, each in [0, 2*pi)."""
-    raan = (initial_raan(cfg, sat.plane) + cfg.earth_rotation_rate * t) % TWO_PI
-    anomaly = (initial_anomaly(cfg, sat) + cfg.orbit_rate * t) % TWO_PI
-    return raan, anomaly
-
-
-def position_at(cfg: WalkerConfig, sat: SatIndex, t: float) -> EcefPosition:
-    """Cartesian position of one satellite at time t seconds."""
-    raan, anomaly = angular_state(cfg, sat, t)
-    r = cfg.orbit_radius_km
-    cos_o, sin_o = math.cos(raan), math.sin(raan)
-    cos_w, sin_w = math.cos(anomaly), math.sin(anomaly)
-    cos_i = math.cos(cfg.inclination)
-    x = r * (cos_o * cos_w - sin_o * sin_w * cos_i)
-    y = r * (sin_o * cos_w + cfg.y_sign * cos_o * sin_w * cos_i)
-    z = r * sin_w * math.sin(cfg.inclination)
-    return EcefPosition(x, y, z)
-
-
 def positions_at(cfg: WalkerConfig, t: float) -> np.ndarray:
-    """Positions of the whole shell at time t, shape (n_total, 3), plane-major."""
+    """Positions of the whole shell at time t, shape (n_total, 3), plane-major.
+
+    The one evaluation of the Walker formulas: plane l starts at right
+    ascension (l-1) c / N_O and slot k at anomaly (k-1) c / N_S +
+    (l-1) c / (N_S N_O), with c the phase constant; both advance linearly.
+    """
     planes = np.repeat(np.arange(cfg.n_orbits), cfg.sats_per_orbit)
     slots = np.tile(np.arange(cfg.sats_per_orbit), cfg.n_orbits)
     c = cfg.phase_constant
@@ -187,20 +147,19 @@ def distance(cfg: WalkerConfig, a: SatIndex, b: SatIndex, t: float) -> float:
     """Euclidean distance between two satellites at time t, kilometers."""
     if a == b:
         raise ValueError(f"distance requires two distinct satellites, got {a} twice")
-    pa = position_at(cfg, a, t)
-    pb = position_at(cfg, b, t)
-    return math.dist(pa, pb)
+    positions = positions_at(cfg, t)
+    return math.dist(positions[row_of(cfg, a)], positions[row_of(cfg, b)])
 
 
 def ground_station_position(
     lat: float, lon: float, earth_radius_km: float = MEAN_EARTH_RADIUS_KM
-) -> EcefPosition:
-    """Earth-fixed position of a ground point at spherical (lat, lon), radians."""
+) -> np.ndarray:
+    """Earth-fixed (x, y, z) of a ground point at spherical (lat, lon), radians."""
     if not -math.pi / 2 <= lat <= math.pi / 2:
         raise ValueError(f"latitude must be in [-pi/2, pi/2], got {lat}")
     cos_lat = math.cos(lat)
-    return EcefPosition(
+    return np.array([
         earth_radius_km * cos_lat * math.cos(lon),
         earth_radius_km * cos_lat * math.sin(lon),
         earth_radius_km * math.sin(lat),
-    )
+    ])

@@ -18,7 +18,7 @@ from fello_sim.config import ScenarioConfig, load_config, serialize_config
 from fello_sim.fl_engine import Dataset, TrainConfig, aggregate, init_model, local_loss, sgd_epoch
 from fello_sim.lesc import membership_schedule
 from fello_sim.optical_link import antenna_gain, noise_power, pointing_loss, received_power
-from fello_sim.orbits import SatIndex, angular_state, position_at
+from fello_sim.orbits import SatIndex, positions_at, row_of
 from fello_sim.scenario import build_datasets, run_one, run_scenario
 from fello_sim.seeding import Substreams, derive_seed
 from fello_sim.overhead import preset_inputs, total_delay
@@ -61,6 +61,31 @@ def test_criterion_2_link_budget_oracles():
     assert abs(loss / 0.8675 - 1.0) < 1e-3
 
 
+def _walker_angles(walker, sat, t):
+    """(RAAN, anomaly) of one satellite from the Walker formulas, wrapped."""
+    c = walker.phase_constant
+    raan = (sat.plane - 1) * c / walker.n_orbits + walker.earth_rotation_rate * t
+    anomaly = (
+        (sat.slot - 1) * c / walker.sats_per_orbit
+        + (sat.plane - 1) * c / (walker.sats_per_orbit * walker.n_orbits)
+        + walker.orbit_rate * t
+    )
+    return raan % TWO_PI, anomaly % TWO_PI
+
+
+def _walker_position(walker, raan, anomaly):
+    """The inclined circular orbit's rotation of (raan, anomaly) onto the shell."""
+    r = walker.orbit_radius_km
+    cos_i, sin_i = math.cos(walker.inclination), math.sin(walker.inclination)
+    return np.array([
+        r * (math.cos(raan) * math.cos(anomaly)
+             - math.sin(raan) * math.sin(anomaly) * cos_i),
+        r * (math.sin(raan) * math.cos(anomaly)
+             + math.cos(raan) * math.sin(anomaly) * cos_i),
+        r * math.sin(anomaly) * sin_i,
+    ])
+
+
 def test_criterion_3_orbit_invariants():
     t0 = time.perf_counter()
     walker = ScenarioConfig().walker()
@@ -71,10 +96,12 @@ def test_criterion_3_orbit_invariants():
         sat = SatIndex(int(rng.integers(1, walker.n_orbits + 1)),
                        int(rng.integers(1, walker.sats_per_orbit + 1)))
         t = float(rng.uniform(0.0, 86_400.0))
-        pos = position_at(walker, sat, t)
-        assert abs(math.hypot(pos.x, pos.y, pos.z) / shell - 1.0) < 1e-9
-        _, omega_now = angular_state(walker, sat, t)
-        _, omega_later = angular_state(walker, sat, t + period)
+        pos = positions_at(walker, t)[row_of(walker, sat)]
+        assert abs(math.hypot(*pos) / shell - 1.0) < 1e-9
+        raan, omega_now = _walker_angles(walker, sat, t)
+        want = _walker_position(walker, raan, omega_now)
+        assert (np.abs(pos - want) <= 1e-9 + 1e-12 * np.abs(want)).all()
+        _, omega_later = _walker_angles(walker, sat, t + period)
         wrap = (omega_later - omega_now) % TWO_PI
         assert min(wrap, TWO_PI - wrap) < 1e-9
     assert time.perf_counter() - t0 < 5.0

@@ -124,6 +124,14 @@ def test_linkbudget_rejects_out_of_range_satellite(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_linkbudget_rejects_same_satellite(tmp_path, capsys):
+    path = write(tmp_path, TINY_SCENARIO)
+    assert main(["linkbudget", path, "--from", "1,1", "--to", "1,1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert len(err.splitlines()) == 1
+
+
 def test_linkbudget_malformed_index(tmp_path, capsys):
     path = write(tmp_path, TINY_SCENARIO)
     with pytest.raises(SystemExit):

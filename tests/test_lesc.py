@@ -4,6 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from fello_sim import lesc
+from fello_sim.config import ScenarioConfig
 from fello_sim.datasets import synthetic_split
 from fello_sim.fl_engine import (
     ClientState,
@@ -36,7 +38,8 @@ from fello_sim.orbits import (
     WalkerConfig,
     all_indices,
     ground_station_position,
-    position_at,
+    positions_at,
+    row_of,
 )
 from fello_sim.seeding import Substreams
 
@@ -99,8 +102,8 @@ def test_cluster_state_rejects_edge_client():
 
 def test_gsl_zenith(table1_walker, table1_optics):
     gamma, elevation = gsl_quality(
-        table1_optics, table1_walker, GS_EQUATOR, SatIndex(1, 1), 0.0,
-        math.radians(10.0),
+        table1_optics, table1_walker, GS_EQUATOR, SatIndex(1, 1),
+        positions_at(table1_walker, 0.0), math.radians(10.0),
     )
     assert elevation == pytest.approx(math.pi / 2, abs=1e-9)
     assert gamma > 1e6  # 570 km at zero pointing error is a strong link
@@ -109,8 +112,8 @@ def test_gsl_zenith(table1_walker, table1_optics):
 def test_gsl_below_horizon(table1_walker, table1_optics):
     # Slot 11 starts on the far side of the shell.
     gamma, elevation = gsl_quality(
-        table1_optics, table1_walker, GS_EQUATOR, SatIndex(1, 11), 0.0,
-        math.radians(10.0),
+        table1_optics, table1_walker, GS_EQUATOR, SatIndex(1, 11),
+        positions_at(table1_walker, 0.0), math.radians(10.0),
     )
     assert gamma == 0.0
     assert elevation == pytest.approx(-math.pi / 2, abs=1e-6)
@@ -124,13 +127,13 @@ def test_gsl_elevation_against_scalar_geometry(table1_walker, table1_optics):
         lat = float(rng.uniform(-math.pi / 3, math.pi / 3))
         lon = float(rng.uniform(-math.pi, math.pi))
         gs = ground_station_position(lat, lon)
+        block = positions_at(table1_walker, t)
         _, elevation = gsl_quality(
-            table1_optics, table1_walker, gs, sat, t, 0.0
+            table1_optics, table1_walker, gs, sat, block, 0.0
         )
-        pos = np.array(position_at(table1_walker, sat, t))
-        rel = pos - np.array(gs)
+        rel = block[row_of(table1_walker, sat)] - gs
         want = math.pi / 2 - math.acos(
-            float(np.dot(np.array(gs), rel))
+            float(np.dot(gs, rel))
             / (np.linalg.norm(gs) * np.linalg.norm(rel))
         )
         assert elevation == pytest.approx(want, abs=1e-9)
@@ -138,13 +141,13 @@ def test_gsl_elevation_against_scalar_geometry(table1_walker, table1_optics):
 
 def test_select_edge_is_nearest_visible(table1_walker):
     for t in (0.0, 432.1, 3000.0):
-        got = select_edge(table1_walker, GS_EQUATOR, t, math.radians(10.0))
+        block = positions_at(table1_walker, t)
+        got = select_edge(table1_walker, GS_EQUATOR, block, math.radians(10.0))
         best, best_d = None, math.inf
-        for sat in all_indices(table1_walker):
-            pos = np.array(position_at(table1_walker, sat, t))
-            rel = pos - np.array(GS_EQUATOR)
+        for row, sat in enumerate(all_indices(table1_walker)):
+            rel = block[row] - GS_EQUATOR
             d = float(np.linalg.norm(rel))
-            elevation = math.asin(float(np.dot(np.array(GS_EQUATOR), rel)) / (6371.0 * d))
+            elevation = math.asin(float(np.dot(GS_EQUATOR, rel)) / (6371.0 * d))
             if elevation >= math.radians(10.0) and d < best_d:
                 best, best_d = sat, d
         assert got == best
@@ -154,20 +157,22 @@ def test_select_edge_tie_breaks_to_lowest_index():
     # Two coincident satellites: planes 0 and pi of an equatorial 2x1 shell.
     cfg = WalkerConfig(n_orbits=2, sats_per_orbit=1, inclination=0.0,
                        altitude_km=570.0)
-    assert select_edge(cfg, GS_EQUATOR, 0.0, 0.0) == SatIndex(1, 1)
+    assert select_edge(cfg, GS_EQUATOR, positions_at(cfg, 0.0), 0.0) == SatIndex(1, 1)
 
 
 def test_select_edge_coverage_error(table1_walker):
     # From a pole, a 70-degree shell never clears a 10-degree mask.
     polar_gs = ground_station_position(math.pi / 2, 0.0)
     with pytest.raises(CoverageError):
-        select_edge(table1_walker, polar_gs, 0.0, math.radians(10.0))
+        select_edge(table1_walker, polar_gs, positions_at(table1_walker, 0.0),
+                    math.radians(10.0))
 
 
 def test_cluster_nesting_and_bounds(table1_walker, table1_optics):
     t = 60.0
-    edge = select_edge(table1_walker, GS_EQUATOR, t, math.radians(10.0))
-    links = RoundLinks(table1_optics, table1_walker, 1, edge, t, Substreams(0))
+    block = positions_at(table1_walker, t)
+    edge = select_edge(table1_walker, GS_EQUATOR, block, math.radians(10.0))
+    links = RoundLinks(table1_optics, table1_walker, 1, edge, block, Substreams(0))
     sizes = {}
     previous = None
     for delta in (1500.0, 2200.0, 2600.0, 3000.0):
@@ -187,8 +192,9 @@ def test_cluster_nesting_and_bounds(table1_walker, table1_optics):
 
 def test_cluster_snr_mode_extremes(table1_walker, table1_optics):
     t = 60.0
-    edge = select_edge(table1_walker, GS_EQUATOR, t, math.radians(10.0))
-    links = RoundLinks(table1_optics, table1_walker, 1, edge, t, Substreams(0))
+    block = positions_at(table1_walker, t)
+    edge = select_edge(table1_walker, GS_EQUATOR, block, math.radians(10.0))
+    links = RoundLinks(table1_optics, table1_walker, 1, edge, block, Substreams(0))
     all_in = cluster(
         edge, table1_walker,
         LescConfig(threshold_mode="snr", delta_gamma=0.0, snr_units="linear"),
@@ -204,13 +210,13 @@ def test_cluster_snr_mode_extremes(table1_walker, table1_optics):
 
 
 def test_round_links_cache_one_draw(table1_walker, table1_optics):
-    links = RoundLinks(table1_optics, table1_walker, 2, SatIndex(1, 1), 60.0,
-                       Substreams(3))
+    links = RoundLinks(table1_optics, table1_walker, 2, SatIndex(1, 1),
+                       positions_at(table1_walker, 60.0), Substreams(3))
     sat = SatIndex(1, 2)
     assert links.sample(sat) is links.sample(sat)
     # Same keyed draw regardless of construction order.
-    again = RoundLinks(table1_optics, table1_walker, 2, SatIndex(1, 1), 60.0,
-                       Substreams(3))
+    again = RoundLinks(table1_optics, table1_walker, 2, SatIndex(1, 1),
+                       positions_at(table1_walker, 60.0), Substreams(3))
     again.sample(SatIndex(5, 5))
     assert again.sample(sat) == links.sample(sat)
     with pytest.raises(ValueError):
@@ -219,8 +225,9 @@ def test_round_links_cache_one_draw(table1_walker, table1_optics):
 
 def test_prune_matches_reference_filter(table1_walker, table1_optics):
     t = 180.0
-    edge = select_edge(table1_walker, GS_EQUATOR, t, math.radians(10.0))
-    links = RoundLinks(table1_optics, table1_walker, 3, edge, t, Substreams(1))
+    block = positions_at(table1_walker, t)
+    edge = select_edge(table1_walker, GS_EQUATOR, block, math.radians(10.0))
+    links = RoundLinks(table1_optics, table1_walker, 3, edge, block, Substreams(1))
     rng = np.random.default_rng(8)
     population = [s for s in all_indices(table1_walker) if s != edge]
     for mode, cfg in (
@@ -272,8 +279,9 @@ def test_recluster_due_reference_predicate():
 
 def test_maybe_recluster(table1_walker, table1_optics):
     t = 60.0
-    edge = select_edge(table1_walker, GS_EQUATOR, t, math.radians(10.0))
-    links = RoundLinks(table1_optics, table1_walker, 2, edge, t, Substreams(4))
+    block = positions_at(table1_walker, t)
+    edge = select_edge(table1_walker, GS_EQUATOR, block, math.radians(10.0))
+    links = RoundLinks(table1_optics, table1_walker, 2, edge, block, Substreams(4))
     cfg = LescConfig(delta_d_km=2600.0, recluster_period=1.0, recluster_fraction=0.7)
     full = cluster(edge, table1_walker, cfg, links)
     shrunk = ClusterState(2, edge, full[: len(full) // 2], len(full))
@@ -292,15 +300,16 @@ def test_maybe_recluster(table1_walker, table1_optics):
 
 def test_maybe_handover(table1_walker, table1_optics):
     streams = Substreams(6)
+    block = positions_at(table1_walker, 0.0)
     # Edge far below horizon, threshold 20 dB: must hand over.
     cfg = LescConfig(delta_d_km=2600.0, gsl_snr_threshold=20.0)
     lost = ClusterState(5, SatIndex(1, 11), (SatIndex(1, 12),), 1)
     state, flag, links = maybe_handover(
-        lost, cfg, table1_walker, table1_optics, table1_optics, GS_EQUATOR, 0.0,
+        lost, cfg, table1_walker, table1_optics, table1_optics, GS_EQUATOR, block,
         streams,
     )
     assert flag
-    assert state.edge == select_edge(table1_walker, GS_EQUATOR, 0.0, cfg.min_elevation)
+    assert state.edge == select_edge(table1_walker, GS_EQUATOR, block, cfg.min_elevation)
     assert state.edge not in state.clients
     assert state.baseline_size == len(state.clients)
     assert links.edge == state.edge
@@ -309,7 +318,7 @@ def test_maybe_handover(table1_walker, table1_optics):
                            snr_units="linear")
     state, flag, links = maybe_handover(
         lost, never_cfg, table1_walker, table1_optics, table1_optics, GS_EQUATOR,
-        0.0, streams,
+        block, streams,
     )
     assert not flag
     assert state is lost
@@ -320,9 +329,38 @@ def test_maybe_handover(table1_walker, table1_optics):
     zenith = ClusterState(5, SatIndex(1, 1), (), 0)
     _, flag, _ = maybe_handover(
         zenith, always_cfg, table1_walker, table1_optics, table1_optics,
-        GS_EQUATOR, 0.0, streams,
+        GS_EQUATOR, block, streams,
     )
     assert flag
+
+
+def test_api_edges_validate_indices(table1_walker, table1_optics):
+    block = positions_at(table1_walker, 0.0)
+    with pytest.raises(IndexError):
+        gsl_quality(table1_optics, table1_walker, GS_EQUATOR, SatIndex(37, 1), block, 0.0)
+    with pytest.raises(IndexError):
+        RoundLinks(table1_optics, table1_walker, 1, SatIndex(1, 21), block, Substreams(0))
+
+
+def test_membership_schedule_one_geometry_evaluation_per_round(monkeypatch):
+    # The distance_awgn golden's shell: handovers, re-clusterings and a gap.
+    cfg = replace(
+        ScenarioConfig(), n_orbits=6, sats_per_orbit=8, lesc_delta_d_km=6000.0,
+        lesc_round_time_s=200.0, lesc_rounds=16,
+    )
+    times = []
+
+    def counting_positions_at(walker, t):
+        times.append(t)
+        return positions_at(walker, t)
+
+    monkeypatch.setattr(lesc, "positions_at", counting_positions_at)
+    recs = membership_schedule(
+        cfg.lesc(), cfg.walker(), cfg.isl_optics(), cfg.gsl_optics(), Substreams(5), 2
+    )
+    assert any(r.handover for r in recs) and any(r.coverage_failed for r in recs)
+    assert times == [r.t for r in recs]
+    assert len(times) == cfg.lesc_rounds
 
 
 def test_round_interval():

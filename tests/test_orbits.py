@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,16 +10,48 @@ from fello_sim.orbits import (
     SatIndex,
     WalkerConfig,
     all_indices,
-    angular_state,
     distance,
     ground_station_position,
-    initial_anomaly,
-    initial_raan,
-    position_at,
     positions_at,
+    row_of,
 )
 
 R_SHELL_KM = 6371.0 + 570.0
+TWO_PI = 2.0 * math.pi
+
+
+# Scalar oracle: the Walker formulas for one satellite, angles wrapped to
+# [0, 2*pi), coded apart from the vectorized kernel under test.
+def oracle_angles(cfg, sat, t):
+    c = cfg.phase_constant
+    raan0 = (sat.plane - 1) * c / cfg.n_orbits
+    anomaly0 = (sat.slot - 1) * c / cfg.sats_per_orbit + (sat.plane - 1) * c / (
+        cfg.sats_per_orbit * cfg.n_orbits
+    )
+    return (
+        (raan0 + cfg.earth_rotation_rate * t) % TWO_PI,
+        (anomaly0 + cfg.orbit_rate * t) % TWO_PI,
+    )
+
+
+def oracle_position(cfg, raan, anomaly):
+    r = cfg.orbit_radius_km
+    cos_i = math.cos(cfg.inclination)
+    return np.array([
+        r * (math.cos(raan) * math.cos(anomaly)
+             - math.sin(raan) * math.sin(anomaly) * cos_i),
+        r * (math.sin(raan) * math.cos(anomaly)
+             + cfg.y_sign * math.cos(raan) * math.sin(anomaly) * cos_i),
+        r * math.sin(anomaly) * math.sin(cfg.inclination),
+    ])
+
+
+def kernel_position(cfg, sat, t):
+    return positions_at(cfg, t)[row_of(cfg, sat)]
+
+
+def close(got, want):
+    return np.allclose(got, want, rtol=1e-12, atol=1e-9)
 
 
 def paper_walker(**overrides):
@@ -54,31 +87,54 @@ def test_config_validation():
 
 def test_index_validation(table1_walker):
     with pytest.raises(IndexError):
-        initial_anomaly(table1_walker, SatIndex(0, 1))
+        row_of(table1_walker, SatIndex(0, 1))
     with pytest.raises(IndexError):
-        initial_anomaly(table1_walker, SatIndex(37, 1))
+        row_of(table1_walker, SatIndex(37, 1))
     with pytest.raises(IndexError):
-        initial_anomaly(table1_walker, SatIndex(1, 21))
+        row_of(table1_walker, SatIndex(1, 21))
     with pytest.raises(IndexError):
-        initial_raan(table1_walker, 0)
+        row_of(table1_walker, SatIndex(1, 0))
+    assert row_of(table1_walker, SatIndex(1, 1)) == 0
+    assert row_of(table1_walker, SatIndex(36, 20)) == 719
 
 
 def test_initial_anomaly_examples(table1_walker):
+    # Plane 1 starts at RAAN 0, so these rows differ only in anomaly.
     # Half-ring phasing: slot step pi/N_S, so (l=1, k=2) sits at pi/20.
-    assert initial_anomaly(paper_walker(), SatIndex(1, 2)) == pytest.approx(
-        math.pi / 20.0, rel=1e-12
+    paper = paper_walker()
+    assert close(
+        kernel_position(paper, SatIndex(1, 2), 0.0),
+        oracle_position(paper, 0.0, math.pi / 20.0),
     )
-    # Full-ring phasing: plane step 2*pi/(N_S*N_O), so (l=2, k=1) is 2*pi/720.
-    assert initial_anomaly(table1_walker, SatIndex(2, 1)) == pytest.approx(
-        2.0 * math.pi / 720.0, rel=1e-12
+    # Full-ring phasing: plane step 2*pi/(N_S*N_O), so (l=2, k=1) is 2*pi/720
+    # on a plane at RAAN 2*pi/36.
+    assert close(
+        kernel_position(table1_walker, SatIndex(2, 1), 0.0),
+        oracle_position(table1_walker, 2.0 * math.pi / 36.0, 2.0 * math.pi / 720.0),
     )
-    assert initial_anomaly(table1_walker, SatIndex(1, 1)) == 0.0
+    # (1, 1) sits exactly on the +x axis.
+    assert kernel_position(table1_walker, SatIndex(1, 1), 0.0).tolist() == [
+        R_SHELL_KM, 0.0, 0.0,
+    ]
 
 
 def test_initial_raan_examples(table1_walker):
-    assert initial_raan(table1_walker, 1) == 0.0
-    assert initial_raan(table1_walker, 19) == pytest.approx(math.pi, rel=1e-12)
-    assert initial_raan(paper_walker(), 19) == pytest.approx(math.pi / 2.0, rel=1e-12)
+    # Slot 1 of plane l starts at anomaly (l-1) c / (N_S N_O).
+    assert close(
+        kernel_position(table1_walker, SatIndex(19, 1), 0.0),
+        oracle_position(table1_walker, math.pi, 18 * 2.0 * math.pi / 720.0),
+    )
+    paper = paper_walker()
+    assert close(
+        kernel_position(paper, SatIndex(19, 1), 0.0),
+        oracle_position(paper, math.pi / 2.0, 18 * math.pi / 720.0),
+    )
+    # Plane 1 at RAAN 0: its orbit normal has no x component.
+    normal = np.cross(
+        kernel_position(table1_walker, SatIndex(1, 1), 0.0),
+        kernel_position(table1_walker, SatIndex(1, 2), 0.0),
+    )
+    assert normal[0] == 0.0 and normal[1] < 0.0
 
 
 def test_orbit_rate_and_period(table1_walker):
@@ -91,44 +147,47 @@ def test_orbit_rate_and_period(table1_walker):
 def test_orbit_rate_override():
     frozen = paper_walker(orbit_rate_override=0.0, earth_rotation_rate=0.0)
     sat = SatIndex(3, 7)
-    p0 = position_at(frozen, sat, 0.0)
-    p1 = position_at(frozen, sat, 12345.6)
-    assert p0 == p1
+    p0 = kernel_position(frozen, sat, 0.0)
+    p1 = kernel_position(frozen, sat, 12345.6)
+    assert (p0 == p1).all()
 
 
 def test_angular_state_advances_linearly(table1_walker):
     sat = SatIndex(5, 9)
     t = 321.5
-    raan, anomaly = angular_state(table1_walker, sat, t)
-    assert raan == pytest.approx(
-        (initial_raan(table1_walker, 5) + EARTH_ROTATION_RAD_S * t) % (2 * math.pi),
-        rel=1e-12,
-    )
-    assert anomaly == pytest.approx(
-        (initial_anomaly(table1_walker, sat) + table1_walker.orbit_rate * t)
-        % (2 * math.pi),
-        rel=1e-12,
+    raan0 = 4 * 2.0 * math.pi / 36.0
+    anomaly0 = 8 * 2.0 * math.pi / 20.0 + 4 * 2.0 * math.pi / 720.0
+    assert close(
+        kernel_position(table1_walker, sat, t),
+        oracle_position(
+            table1_walker,
+            (raan0 + EARTH_ROTATION_RAD_S * t) % (2 * math.pi),
+            (anomaly0 + table1_walker.orbit_rate * t) % (2 * math.pi),
+        ),
     )
 
 
 def test_anomaly_periodicity(table1_walker):
+    # With the RAAN drift off, one period returns the satellite to its start;
+    # the chord over R_S is the anomaly error in radians.
+    cfg = replace(table1_walker, earth_rotation_rate=0.0)
     sat = SatIndex(4, 11)
-    _, a0 = angular_state(table1_walker, sat, 0.0)
-    _, a1 = angular_state(table1_walker, sat, table1_walker.orbital_period_s)
-    assert abs(a1 - a0) < 1e-9
+    p0 = kernel_position(cfg, sat, 0.0)
+    p1 = kernel_position(cfg, sat, cfg.orbital_period_s)
+    assert np.linalg.norm(p1 - p0) / R_SHELL_KM < 1e-9
 
 
 def test_position_special_geometries():
     # RAAN 0, anomaly 0 puts the satellite on the +x axis.
     cfg = WalkerConfig(n_orbits=1, sats_per_orbit=4, inclination=math.pi / 2,
                        altitude_km=570.0)
-    p = position_at(cfg, SatIndex(1, 1), 0.0)
-    assert p.x == pytest.approx(R_SHELL_KM, rel=1e-12)
-    assert abs(p.y) < 1e-9 and abs(p.z) < 1e-9
+    x, y, z = kernel_position(cfg, SatIndex(1, 1), 0.0)
+    assert x == pytest.approx(R_SHELL_KM, rel=1e-12)
+    assert abs(y) < 1e-9 and abs(z) < 1e-9
     # A quarter turn up a polar orbit lands on the +z axis.
-    q = position_at(cfg, SatIndex(1, 2), 0.0)
-    assert abs(q.x) < 1e-9 and abs(q.y) < 1e-9
-    assert q.z == pytest.approx(R_SHELL_KM, rel=1e-12)
+    x, y, z = kernel_position(cfg, SatIndex(1, 2), 0.0)
+    assert abs(x) < 1e-9 and abs(y) < 1e-9
+    assert z == pytest.approx(R_SHELL_KM, rel=1e-12)
 
 
 def test_norm_invariant_random(table1_walker):
@@ -136,8 +195,8 @@ def test_norm_invariant_random(table1_walker):
     for _ in range(2000):
         sat = SatIndex(int(rng.integers(1, 37)), int(rng.integers(1, 21)))
         t = float(rng.uniform(0.0, 1e5))
-        p = position_at(table1_walker, sat, t)
-        assert abs(math.hypot(p.x, p.y, p.z) / R_SHELL_KM - 1.0) < 1e-9
+        p = kernel_position(table1_walker, sat, t)
+        assert abs(math.hypot(*p) / R_SHELL_KM - 1.0) < 1e-9
 
 
 def test_y_sign_variant_leaves_the_shell():
@@ -149,13 +208,13 @@ def test_y_sign_variant_leaves_the_shell():
     for _ in range(200):
         sat = SatIndex(int(rng.integers(1, 37)), int(rng.integers(1, 21)))
         t = float(rng.uniform(0.0, 1e5))
-        p = position_at(cfg, sat, t)
-        raan, anomaly = angular_state(cfg, sat, t)
+        norm = math.hypot(*kernel_position(cfg, sat, t))
+        raan, anomaly = oracle_angles(cfg, sat, t)
         want = R_SHELL_KM * math.sqrt(
             1.0 - math.sin(2 * raan) * math.sin(2 * anomaly) * math.cos(cfg.inclination)
         )
-        assert math.hypot(p.x, p.y, p.z) == pytest.approx(want, rel=1e-9)
-        worst = max(worst, abs(math.hypot(p.x, p.y, p.z) / R_SHELL_KM - 1.0))
+        assert norm == pytest.approx(want, rel=1e-9)
+        worst = max(worst, abs(norm / R_SHELL_KM - 1.0))
     assert worst > 1e-3
 
 
@@ -164,8 +223,8 @@ def test_positions_at_matches_scalar_path(table1_walker):
         block = positions_at(table1_walker, t)
         assert block.shape == (720, 3)
         for row, sat in enumerate(all_indices(table1_walker)):
-            p = position_at(table1_walker, sat, t)
-            assert np.allclose(block[row], [p.x, p.y, p.z], rtol=1e-12, atol=1e-9)
+            want = oracle_position(table1_walker, *oracle_angles(table1_walker, sat, t))
+            assert close(block[row], want)
 
 
 def test_all_indices_order(table1_walker):
@@ -210,25 +269,27 @@ def test_distance_same_satellite_rejected(table1_walker):
 
 
 def test_standard_phasing_spreads_plane_uniformly(table1_walker):
-    # Full-ring mode: consecutive slots of one plane sit 2*pi/N_S apart.
+    # Full-ring mode: consecutive slots of one plane sit 2*pi/N_S apart,
+    # the last back around to the first.
     step = 2.0 * math.pi / 20.0
+    block = positions_at(table1_walker, 0.0)
     for plane in (1, 13, 36):
-        angles = [
-            initial_anomaly(table1_walker, SatIndex(plane, k)) % (2 * math.pi)
-            for k in range(1, 21)
+        ring = [block[row_of(table1_walker, SatIndex(plane, k))] for k in range(1, 21)]
+        gaps = [
+            math.atan2(np.linalg.norm(np.cross(p, q)), np.dot(p, q))
+            for p, q in zip(ring, ring[1:] + ring[:1])
         ]
-        diffs = np.diff(sorted(angles))
-        assert np.allclose(diffs, step, atol=1e-9)
+        assert np.allclose(gaps, step, atol=1e-9)
 
 
 def test_ground_station_examples():
     p = ground_station_position(0.0, 0.0)
     assert p == pytest.approx((6371.0, 0.0, 0.0))
-    q = ground_station_position(math.pi / 2, 0.0)
-    assert q.z == pytest.approx(6371.0, rel=1e-12)
-    assert abs(q.x) < 1e-9 and abs(q.y) < 1e-9
-    r = ground_station_position(math.pi / 4, 0.0)
-    assert r.x == pytest.approx(6371.0 / math.sqrt(2.0), rel=1e-12)
-    assert r.z == pytest.approx(6371.0 / math.sqrt(2.0), rel=1e-12)
+    x, y, z = ground_station_position(math.pi / 2, 0.0)
+    assert z == pytest.approx(6371.0, rel=1e-12)
+    assert abs(x) < 1e-9 and abs(y) < 1e-9
+    x, _, z = ground_station_position(math.pi / 4, 0.0)
+    assert x == pytest.approx(6371.0 / math.sqrt(2.0), rel=1e-12)
+    assert z == pytest.approx(6371.0 / math.sqrt(2.0), rel=1e-12)
     with pytest.raises(ValueError):
         ground_station_position(2.0, 0.0)

@@ -1,0 +1,176 @@
+"""Property tests for physical and algebraic invariants, drawn by Hypothesis.
+
+Each property holds for every valid input, so the examples are drawn rather
+than picked: Walker shells and times, satellite addresses, parameter
+vectors, bit error rates and whole scenario configs. Example counts are
+capped to keep the suite fast.
+"""
+
+import math
+import os
+import tempfile
+from dataclasses import replace
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+
+from fello_sim.config import ScenarioConfig, load_config, serialize_config, validate_config
+from fello_sim.fl_engine import CorruptionSpec, aggregate, corrupt_vector, init_model
+from fello_sim.optical_link import LinkSample
+from fello_sim.orbits import SatIndex, WalkerConfig, all_indices, positions_at, row_of
+
+PROPERTY = settings(max_examples=60, deadline=None)
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def positive(max_value):
+    return st.floats(min_value=1e-3, max_value=max_value, allow_nan=False)
+
+
+shells = st.builds(
+    WalkerConfig,
+    n_orbits=st.integers(1, 40),
+    sats_per_orbit=st.integers(1, 40),
+    inclination=st.floats(0.0, math.pi),
+    altitude_km=st.floats(100.0, 40_000.0),
+    phasing_factor=st.sampled_from(["standard", "paper_literal"]),
+)
+
+
+def make_link(ber):
+    return LinkSample(
+        distance_km=1000.0, theta_t_rad=0.0, theta_r_rad=0.0,
+        received_power_w=1e-8, noise_power=1e-14, snr_linear=1e6,
+        ber=ber, rate_bps=1e9,
+    )
+
+
+@PROPERTY
+@given(cfg=shells, t=st.floats(0.0, 1e6))
+def test_positions_stay_on_the_shell(cfg, t):
+    radii = np.linalg.norm(positions_at(cfg, t), axis=1)
+    assert np.all(np.abs(radii / cfg.orbit_radius_km - 1.0) < 1e-9)
+
+
+@PROPERTY
+@given(cfg=shells, data=st.data())
+def test_row_of_inverts_all_indices(cfg, data):
+    sat = SatIndex(
+        data.draw(st.integers(1, cfg.n_orbits)),
+        data.draw(st.integers(1, cfg.sats_per_orbit)),
+    )
+    assert all_indices(cfg)[row_of(cfg, sat)] == sat
+
+
+@PROPERTY
+@given(
+    vec=arrays(np.float64, st.integers(0, 64), elements=st.floats()),
+    ber=st.floats(0.0, 0.5),
+    seed=st.integers(0, 2**32),
+)
+def test_no_corruption_returns_the_input(vec, ber, seed):
+    out = corrupt_vector(vec, make_link(ber), CorruptionSpec(kind="none"),
+                         np.random.default_rng(seed))
+    assert out.dtype == np.float64
+    assert np.array_equal(out, vec, equal_nan=True)
+
+
+@PROPERTY
+@given(
+    bers=st.lists(st.floats(0.0, 0.5), min_size=2, max_size=2).map(sorted),
+    packet_bits=st.integers(1, 4096),
+    seed=st.integers(0, 2**32),
+)
+def test_packet_loss_is_monotone_in_ber(bers, packet_bits, seed):
+    # Same uniform draws per packet: a higher loss probability can only
+    # add lost packets, never save one.
+    vec = np.arange(1.0, 257.0)
+    spec = CorruptionSpec(kind="packet", packet_bits=packet_bits)
+    lost = [
+        corrupt_vector(vec, make_link(ber), spec, np.random.default_rng(seed)) == 0.0
+        for ber in bers
+    ]
+    assert not np.any(lost[0] & ~lost[1])
+
+
+@PROPERTY
+@given(
+    data=st.data(),
+    n_models=st.integers(1, 4),
+    seed=st.integers(0, 2**32),
+)
+def test_aggregate_is_a_convex_combination(data, n_models, seed):
+    rng = np.random.default_rng(seed)
+    shape = init_model(3, 2, 2, rng)
+    vecs = [
+        data.draw(arrays(np.float64, shape.n_params,
+                         elements=st.floats(-1e6, 1e6)))
+        for _ in range(n_models)
+    ]
+    weights = data.draw(st.lists(st.integers(1, 5000), min_size=n_models,
+                                 max_size=n_models))
+    out = aggregate([(shape.from_flat(v), w) for v, w in zip(vecs, weights)]).flat()
+    stacked = np.stack(vecs)
+    slack = 1e-9 * (1.0 + np.abs(stacked).max())
+    assert np.all(out >= stacked.min(axis=0) - slack)
+    assert np.all(out <= stacked.max(axis=0) + slack)
+
+
+sweeps = st.one_of(
+    st.just((None, ())),
+    st.tuples(
+        st.just("lesc.delta_d_km"),
+        st.lists(positive(1e5), min_size=1, max_size=3).map(tuple),
+    ),
+)
+
+configs = st.builds(
+    lambda base, sweep, **fields: replace(
+        base, sweep_parameter=sweep[0], sweep_values=sweep[1], **fields
+    ),
+    st.just(ScenarioConfig()),
+    sweeps,
+    architectures=st.permutations(["fello", "cl", "dl"]).flatmap(
+        lambda archs: st.integers(1, 3).map(lambda n: tuple(archs[:n]))
+    ),
+    master_seed=st.integers(0, 2**63),
+    output_dir=st.text("abcxyz019_-./", min_size=1, max_size=12),
+    paper_literal=st.booleans(),
+    workers=st.integers(1, 8),
+    n_orbits=st.integers(1, 60),
+    sats_per_orbit=st.integers(1, 60),
+    inclination_deg=st.floats(0.0, 179.0),
+    altitude_km=positive(40_000.0),
+    isl_pointing_sd_rad=st.floats(1e-9, 1e-4),
+    gsl_tx_power_w=positive(10.0),
+    lesc_threshold_mode=st.sampled_from(["distance", "snr"]),
+    lesc_delta_d_km=positive(1e5),
+    lesc_delta_gamma=finite,
+    lesc_recluster_period=st.one_of(st.just(math.inf), st.integers(1, 10).map(float)),
+    lesc_recluster_fraction=st.floats(1e-6, 1.0),
+    lesc_rounds=st.integers(1, 500),
+    lesc_gs_lat_deg=st.floats(-90.0, 90.0),
+    lesc_gs_lon_deg=st.floats(-180.0, 180.0),
+    lesc_round_time_s=st.one_of(st.none(), positive(1e4)),
+    train_learning_rate=positive(10.0),
+    dataset_spread=positive(10.0),
+    corruption_kind=st.sampled_from(["none", "awgn", "packet"]),
+    corruption_packet_bits=st.integers(1, 100_000),
+    overhead_device_flops=positive(1e15),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cfg=configs)
+def test_config_round_trips_through_its_manifest(cfg):
+    validate_config(cfg)
+    text = serialize_config(cfg)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "scenario.cfg")
+        with open(path, "w") as f:
+            f.write(text)
+        loaded = load_config(path)
+    assert loaded == cfg
+    assert serialize_config(loaded) == text
