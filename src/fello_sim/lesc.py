@@ -33,15 +33,7 @@ from .fl_engine import (
     partition_data,
     train_local,
 )
-from .optical_link import (
-    LinkSample,
-    OpticalParams,
-    evaluate_link,
-    from_db,
-    noise_power,
-    received_power,
-    snr,
-)
+from .optical_link import LinkSample, OpticalParams, evaluate_link, from_db, peak_snr
 from .orbits import (
     SatIndex,
     WalkerConfig,
@@ -171,7 +163,13 @@ class RoundLinks:
     positions is the round's positions_at block. Each (edge, satellite)
     pair gets exactly one pointing-error draw per round from its own keyed
     substream, so admission, pruning, corruption and metrics all see the
-    same realization regardless of evaluation order or worker count.
+    same realization regardless of evaluation order or worker count. Only
+    the satellites that are asked for are drawn: since no draw reads
+    another's stream, leaving one out changes no other draw.
+
+    distances_km and, computed only when SNR clustering asks for it,
+    peak_snr_grid() are (plane, slot) grids; the edge's own entry reads 0
+    in both.
     """
 
     def __init__(
@@ -189,13 +187,22 @@ class RoundLinks:
         self._streams = streams
         # Plane-major rows fold into a (plane, slot) grid; only the edge's
         # index is validated, not each per-satellite lookup.
-        self._distances = np.linalg.norm(
+        self.distances_km = np.linalg.norm(
             positions - positions[row_of(walker, edge)], axis=1
         ).reshape(walker.n_orbits, walker.sats_per_orbit)
+        self._peak_snr = None
         self._cache = {}
 
     def distance_km(self, sat: SatIndex) -> float:
-        return float(self._distances[sat.plane - 1, sat.slot - 1])
+        return float(self.distances_km[sat.plane - 1, sat.slot - 1])
+
+    def peak_snr_grid(self) -> np.ndarray:
+        """Zero-pointing-error SNR grid: no draw of a link can exceed its entry."""
+        if self._peak_snr is None:
+            away = self.distances_km.copy()
+            away[self.edge.plane - 1, self.edge.slot - 1] = np.inf
+            self._peak_snr = peak_snr(self._isl, away)
+        return self._peak_snr
 
     def sample(self, sat: SatIndex) -> LinkSample:
         if sat == self.edge:
@@ -228,10 +235,7 @@ def gsl_quality(
     elevation = math.asin(float(np.dot(up, rel)) / dist)
     if elevation < min_elevation:
         return 0.0, elevation
-    p_r = received_power(gsl, dist, 0.0, 0.0)
-    p_n = noise_power(gsl, p_r)
-    gamma = snr(p_r, p_n, mode=gsl.snr_mode, responsivity_a_per_w=gsl.responsivity_a_per_w)
-    return gamma, elevation
+    return peak_snr(gsl, dist), elevation
 
 
 def select_edge(
@@ -254,17 +258,27 @@ def select_edge(
 def cluster(
     edge: SatIndex, walker: WalkerConfig, cfg: LescConfig, links: RoundLinks
 ) -> tuple:
-    """Satellites meeting the clustering threshold, ascending, edge excluded."""
-    members = []
-    for sat in all_indices(walker):
-        if sat == edge:
-            continue
-        if cfg.threshold_mode == "distance":
-            ok = links.distance_km(sat) < cfg.delta_d_km
-        else:
-            ok = links.sample(sat).snr_linear > cfg.delta_gamma_linear
-        if ok:
-            members.append(sat)
+    """Satellites meeting the clustering threshold, ascending, edge excluded.
+
+    In distance mode the grid comparison is the whole answer. In SNR mode a
+    link is drawn only for a satellite whose zero-pointing-error SNR can
+    clear delta_gamma: no pointing draw beats that peak, so a satellite
+    below it could never join. The skip rule keeps a 1e-9 relative margin
+    for rounding, which makes the result exactly that of drawing all links.
+    """
+    if cfg.threshold_mode == "distance":
+        candidates = links.distances_km < cfg.delta_d_km
+    else:
+        candidates = ~(links.peak_snr_grid() < cfg.delta_gamma_linear * (1.0 - 1e-9))
+    candidates = candidates.ravel()
+    candidates[row_of(walker, edge)] = False
+    sats = all_indices(walker)
+    members = [sats[row] for row in np.flatnonzero(candidates)]
+    if cfg.threshold_mode == "snr":
+        members = [
+            sat for sat in members
+            if links.sample(sat).snr_linear > cfg.delta_gamma_linear
+        ]
     if not members:
         logger.warning("round %d: empty cluster around edge %s", links.round_index, edge)
     return tuple(members)

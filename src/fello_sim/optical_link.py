@@ -6,6 +6,11 @@ pointing error angles, and free-space path loss. Receiver noise sums signal
 shot, dark current and thermal terms. The default SNR divides received
 optical power by that noise sum directly; an 'electrical' mode squares the
 photocurrent first. BER defaults to on-off keying, Q(sqrt(snr)).
+
+path_loss, received_power, noise_power, snr and peak_snr accept an array of
+distances (or powers) as well as a float, so one budget serves both a single
+link and a whole (plane, slot) grid; float inputs give the same floats
+either way.
 """
 
 import math
@@ -15,6 +20,15 @@ import numpy as np
 
 ELECTRON_CHARGE_C = 1.602176634e-19
 BOLTZMANN_J_PER_K = 1.380649e-23
+
+
+def _any(mask) -> bool:
+    """Whether a comparison holds anywhere, for a float's or an array's result.
+
+    A plain bool skips numpy's reduction, which would cost a link draw
+    several times its arithmetic.
+    """
+    return bool(mask.any()) if isinstance(mask, np.ndarray) else bool(mask)
 
 
 def db(linear: float) -> float:
@@ -129,16 +143,21 @@ def sample_pointing_error(sigma_rad: float, rng: np.random.Generator) -> float:
     return sigma_rad * math.sqrt(-2.0 * math.log1p(-u))
 
 
-def path_loss(wavelength_m: float, distance_km: float) -> float:
+def path_loss(
+    wavelength_m: float, distance_km: float | np.ndarray
+) -> float | np.ndarray:
     """Free-space loss (lambda / (4 pi d))^2 with d in meters."""
-    if distance_km <= 0.0:
+    if _any(distance_km <= 0.0):
         raise ValueError(f"distance must be > 0, got {distance_km}")
     return (wavelength_m / (4.0 * math.pi * distance_km * 1000.0)) ** 2
 
 
 def received_power(
-    p: OpticalParams, distance_km: float, theta_t_rad: float, theta_r_rad: float
-) -> float:
+    p: OpticalParams,
+    distance_km: float | np.ndarray,
+    theta_t_rad: float,
+    theta_r_rad: float,
+) -> float | np.ndarray:
     """Received optical power in watts over one pointed link."""
     gain = antenna_gain(p.telescope_diameter_m, p.wavelength_m)
     return (
@@ -153,9 +172,11 @@ def received_power(
     )
 
 
-def noise_power(p: OpticalParams, received_w: float) -> float:
+def noise_power(
+    p: OpticalParams, received_w: float | np.ndarray
+) -> float | np.ndarray:
     """Sum of signal shot, dark current and thermal noise terms."""
-    if received_w < 0.0:
+    if _any(received_w < 0.0):
         raise ValueError(f"received power must be >= 0, got {received_w}")
     shot = 2.0 * p.electron_charge_c * p.responsivity_a_per_w * received_w * p.bandwidth_hz
     dark = 2.0 * p.electron_charge_c * p.dark_current_a * p.bandwidth_hz
@@ -164,19 +185,35 @@ def noise_power(p: OpticalParams, received_w: float) -> float:
 
 
 def snr(
-    received_w: float,
-    noise: float,
+    received_w: float | np.ndarray,
+    noise: float | np.ndarray,
     mode: str = "paper",
     responsivity_a_per_w: float = 1.0,
-) -> float:
+) -> float | np.ndarray:
     """Signal-to-noise ratio, linear."""
-    if noise <= 0.0:
+    if _any(noise <= 0.0):
         raise ValueError(f"noise power must be > 0, got {noise}")
     if mode == "paper":
         return received_w / noise
     if mode == "electrical":
         return (responsivity_a_per_w * received_w) ** 2 / noise
     raise ValueError(f"unknown snr mode {mode!r}")
+
+
+def peak_snr(
+    p: OpticalParams, distance_km: float | np.ndarray
+) -> float | np.ndarray:
+    """Linear SNR at zero pointing error, the best case of any draw at this range.
+
+    Each pointing loss exp(-G theta^2) is at most 1 and SNR rises with
+    received power in both snr_modes, so no pointing draw beats this value
+    beyond floating-point rounding.
+    """
+    p_r = received_power(p, distance_km, 0.0, 0.0)
+    return snr(
+        p_r, noise_power(p, p_r), mode=p.snr_mode,
+        responsivity_a_per_w=p.responsivity_a_per_w,
+    )
 
 
 def ber(snr_linear: float, scheme: str = "ook", fixed_value: float = 0.0) -> float:

@@ -4,7 +4,9 @@ Each (architecture, sweep point) pair runs with its own seed derived from
 the master seed, while the dataset itself is derived from the master seed
 alone so every arm trains on identical data. Outputs land in the config's
 output directory: metrics.csv, overhead.txt/overhead.csv, and manifest.cfg,
-plus a FAILED marker holding the traceback when a run aborts.
+plus a FAILED marker when any arm raised. A failed arm does not stop the
+others: metrics.csv keeps every completed arm's rows, and FAILED holds one
+traceback per failed arm, headed by the arm's name.
 """
 
 import csv
@@ -79,12 +81,6 @@ def run_one(
     raise ValueError(f"unknown architecture {arch!r}")
 
 
-def _sweep_task(args) -> tuple:
-    """Process-pool entry: rebuilds the datasets deterministically in-worker."""
-    cfg_point, arch, sweep_index = args
-    return arch, sweep_index, run_one(cfg_point, arch, sweep_index)
-
-
 def _csv_float(value) -> str:
     if value is None or (isinstance(value, float) and math.isnan(value)):
         return ""
@@ -152,8 +148,17 @@ def emit_overhead_report(cfg: ScenarioConfig, output_dir: str = None) -> list:
     return reports
 
 
+def _arm_name(cfg: ScenarioConfig, arch: str, value) -> str:
+    if cfg.sweep_parameter is None:
+        return arch
+    return f"{arch} at {cfg.sweep_parameter} = {_sweep_cell(value)}"
+
+
 def run_scenario(cfg: ScenarioConfig) -> int:
-    """Execute all (architecture, sweep point) runs and write all outputs."""
+    """Execute all (architecture, sweep point) runs and write all outputs.
+
+    Returns 0, or 2 when any arm raised; the other arms still run.
+    """
     os.makedirs(cfg.output_dir, exist_ok=True)
     with open(os.path.join(cfg.output_dir, "manifest.cfg"), "w") as f:
         f.write(serialize_config(cfg))
@@ -164,31 +169,42 @@ def run_scenario(cfg: ScenarioConfig) -> int:
         points = [None]
         resolved = [cfg]
     results = {}
-    try:
-        if cfg.sweep_parameter is not None and cfg.workers > 1:
-            tasks = [
-                (resolved[index], arch, index)
+    failures = []
+    if cfg.sweep_parameter is not None and cfg.workers > 1:
+        # Each task rebuilds its datasets deterministically in its worker.
+        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+            futures = {
+                (arch, index): pool.submit(run_one, resolved[index], arch, index)
                 for arch in cfg.architectures
                 for index in range(len(points))
-            ]
-            with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-                for arch, index, logs in pool.map(_sweep_task, tasks):
-                    results[(arch, index)] = logs
-        else:
-            for index, cfg_point in enumerate(resolved):
+            }
+            for (arch, index), future in futures.items():
+                try:
+                    results[(arch, index)] = future.result()
+                except Exception:
+                    failures.append((arch, index, traceback.format_exc()))
+    else:
+        for index, cfg_point in enumerate(resolved):
+            try:
                 train_set, test_set = build_datasets(cfg_point)
-                for arch in cfg.architectures:
+            except Exception:
+                failed = traceback.format_exc()
+                failures.extend((arch, index, failed) for arch in cfg.architectures)
+                continue
+            for arch in cfg.architectures:
+                try:
                     results[(arch, index)] = run_one(
                         cfg_point, arch, index, train_set, test_set,
                         workers=cfg.workers,
                     )
-        with open(os.path.join(cfg.output_dir, "metrics.csv"), "w", newline="") as f:
-            f.write(render_metrics(cfg, points, results))
-        emit_overhead_report(cfg)
-        return 0
-    except Exception:
-        with open(os.path.join(cfg.output_dir, "metrics.csv"), "w", newline="") as f:
-            f.write(render_metrics(cfg, points, results))
+                except Exception:
+                    failures.append((arch, index, traceback.format_exc()))
+    with open(os.path.join(cfg.output_dir, "metrics.csv"), "w", newline="") as f:
+        f.write(render_metrics(cfg, points, results))
+    if failures:
         with open(os.path.join(cfg.output_dir, "FAILED"), "w") as f:
-            f.write(traceback.format_exc())
+            for arch, index, failed in failures:
+                f.write(f"arm {_arm_name(cfg, arch, points[index])} failed:\n{failed}\n")
         return 2
+    emit_overhead_report(cfg)
+    return 0

@@ -151,7 +151,35 @@ def test_run_failure_writes_marker(tmp_path):
     out = str(tmp_path / "broken")
     assert main(["run", path, "--out", out]) == 2
     assert os.path.exists(os.path.join(out, "FAILED"))
-    assert "Traceback" in read(os.path.join(out, "FAILED"))
+    failed = read(os.path.join(out, "FAILED"))
+    assert "Traceback" in failed
+    # The shared dataset fails every arm, and no arm writes a row.
+    for arch in ("fello", "cl", "dl"):
+        assert f"arm {arch} failed:\n" in failed
+    assert failed.count(" failed:\n") == 3
+    assert len(read(os.path.join(out, "metrics.csv")).splitlines()) == 2
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failed_arms_do_not_stop_the_others(tmp_path, workers):
+    # A learning rate of 1e300 makes SGD diverge with a FloatingPointError
+    # in every architecture; the first sweep point fails, the second runs.
+    text = TINY_SCENARIO + (
+        "\n[sweep]\nparameter = train.learning_rate\nvalues = 1e300, 0.05\n"
+    )
+    path = write(tmp_path, text)
+    out = str(tmp_path / "partial")
+    assert main(["run", path, "--out", out, "--workers", str(workers)]) == 2
+    failed = read(os.path.join(out, "FAILED"))
+    for arch in ("fello", "cl", "dl"):
+        assert f"arm {arch} at train.learning_rate = 1e+300 failed:\n" in failed
+    assert failed.count(" failed:\n") == 3
+    assert failed.count("FloatingPointError: non-finite gradient") >= 3
+    rows = read(os.path.join(out, "metrics.csv")).strip().splitlines()[2:]
+    assert [row.split(",")[:3] for row in rows] == [
+        [arch, "0.05", str(r)] for arch in ("fello", "cl", "dl") for r in (1, 2)
+    ]
 
 
 def test_sweep_run_row_layout(tmp_path):

@@ -33,6 +33,7 @@ from fello_sim.lesc import (
     run_fello,
     select_edge,
 )
+from fello_sim.optical_link import evaluate_link, peak_snr
 from fello_sim.orbits import (
     SatIndex,
     WalkerConfig,
@@ -207,6 +208,86 @@ def test_cluster_snr_mode_extremes(table1_walker, table1_optics):
         links,
     )
     assert none_in == ()
+
+
+def reference_snr_cluster(edge, walker, cfg, links):
+    """SNR clustering as a draw of every one of the non-edge links."""
+    return tuple(
+        sat for sat in all_indices(walker)
+        if sat != edge and links.sample(sat).snr_linear > cfg.delta_gamma_linear
+    )
+
+
+@pytest.mark.parametrize(
+    "t, round_index, seed, snr_mode, pointing_sd_rad",
+    [
+        (60.0, 1, 0, "paper", 3e-6),
+        (1234.5, 7, 11, "paper", 3e-6),
+        (600.0, 3, 5, "electrical", 3e-6),
+        (3000.0, 40, 2, "electrical", 1e-5),
+        # Near-zero jitter puts every draw within 1e-12 of its peak.
+        (60.0, 2, 9, "paper", 1e-12),
+        (900.0, 4, 3, "electrical", 1e-12),
+    ],
+)
+def test_cluster_snr_equals_drawing_every_link(
+    table1_walker, table1_optics, t, round_index, seed, snr_mode, pointing_sd_rad
+):
+    isl = replace(table1_optics, snr_mode=snr_mode, pointing_sd_rad=pointing_sd_rad)
+    block = positions_at(table1_walker, t)
+    edge = select_edge(table1_walker, GS_EQUATOR, block, math.radians(10.0))
+
+    def fresh_links():
+        return RoundLinks(isl, table1_walker, round_index, edge, block, Substreams(seed))
+
+    drawn = fresh_links()
+    snrs = {
+        sat: drawn.sample(sat).snr_linear
+        for sat in all_indices(table1_walker) if sat != edge
+    }
+    best = max(snrs, key=snrs.get)
+    best_peak = peak_snr(isl, drawn.distance_km(best))
+    thresholds = [float(np.quantile(list(snrs.values()), q)) for q in (0.5, 0.95, 0.99)]
+    # Just below and just above one satellite's zero-pointing-error SNR.
+    thresholds += [best_peak * (1.0 - 1e-12), best_peak * (1.0 + 1e-12)]
+    for threshold in thresholds:
+        cfg = LescConfig(threshold_mode="snr", delta_gamma=threshold, snr_units="linear")
+        want = reference_snr_cluster(edge, table1_walker, cfg, fresh_links())
+        assert cluster(edge, table1_walker, cfg, fresh_links()) == want
+    # The last threshold sits just above best's peak, which no draw beats.
+    assert best not in want
+    if pointing_sd_rad < 1e-9:
+        just_below = LescConfig(
+            threshold_mode="snr", delta_gamma=best_peak * (1.0 - 1e-12),
+            snr_units="linear",
+        )
+        assert best in cluster(edge, table1_walker, just_below, fresh_links())
+
+
+def test_cluster_snr_draws_only_links_whose_peak_clears_the_threshold(
+    monkeypatch, table1_walker, table1_optics
+):
+    drawn = []
+
+    def counting_evaluate_link(p, distance_km, rng):
+        drawn.append(distance_km)
+        return evaluate_link(p, distance_km, rng)
+
+    monkeypatch.setattr(lesc, "evaluate_link", counting_evaluate_link)
+    block = positions_at(table1_walker, 60.0)
+    edge = select_edge(table1_walker, GS_EQUATOR, block, math.radians(10.0))
+    links = RoundLinks(table1_optics, table1_walker, 1, edge, block, Substreams(0))
+    cfg = LescConfig(threshold_mode="snr", delta_gamma=44.0)
+    members = cluster(edge, table1_walker, cfg, links)
+    able = [
+        sat for sat in all_indices(table1_walker)
+        if sat != edge
+        and peak_snr(table1_optics, links.distance_km(sat)) >= cfg.delta_gamma_linear
+    ]
+    assert sorted(drawn) == sorted(links.distance_km(sat) for sat in able)
+    assert set(members) <= set(able)
+    # 291 of the 719 links can clear 44 dB here; the rest are never drawn.
+    assert 0 < len(members) < len(able) < 719 // 2
 
 
 def test_round_links_cache_one_draw(table1_walker, table1_optics):

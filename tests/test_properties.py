@@ -1,9 +1,9 @@
 """Property tests for physical and algebraic invariants, drawn by Hypothesis.
 
 Each property holds for every valid input, so the examples are drawn rather
-than picked: Walker shells and times, satellite addresses, parameter
-vectors, bit error rates and whole scenario configs. Example counts are
-capped to keep the suite fast.
+than picked: Walker shells and times, satellite addresses, link budgets,
+parameter vectors, bit error rates and whole scenario configs. Example
+counts are capped to keep the suite fast.
 """
 
 import math
@@ -17,7 +17,7 @@ from hypothesis.extra.numpy import arrays
 
 from fello_sim.config import ScenarioConfig, load_config, serialize_config, validate_config
 from fello_sim.fl_engine import CorruptionSpec, aggregate, corrupt_vector, init_model
-from fello_sim.optical_link import LinkSample
+from fello_sim.optical_link import LinkSample, OpticalParams, evaluate_link, peak_snr
 from fello_sim.orbits import SatIndex, WalkerConfig, all_indices, positions_at, row_of
 
 PROPERTY = settings(max_examples=60, deadline=None)
@@ -36,6 +36,14 @@ shells = st.builds(
     inclination=st.floats(0.0, math.pi),
     altitude_km=st.floats(100.0, 40_000.0),
     phasing_factor=st.sampled_from(["standard", "paper_literal"]),
+)
+
+
+TABLE1_OPTICS = OpticalParams(
+    wavelength_m=1.5e-6, bandwidth_hz=1.25e9, tx_power_w=0.03, tx_efficiency=0.8,
+    rx_efficiency=0.8, telescope_diameter_m=0.06, pointing_sd_rad=3e-6,
+    responsivity_a_per_w=0.6007, dark_current_a=1e-9, noise_temp_k=500.0,
+    load_resistance_ohm=1000.0,
 )
 
 
@@ -62,6 +70,25 @@ def test_row_of_inverts_all_indices(cfg, data):
         data.draw(st.integers(1, cfg.sats_per_orbit)),
     )
     assert all_indices(cfg)[row_of(cfg, sat)] == sat
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    distance_km=st.floats(1.0, 1e5),
+    pointing_sd_rad=st.floats(1e-7, 1e-4),
+    tx_power_w=st.floats(1e-3, 10.0),
+    snr_mode=st.sampled_from(["paper", "electrical"]),
+    seed=st.integers(0, 2**32),
+)
+def test_no_pointing_draw_beats_the_peak_snr(
+    distance_km, pointing_sd_rad, tx_power_w, snr_mode, seed
+):
+    # The bound SNR clustering prunes with: the array budget at zero
+    # pointing error caps the scalar budget of every draw.
+    p = replace(TABLE1_OPTICS, pointing_sd_rad=pointing_sd_rad,
+                tx_power_w=tx_power_w, snr_mode=snr_mode)
+    link = evaluate_link(p, distance_km, np.random.default_rng(seed))
+    assert link.snr_linear <= peak_snr(p, np.array([distance_km]))[0]
 
 
 @PROPERTY
