@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 from .orbits import SatIndex, WalkerConfig
 from .optical_link import LinkSample, OpticalParams
 from .fl_engine import CorruptionSpec, Dataset, ModelParams, TrainConfig
-from .lesc import ClusterState, LescConfig, RoundLog
+from .lesc import LescConfig, RoundLog
 from .overhead import OverheadInputs, OverheadReport
 from .config import ScenarioConfig, load_config
 
@@ -32,7 +32,6 @@ __all__ = [
     "TrainConfig",
     "CorruptionSpec",
     "LescConfig",
-    "ClusterState",
     "RoundLog",
     "OverheadInputs",
     "OverheadReport",

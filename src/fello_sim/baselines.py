@@ -70,7 +70,6 @@ def run_cl(
     test_set: Dataset,
     samples_per_client: int,
     streams: Substreams,
-    workers: int = 1,
 ) -> list:
     """Centralized training at the edge on pooled client uploads.
 

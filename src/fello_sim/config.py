@@ -146,7 +146,7 @@ class ScenarioConfig:
         return self._build(LescConfig, "lesc")
 
     def train(self) -> TrainConfig:
-        return self._build(TrainConfig, "train", seed=self.master_seed)
+        return self._build(TrainConfig, "train")
 
     def corruption(self) -> CorruptionSpec:
         return self._build(CorruptionSpec, "corruption")

@@ -53,52 +53,48 @@ class Dataset:
         return Dataset(self.features[indices], self.labels[indices], self.n_classes)
 
 
-@dataclass
 class ModelParams:
-    """Layered weights and biases of the MLP."""
+    """MLP parameters held as one flat float64 vector.
 
-    weights: list
-    biases: list
+    arch lists the layer widths, input first. Layer by layer, the vector
+    holds the row-major (fan_in, fan_out) weight matrix and then the bias;
+    weights and biases are views into it, so writing through them updates
+    vec, and vec is what is transmitted, corrupted and averaged.
+    """
 
-    def __post_init__(self):
-        if len(self.weights) != len(self.biases):
-            raise ValueError("weights and biases must pair up layer by layer")
-        for w, b in zip(self.weights, self.biases):
-            if w.shape[1] != b.shape[0]:
-                raise ValueError(f"bias shape {b.shape} mismatches weight {w.shape}")
-
-    @property
-    def arch(self) -> tuple:
-        dims = [w.shape[0] for w in self.weights]
-        dims.append(self.weights[-1].shape[1])
-        return tuple(dims)
+    def __init__(self, vec: np.ndarray, arch: tuple):
+        self.arch = tuple(int(d) for d in arch)
+        if len(self.arch) < 2:
+            raise ValueError(f"need at least an input and an output width, got {arch}")
+        layers = list(zip(self.arch[:-1], self.arch[1:]))
+        n_params = sum(fan_in * fan_out + fan_out for fan_in, fan_out in layers)
+        if vec.dtype != np.float64 or vec.shape != (n_params,):
+            raise ValueError(
+                f"expected {n_params} float64 values, got {vec.dtype} of shape {vec.shape}"
+            )
+        self.vec = vec
+        self.weights, self.biases = [], []
+        at = 0
+        for fan_in, fan_out in layers:
+            self.weights.append(vec[at : at + fan_in * fan_out].reshape(fan_in, fan_out))
+            at += fan_in * fan_out
+            self.biases.append(vec[at : at + fan_out])
+            at += fan_out
 
     @property
     def n_params(self) -> int:
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
+        return self.vec.size
 
     def flat(self) -> np.ndarray:
-        parts = []
-        for w, b in zip(self.weights, self.biases):
-            parts.append(w.ravel())
-            parts.append(b.ravel())
-        return np.concatenate(parts)
+        """The parameter vector itself, not a copy."""
+        return self.vec
 
     def from_flat(self, vec: np.ndarray) -> "ModelParams":
-        """Rebuild a model with this one's shapes from a flat vector."""
-        if vec.shape != (self.n_params,):
-            raise ValueError(f"expected {self.n_params} values, got shape {vec.shape}")
-        weights, biases = [], []
-        at = 0
-        for w, b in zip(self.weights, self.biases):
-            weights.append(vec[at : at + w.size].reshape(w.shape).copy())
-            at += w.size
-            biases.append(vec[at : at + b.size].reshape(b.shape).copy())
-            at += b.size
-        return ModelParams(weights, biases)
+        """A model with this one's architecture holding a copy of vec."""
+        return ModelParams(np.array(vec, dtype=np.float64), self.arch)
 
     def copy(self) -> "ModelParams":
-        return ModelParams([w.copy() for w in self.weights], [b.copy() for b in self.biases])
+        return ModelParams(self.vec.copy(), self.arch)
 
 
 @dataclass(frozen=True)
@@ -109,7 +105,6 @@ class TrainConfig:
     local_epochs: int = 2
     batch_size: int = 32
     hidden_size: int = 64
-    seed: int = 0
 
     def __post_init__(self):
         if self.learning_rate <= 0.0:
@@ -158,12 +153,12 @@ def init_model(
 ) -> ModelParams:
     """Glorot-uniform weights, zero biases, layer by layer in order."""
     dims = (n_features, hidden_size, n_classes)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        bound = math.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return ModelParams(weights, biases)
+    n_params = sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(dims, dims[1:]))
+    model = ModelParams(np.zeros(n_params), dims)
+    for w in model.weights:
+        bound = math.sqrt(6.0 / (w.shape[0] + w.shape[1]))
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+    return model
 
 
 def _forward(model: ModelParams, x: np.ndarray):
@@ -208,9 +203,8 @@ def sgd_epoch(
 ) -> ModelParams:
     """One pass over the data in shuffled minibatches; returns a new model."""
     order = rng.permutation(data.n_samples)
-    weights = [w.copy() for w in model.weights]
-    biases = [b.copy() for b in model.biases]
-    current = ModelParams(weights, biases)
+    current = model.copy()
+    weights, biases = current.weights, current.biases
     for start in range(0, data.n_samples, cfg.batch_size):
         batch = order[start : start + cfg.batch_size]
         g_w, g_b = _gradients(current, data.features[batch], data.labels[batch])
@@ -228,15 +222,13 @@ def train_local(
     client: ClientState,
     w_global: ModelParams,
     cfg: TrainConfig,
-    rng: np.random.Generator = None,
+    rng: np.random.Generator,
     epochs: int = None,
 ) -> ModelParams:
     """Local update: start from the global model, run E epochs on the shard."""
     n_epochs = cfg.local_epochs if epochs is None else epochs
     if n_epochs < 0:
         raise ValueError(f"epochs must be >= 0, got {n_epochs}")
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
     model = w_global.copy()
     for _ in range(n_epochs):
         model = sgd_epoch(model, client.shard, cfg, rng)
@@ -254,16 +246,13 @@ def aggregate(models: list, total_samples: int = None) -> ModelParams:
     denom = total_samples if total_samples is not None else sum(n for _, n in models)
     if denom <= 0:
         raise ValueError(f"aggregation denominator must be > 0, got {denom}")
-    first = models[0][0]
-    acc = first.from_flat(np.zeros(first.n_params))
+    arch = models[0][0].arch
+    acc = np.zeros(models[0][0].n_params)
     for model, n_k in models:
-        if model.arch != first.arch:
-            raise ValueError(f"architecture mismatch: {model.arch} vs {first.arch}")
-        scale = n_k / denom
-        for layer in range(len(acc.weights)):
-            acc.weights[layer] += scale * model.weights[layer]
-            acc.biases[layer] += scale * model.biases[layer]
-    return acc
+        if model.arch != arch:
+            raise ValueError(f"architecture mismatch: {model.arch} vs {arch}")
+        acc += (n_k / denom) * model.vec
+    return ModelParams(acc, arch)
 
 
 def evaluate(model: ModelParams, test: Dataset) -> tuple:
@@ -345,6 +334,6 @@ def corrupt_model(
     rng: np.random.Generator,
     prev: ModelParams = None,
 ) -> ModelParams:
-    """Apply corrupt_vector to a model's flattened parameters."""
-    prev_vec = prev.flat() if prev is not None else None
-    return model.from_flat(corrupt_vector(model.flat(), link, spec, rng, prev=prev_vec))
+    """Apply corrupt_vector to a model's parameter vector."""
+    prev_vec = prev.vec if prev is not None else None
+    return ModelParams(corrupt_vector(model.vec, link, spec, rng, prev=prev_vec), model.arch)

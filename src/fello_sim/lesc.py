@@ -15,7 +15,7 @@ and which architectures share the run.
 import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,20 +111,6 @@ class LescConfig:
         if self.snr_units == "db":
             return from_db(self.gsl_snr_threshold)
         return self.gsl_snr_threshold
-
-
-@dataclass(frozen=True)
-class ClusterState:
-    """Cluster composition at one round."""
-
-    round_index: int
-    edge: SatIndex
-    clients: tuple
-    baseline_size: int
-
-    def __post_init__(self):
-        if self.edge in self.clients:
-            raise ValueError("edge cannot be its own client")
 
 
 @dataclass(frozen=True)
@@ -284,19 +270,13 @@ def cluster(
     return tuple(members)
 
 
-def prune_clients(
-    state: ClusterState, cfg: LescConfig, links: RoundLinks
-) -> ClusterState:
-    """Drop clients whose link quality violates the active threshold."""
-    kept = []
-    for sat in state.clients:
-        if cfg.threshold_mode == "distance":
-            ok = not links.distance_km(sat) > cfg.delta_d_km
-        else:
-            ok = not links.sample(sat).snr_linear < cfg.delta_gamma_linear
-        if ok:
-            kept.append(sat)
-    return replace(state, clients=tuple(kept))
+def prune_clients(members: tuple, cfg: LescConfig, links: RoundLinks) -> tuple:
+    """The members whose link still meets the active threshold, in order."""
+    if cfg.threshold_mode == "distance":
+        return tuple(s for s in members if not links.distance_km(s) > cfg.delta_d_km)
+    return tuple(
+        s for s in members if not links.sample(s).snr_linear < cfg.delta_gamma_linear
+    )
 
 
 def recluster_due(
@@ -309,44 +289,6 @@ def recluster_due(
         return False
     shrunk = cluster_size < cfg.recluster_fraction * baseline_size
     return shrunk and round_index % int(cfg.recluster_period) == 0
-
-
-def maybe_recluster(
-    state: ClusterState, cfg: LescConfig, walker: WalkerConfig, links: RoundLinks
-) -> tuple:
-    """(state, True) with a rebuilt cluster when due, else (state, False)."""
-    if not recluster_due(len(state.clients), state.baseline_size, state.round_index, cfg):
-        return state, False
-    members = cluster(state.edge, walker, cfg, links)
-    return replace(state, clients=members, baseline_size=len(members)), True
-
-
-def maybe_handover(
-    state: ClusterState,
-    cfg: LescConfig,
-    walker: WalkerConfig,
-    isl: OpticalParams,
-    gsl: OpticalParams,
-    gs: np.ndarray,
-    positions: np.ndarray,
-    streams: Substreams,
-) -> tuple:
-    """Hand the edge role over when its GSL quality falls below threshold.
-
-    Returns (state, handover flag, this round's RoundLinks around whichever
-    edge ended up current). The global model transfers unchanged; the new
-    edge re-clusters and the baseline size resets.
-    """
-    gamma, _ = gsl_quality(gsl, walker, gs, state.edge, positions, cfg.min_elevation)
-    if not gamma < cfg.gsl_threshold_linear:
-        return state, False, RoundLinks(
-            isl, walker, state.round_index, state.edge, positions, streams
-        )
-    new_edge = select_edge(walker, gs, positions, cfg.min_elevation)
-    links = RoundLinks(isl, walker, state.round_index, new_edge, positions, streams)
-    members = cluster(new_edge, walker, cfg, links)
-    new_state = replace(state, edge=new_edge, clients=members, baseline_size=len(members))
-    return new_state, True, links
 
 
 def round_interval(cfg: LescConfig, local_epochs: int) -> float:
@@ -371,6 +313,13 @@ def membership_schedule(
 ) -> list:
     """Evolve edge and cluster membership over all rounds, without training.
 
+    The first covered round, and every round whose edge's GSL SNR falls
+    below threshold, selects the nearest visible satellite as the edge,
+    clusters around it and resets the re-clustering baseline; only the
+    handover flag tells the two apart. Every other round prunes the members
+    whose link fails the threshold and re-clusters when recluster_due says
+    so. A round without coverage keeps the previous edge and members.
+
     Membership depends only on geometry and link draws keyed from streams.
     In distance mode that makes it the same for every architecture; in SNR
     mode admission and pruning read pointing-error draws, and each
@@ -381,46 +330,38 @@ def membership_schedule(
     """
     dt = round_interval(cfg, local_epochs)
     gs = ground_station_position(cfg.gs_lat, cfg.gs_lon, walker.earth_radius_km)
-    state = None
+    edge, members, baseline = None, (), 0
     out = []
     for a in range(1, cfg.rounds + 1):
         t = a * dt
         positions = positions_at(walker, t)
-        if state is None:
+        select = edge is None or (
+            gsl_quality(gsl, walker, gs, edge, positions, cfg.min_elevation)[0]
+            < cfg.gsl_threshold_linear
+        )
+        handover = select and edge is not None
+        if select:
             try:
                 edge = select_edge(walker, gs, positions, cfg.min_elevation)
             except CoverageError:
-                logger.warning("round %d: no coverage, retrying next round", a)
-                out.append(MembershipRound(a, t, None, (), (), False, False, True, None))
+                if handover:
+                    logger.warning("round %d: handover found no coverage, retrying", a)
+                else:
+                    logger.warning("round %d: no coverage, retrying next round", a)
+                out.append(MembershipRound(a, t, edge, members, (), False, False, True, None))
                 continue
-            links = RoundLinks(isl, walker, a, edge, positions, streams)
-            members = cluster(edge, walker, cfg, links)
-            state = ClusterState(a, edge, members, len(members))
-            out.append(MembershipRound(a, t, edge, members, members, False, False, False, links))
-            continue
-        prev_members = set(state.clients)
-        state = replace(state, round_index=a)
-        try:
-            state, handover, links = maybe_handover(
-                state, cfg, walker, isl, gsl, gs, positions, streams
-            )
-        except CoverageError:
-            logger.warning("round %d: handover found no coverage, retrying", a)
-            out.append(
-                MembershipRound(
-                    a, t, state.edge, state.clients, (), False, False, True, None
-                )
-            )
-            continue
-        reclustered = False
-        if not handover:
-            state = prune_clients(state, cfg, links)
-            state, reclustered = maybe_recluster(state, cfg, walker, links)
-        admitted = tuple(s for s in state.clients if s not in prev_members)
+        links = RoundLinks(isl, walker, a, edge, positions, streams)
+        current = () if select else prune_clients(members, cfg, links)
+        reclustered = not select and recluster_due(len(current), baseline, a, cfg)
+        if select or reclustered:
+            current = cluster(edge, walker, cfg, links)
+            baseline = len(current)
+        previous = set(members)
+        admitted = tuple(s for s in current if s not in previous)
+        members = current
         out.append(
             MembershipRound(
-                a, t, state.edge, state.clients, admitted, reclustered, handover,
-                False, links,
+                a, t, edge, members, admitted, reclustered, handover, False, links
             )
         )
     return out

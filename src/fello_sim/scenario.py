@@ -69,15 +69,14 @@ def run_one(
         test_set=test_set,
         samples_per_client=cfg.dataset_samples_per_client,
         streams=streams,
-        workers=workers,
     )
     if arch == "fello":
         fixed = train_set.n_samples if cfg.paper_literal else None
-        return run_fello(fixed_total=fixed, **kwargs)
+        return run_fello(fixed_total=fixed, workers=workers, **kwargs)
     if arch == "cl":
         return baselines.run_cl(**kwargs)
     if arch == "dl":
-        return baselines.run_dl(**kwargs)
+        return baselines.run_dl(workers=workers, **kwargs)
     raise ValueError(f"unknown architecture {arch!r}")
 
 

@@ -49,6 +49,3 @@ class Substreams:
 
     def derive(self, *keys) -> np.random.Generator:
         return substream(self.master_seed, *keys)
-
-    def seed(self, *keys) -> int:
-        return derive_seed(self.master_seed, *keys)

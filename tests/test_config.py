@@ -184,7 +184,6 @@ def test_builders_mirror_flat_fields():
     lesc = cfg.lesc()
     assert lesc.delta_d_km == 2600.0
     assert lesc.min_elevation == pytest.approx(math.radians(10.0))
-    assert cfg.train().seed == cfg.master_seed
     assert cfg.isl_optics().pointing_sd_rad == 3e-6
     assert cfg.corruption().kind == "none"
 

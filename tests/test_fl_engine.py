@@ -75,6 +75,27 @@ def test_model_copy_is_deep():
     assert model.weights[0][0, 0] != dup.weights[0][0, 0]
 
 
+def test_model_params_is_one_vector():
+    rng = np.random.default_rng(2)
+    model = init_model(5, 4, 3, np.random.default_rng(2))
+    # Layers are drawn in order and laid out as w0, b0, w1, b1.
+    w0 = rng.uniform(-math.sqrt(6.0 / 9), math.sqrt(6.0 / 9), size=(5, 4))
+    w1 = rng.uniform(-math.sqrt(6.0 / 7), math.sqrt(6.0 / 7), size=(4, 3))
+    want = np.concatenate([w0.ravel(), np.zeros(4), w1.ravel(), np.zeros(3)])
+    assert np.array_equal(model.flat(), want)
+    assert model.flat() is model.vec
+    for view in model.weights + model.biases:
+        assert np.shares_memory(view, model.vec)
+    model.biases[1][2] = 7.0
+    assert model.vec[-1] == 7.0
+    source = want.copy()
+    rebuilt = model.from_flat(source)
+    source[0] += 1.0
+    assert rebuilt.vec[0] == want[0]
+    with pytest.raises(ValueError):
+        ModelParams(np.zeros(model.n_params), (5, 4, 4))
+
+
 def test_init_model_glorot():
     rng = np.random.default_rng(4)
     model = init_model(100, 50, 10, rng)

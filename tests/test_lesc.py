@@ -18,14 +18,11 @@ from fello_sim.fl_engine import (
     train_local,
 )
 from fello_sim.lesc import (
-    ClusterState,
     CoverageError,
     LescConfig,
     RoundLinks,
     cluster,
     gsl_quality,
-    maybe_handover,
-    maybe_recluster,
     membership_schedule,
     prune_clients,
     recluster_due,
@@ -94,11 +91,6 @@ def test_snr_unit_conversion():
         delta_gamma=250.0, snr_units="linear"
     ).delta_gamma_linear == 250.0
     assert LescConfig(gsl_snr_threshold=30.0).gsl_threshold_linear == pytest.approx(1000.0)
-
-
-def test_cluster_state_rejects_edge_client():
-    with pytest.raises(ValueError):
-        ClusterState(1, SatIndex(1, 1), (SatIndex(1, 1),), 1)
 
 
 def test_gsl_zenith(table1_walker, table1_optics):
@@ -318,8 +310,7 @@ def test_prune_matches_reference_filter(table1_walker, table1_optics):
         for _ in range(5):
             picks = rng.choice(len(population), size=40, replace=False)
             clients = tuple(population[i] for i in sorted(picks))
-            state = ClusterState(3, edge, clients, len(clients))
-            got = prune_clients(state, cfg, links).clients
+            got = prune_clients(clients, cfg, links)
             if mode == "distance":
                 want = tuple(s for s in clients
                              if not links.distance_km(s) > cfg.delta_d_km)
@@ -358,61 +349,143 @@ def test_recluster_due_reference_predicate():
     assert not recluster_due(0, 0, 4, cfg)
 
 
-def test_maybe_recluster(table1_walker, table1_optics):
-    t = 60.0
-    block = positions_at(table1_walker, t)
-    edge = select_edge(table1_walker, GS_EQUATOR, block, math.radians(10.0))
-    links = RoundLinks(table1_optics, table1_walker, 2, edge, block, Substreams(4))
-    cfg = LescConfig(delta_d_km=2600.0, recluster_period=1.0, recluster_fraction=0.7)
-    full = cluster(edge, table1_walker, cfg, links)
-    shrunk = ClusterState(2, edge, full[: len(full) // 2], len(full))
-    rebuilt, flag = maybe_recluster(shrunk, cfg, table1_walker, links)
-    assert flag
-    assert rebuilt.clients == full
-    assert rebuilt.baseline_size == len(full)
-    # Not due: intact cluster, or re-clustering disabled.
-    intact = ClusterState(2, edge, full, len(full))
-    same, flag = maybe_recluster(intact, cfg, table1_walker, links)
-    assert not flag and same is intact
-    frozen_cfg = replace(cfg, recluster_period=math.inf)
-    same, flag = maybe_recluster(shrunk, frozen_cfg, table1_walker, links)
-    assert not flag and same is shrunk
+def schedule(cfg, walker, optics, seed):
+    return membership_schedule(cfg, walker, optics, optics, Substreams(seed), 2)
 
 
-def test_maybe_handover(table1_walker, table1_optics):
-    streams = Substreams(6)
-    block = positions_at(table1_walker, 0.0)
-    # Edge far below horizon, threshold 20 dB: must hand over.
-    cfg = LescConfig(delta_d_km=2600.0, gsl_snr_threshold=20.0)
-    lost = ClusterState(5, SatIndex(1, 11), (SatIndex(1, 12),), 1)
-    state, flag, links = maybe_handover(
-        lost, cfg, table1_walker, table1_optics, table1_optics, GS_EQUATOR, block,
-        streams,
+def gsl_snr_and_elevation(walker, optics, sat, t, cfg):
+    return gsl_quality(optics, walker, GS_EQUATOR, sat, positions_at(walker, t),
+                       cfg.min_elevation)
+
+
+def assert_fresh_cluster(rec, walker, cfg):
+    """The record selected the nearest visible edge and clustered around it."""
+    block = positions_at(walker, rec.t)
+    assert rec.edge == select_edge(walker, GS_EQUATOR, block, cfg.min_elevation)
+    assert rec.links.edge == rec.edge
+    assert rec.edge not in rec.members
+    assert rec.members == cluster(rec.edge, walker, cfg, rec.links)
+    assert not rec.reclustered
+
+
+def test_schedule_hands_over_when_gsl_snr_drops(table1_walker, table1_optics):
+    cfg = LescConfig(delta_d_km=2600.0, rounds=12, round_time_s=120.0,
+                     gsl_snr_threshold=20.0)
+    recs = schedule(cfg, table1_walker, table1_optics, 6)
+    assert_fresh_cluster(recs[0], table1_walker, cfg)
+    assert not recs[0].handover
+    for prev, cur in zip(recs, recs[1:]):
+        gamma, _ = gsl_snr_and_elevation(table1_walker, table1_optics, prev.edge, cur.t, cfg)
+        assert cur.handover == (gamma < cfg.gsl_threshold_linear)
+        if cur.handover:
+            assert_fresh_cluster(cur, table1_walker, cfg)
+            assert cur.admitted == tuple(s for s in cur.members if s not in prev.members)
+        else:
+            assert cur.edge == prev.edge and cur.links.edge == prev.edge
+    assert 0 < sum(r.handover for r in recs) < len(recs) - 1
+
+
+def test_schedule_never_hands_over_at_zero_gsl_threshold(table1_walker, table1_optics):
+    cfg = LescConfig(delta_d_km=2600.0, rounds=12, round_time_s=120.0,
+                     gsl_snr_threshold=0.0, snr_units="linear")
+    recs = schedule(cfg, table1_walker, table1_optics, 6)
+    assert not any(r.handover for r in recs)
+    assert {r.edge for r in recs} == {recs[0].edge}
+    assert all(r.links.edge == recs[0].edge for r in recs)
+    # The edge sets far below the horizon and is still kept.
+    _, elevation = gsl_snr_and_elevation(
+        table1_walker, table1_optics, recs[0].edge, recs[-1].t, cfg
     )
-    assert flag
-    assert state.edge == select_edge(table1_walker, GS_EQUATOR, block, cfg.min_elevation)
-    assert state.edge not in state.clients
-    assert state.baseline_size == len(state.clients)
-    assert links.edge == state.edge
-    # Threshold 0 linear never fires, even below the horizon.
-    never_cfg = LescConfig(delta_d_km=2600.0, gsl_snr_threshold=0.0,
-                           snr_units="linear")
-    state, flag, links = maybe_handover(
-        lost, never_cfg, table1_walker, table1_optics, table1_optics, GS_EQUATOR,
-        block, streams,
+    assert elevation < -math.radians(30.0)
+
+
+def test_schedule_reselects_every_round_at_huge_gsl_threshold(
+    monkeypatch, table1_walker, table1_optics
+):
+    # Even an edge at zenith fails a 1e15 threshold, so every round re-selects.
+    cfg = LescConfig(delta_d_km=2600.0, rounds=6, round_time_s=60.0,
+                     recluster_period=1.0, recluster_fraction=1.0,
+                     gsl_snr_threshold=1e15, snr_units="linear")
+    checked = []
+    monkeypatch.setattr(lesc, "recluster_due", lambda *args: checked.append(args))
+    recs = schedule(cfg, table1_walker, table1_optics, 6)
+    assert [r.handover for r in recs] == [False] + [True] * 5
+    previous = ()
+    for rec in recs:
+        assert_fresh_cluster(rec, table1_walker, cfg)
+        assert rec.admitted == tuple(s for s in rec.members if s not in previous)
+        previous = rec.members
+    # Every round's cluster is fresh, so none is pruned or checked for attrition.
+    assert checked == []
+
+
+@pytest.mark.parametrize("period, fraction", [(1.0, 0.7), (2.0, 0.9), (math.inf, 0.7)])
+def test_schedule_reclusters_only_when_due(
+    monkeypatch, table1_walker, table1_optics, period, fraction
+):
+    cfg = LescConfig(delta_d_km=2200.0, rounds=20, round_time_s=60.0,
+                     recluster_period=period, recluster_fraction=fraction,
+                     gsl_snr_threshold=20.0)
+    checked = []
+
+    def recording_recluster_due(cluster_size, baseline_size, round_index, cfg):
+        checked.append((round_index, cluster_size, baseline_size))
+        return recluster_due(cluster_size, baseline_size, round_index, cfg)
+
+    monkeypatch.setattr(lesc, "recluster_due", recording_recluster_due)
+    recs = schedule(cfg, table1_walker, table1_optics, 12)
+    baseline = len(recs[0].members)
+    want_checks = []
+    for prev, cur in zip(recs, recs[1:]):
+        if cur.handover:
+            baseline = len(cur.members)  # the new edge's cluster resets it
+            continue
+        pruned = tuple(s for s in prev.members
+                       if not cur.links.distance_km(s) > cfg.delta_d_km)
+        want_checks.append((cur.round_index, len(pruned), baseline))
+        due = recluster_due(len(pruned), baseline, cur.round_index, cfg)
+        assert cur.reclustered == due
+        if due:
+            assert cur.members == cluster(cur.edge, table1_walker, cfg, cur.links)
+            baseline = len(cur.members)
+        else:
+            # not due: the pruned cluster stands, unchanged when nobody left
+            assert cur.members == pruned and cur.admitted == ()
+    assert checked == want_checks
+    assert any(r.handover for r in recs)
+    assert any(len(r.members) < len(p.members) and not r.handover and not r.reclustered
+               for p, r in zip(recs, recs[1:]))
+    assert any(r.reclustered for r in recs) == (not math.isinf(period))
+
+
+def test_schedule_coverage_gaps_keep_the_last_cluster(caplog):
+    # The coverage golden's shell: gaps before the first edge and after handovers.
+    cfg = replace(
+        ScenarioConfig(), n_orbits=5, sats_per_orbit=5, lesc_delta_d_km=8000.0,
+        lesc_round_time_s=300.0, lesc_rounds=16,
     )
-    assert not flag
-    assert state is lost
-    assert links.edge == SatIndex(1, 11)
-    # An absurd threshold fires even at zenith.
-    always_cfg = LescConfig(delta_d_km=2600.0, gsl_snr_threshold=1e15,
-                            snr_units="linear")
-    zenith = ClusterState(5, SatIndex(1, 1), (), 0)
-    _, flag, _ = maybe_handover(
-        zenith, always_cfg, table1_walker, table1_optics, table1_optics,
-        GS_EQUATOR, block, streams,
-    )
-    assert flag
+    with caplog.at_level("WARNING", logger="fello_sim"):
+        recs = membership_schedule(
+            cfg.lesc(), cfg.walker(), cfg.isl_optics(), cfg.gsl_optics(), Substreams(5), 2
+        )
+    first = next(i for i, r in enumerate(recs) if not r.coverage_failed)
+    assert first > 0
+    for rec in recs[:first]:
+        assert rec.coverage_failed and not rec.handover and not rec.reclustered
+        assert (rec.edge, rec.members, rec.admitted, rec.links) == (None, (), (), None)
+    assert recs[first].admitted == recs[first].members
+    later_gaps = [(p, r) for p, r in zip(recs[first:], recs[first + 1:]) if r.coverage_failed]
+    assert later_gaps
+    for prev, rec in later_gaps:
+        assert (rec.edge, rec.members) == (prev.edge, prev.members)
+        assert rec.admitted == () and rec.links is None
+        assert not rec.handover and not rec.reclustered
+    messages = [r.getMessage() for r in caplog.records]
+    assert messages == [
+        f"round {r.round_index}: no coverage, retrying next round"
+        if i < first else f"round {r.round_index}: handover found no coverage, retrying"
+        for i, r in enumerate(recs) if r.coverage_failed
+    ]
 
 
 def test_api_edges_validate_indices(table1_walker, table1_optics):
