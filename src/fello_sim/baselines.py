@@ -31,6 +31,7 @@ from .lesc import (
     member_rounds,
     membership_schedule,
     parallel_map,
+    round_delay,
     round_log,
 )
 from .optical_link import OpticalParams
@@ -133,7 +134,7 @@ def run_dl(
     """
     schedule = membership_schedule(cfg, walker, isl, gsl, streams, train_cfg.local_epochs)
     w0 = initial_model(train_set, train_cfg, streams)
-    delay = train_cfg.local_epochs * overhead.PRESET_TIMES["dl"]["t_epoch_s"]
+    delay = round_delay("dl", train_cfg.local_epochs)
     clients = {}
 
     def admit(sat, shard, round_index):

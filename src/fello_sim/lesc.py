@@ -57,8 +57,9 @@ class LescConfig:
 
     Angles in radians. delta_gamma and gsl_snr_threshold are read in
     snr_units ('db' or 'linear'). recluster_period may be math.inf to
-    disable re-clustering. round_time_s overrides the analytic per-round
-    delay as the simulated time step when set.
+    disable re-clustering. round_time_s, when set, replaces FELLO's
+    modelled round delay as the simulated time step; it never changes the
+    reported delays.
     """
 
     threshold_mode: str = "distance"
@@ -291,16 +292,18 @@ def recluster_due(
     return shrunk and round_index % int(cfg.recluster_period) == 0
 
 
+def round_delay(mode: str, local_epochs: int) -> float:
+    """Modelled delay of one fello or dl round, from the overhead preset."""
+    return overhead.total_delay(
+        overhead.preset_inputs(mode, rounds=1, local_epochs=local_epochs)
+    )
+
+
 def round_interval(cfg: LescConfig, local_epochs: int) -> float:
-    """Simulated seconds per round: explicit override or the analytic delay."""
+    """Simulated seconds per round: explicit override or FELLO's round delay."""
     if cfg.round_time_s is not None:
         return cfg.round_time_s
-    times = overhead.PRESET_TIMES["fello"]
-    return (
-        2.0 * times["t_send_s"]
-        + local_epochs * times["t_epoch_s"]
-        + times["t_agg_s"]
-    )
+    return round_delay("fello", local_epochs)
 
 
 def membership_schedule(
@@ -449,7 +452,7 @@ def run_fello(
     instead of renormalizing over the round's participants.
     """
     schedule = membership_schedule(cfg, walker, isl, gsl, streams, train_cfg.local_epochs)
-    dt = round_interval(cfg, train_cfg.local_epochs)
+    delay = round_delay("fello", train_cfg.local_epochs)
     global_model = initial_model(train_set, train_cfg, streams)
     clients = {}
     admit = lambda sat, shard, _: ClientState(sat=sat, shard=shard)
@@ -489,5 +492,5 @@ def run_fello(
                                rec.round_index)
             snrs = [link_by_sat[sat].snr_db for sat in rec.members]
         accuracy, loss = evaluate(global_model, test_set)
-        logs.append(round_log(rec, accuracy, loss, mean_or_nan(snrs), dt))
+        logs.append(round_log(rec, accuracy, loss, mean_or_nan(snrs), delay))
     return logs

@@ -8,6 +8,7 @@ cluster sizing. Oracles are coded inline from first principles so a
 regression in the library cannot hide behind its own helpers.
 """
 
+import csv
 import math
 import time
 from dataclasses import replace
@@ -207,6 +208,24 @@ def test_criterion_6_dl_channel_invariance(tmp_path):
         with open(tmp_path / f"sigma_{i}" / "metrics.csv", "rb") as f:
             blobs.append(f.read())
     assert all(blob == blobs[0] for blob in blobs)
+
+
+def test_cumulative_delay_is_the_modelled_delay(tmp_path):
+    # A 60 s clock step must not leak into the delay column.
+    rounds, epochs = 4, 3
+    cfg = replace(
+        _small_dl_cfg(str(tmp_path), 3e-6), architectures=("fello", "cl", "dl"),
+        lesc_rounds=rounds, train_local_epochs=epochs,
+    )
+    assert cfg.lesc_round_time_s == 60.0
+    assert run_scenario(cfg) == 0
+    with open(tmp_path / "metrics.csv", newline="") as f:
+        rows = list(csv.DictReader(f.readlines()[1:]))
+    for mode in ("fello", "dl"):
+        last = [r for r in rows if r["architecture"] == mode][-1]
+        assert int(last["round"]) == rounds
+        want = total_delay(preset_inputs(mode, rounds=rounds, local_epochs=epochs))
+        assert math.isclose(float(last["cumulative_delay_s"]), want, rel_tol=1e-12)
 
 
 def test_criterion_7_scenario_determinism(tmp_path):
