@@ -53,6 +53,11 @@ class Dataset:
         return Dataset(self.features[indices], self.labels[indices], self.n_classes)
 
 
+def param_count(arch: tuple) -> int:
+    """Weights and biases of an MLP with these layer widths, input first."""
+    return sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(arch, arch[1:]))
+
+
 class ModelParams:
     """MLP parameters held as one flat float64 vector.
 
@@ -64,10 +69,7 @@ class ModelParams:
 
     def __init__(self, vec: np.ndarray, arch: tuple):
         self.arch = tuple(int(d) for d in arch)
-        if len(self.arch) < 2:
-            raise ValueError(f"need at least an input and an output width, got {arch}")
-        layers = list(zip(self.arch[:-1], self.arch[1:]))
-        n_params = sum(fan_in * fan_out + fan_out for fan_in, fan_out in layers)
+        n_params = param_count(self.arch)
         if vec.dtype != np.float64 or vec.shape != (n_params,):
             raise ValueError(
                 f"expected {n_params} float64 values, got {vec.dtype} of shape {vec.shape}"
@@ -75,7 +77,7 @@ class ModelParams:
         self.vec = vec
         self.weights, self.biases = [], []
         at = 0
-        for fan_in, fan_out in layers:
+        for fan_in, fan_out in zip(self.arch, self.arch[1:]):
             self.weights.append(vec[at : at + fan_in * fan_out].reshape(fan_in, fan_out))
             at += fan_in * fan_out
             self.biases.append(vec[at : at + fan_out])
@@ -153,8 +155,7 @@ def init_model(
 ) -> ModelParams:
     """Glorot-uniform weights, zero biases, layer by layer in order."""
     dims = (n_features, hidden_size, n_classes)
-    n_params = sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(dims, dims[1:]))
-    model = ModelParams(np.zeros(n_params), dims)
+    model = ModelParams(np.zeros(param_count(dims)), dims)
     for w in model.weights:
         bound = math.sqrt(6.0 / (w.shape[0] + w.shape[1]))
         w[...] = rng.uniform(-bound, bound, size=w.shape)

@@ -19,6 +19,7 @@ from concurrent.futures import ProcessPoolExecutor
 from . import baselines, overhead
 from .config import ScenarioConfig, apply_sweep, serialize_config
 from .datasets import load_mnist, synthetic_split
+from .fl_engine import param_count
 from .lesc import run_fello
 from .seeding import Substreams, derive_seed
 
@@ -133,7 +134,7 @@ def emit_overhead_report(cfg: ScenarioConfig, output_dir: str = None) -> list:
         accounting=cfg.overhead_accounting,
         arch=(d, h, c),
         samples_per_client=cfg.dataset_samples_per_client,
-        n_params=d * h + h + h * c + c,
+        n_params=param_count((d, h, c)),
         cluster_size=cfg.overhead_cluster_size,
         device_flops=cfg.overhead_device_flops,
         link_rate_bps=cfg.overhead_link_rate_bps,
