@@ -284,9 +284,7 @@ def recluster_due(
     cluster_size: int, baseline_size: int, round_index: int, cfg: LescConfig
 ) -> bool:
     """Whether attrition and the period both call for re-clustering."""
-    if baseline_size is None or baseline_size < 1:
-        return False
-    if math.isinf(cfg.recluster_period):
+    if baseline_size < 1 or math.isinf(cfg.recluster_period):
         return False
     shrunk = cluster_size < cfg.recluster_fraction * baseline_size
     return shrunk and round_index % int(cfg.recluster_period) == 0
