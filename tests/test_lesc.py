@@ -419,45 +419,6 @@ def test_schedule_reselects_every_round_at_huge_gsl_threshold(
     assert checked == []
 
 
-@pytest.mark.parametrize("period, fraction", [(1.0, 0.7), (2.0, 0.9), (math.inf, 0.7)])
-def test_schedule_reclusters_only_when_due(
-    monkeypatch, table1_walker, table1_optics, period, fraction
-):
-    cfg = LescConfig(delta_d_km=2200.0, rounds=20, round_time_s=60.0,
-                     recluster_period=period, recluster_fraction=fraction,
-                     gsl_snr_threshold=20.0)
-    checked = []
-
-    def recording_recluster_due(cluster_size, baseline_size, round_index, cfg):
-        checked.append((round_index, cluster_size, baseline_size))
-        return recluster_due(cluster_size, baseline_size, round_index, cfg)
-
-    monkeypatch.setattr(lesc, "recluster_due", recording_recluster_due)
-    recs = schedule(cfg, table1_walker, table1_optics, 12)
-    baseline = len(recs[0].members)
-    want_checks = []
-    for prev, cur in zip(recs, recs[1:]):
-        if cur.handover:
-            baseline = len(cur.members)  # the new edge's cluster resets it
-            continue
-        pruned = tuple(s for s in prev.members
-                       if not cur.links.distance_km(s) > cfg.delta_d_km)
-        want_checks.append((cur.round_index, len(pruned), baseline))
-        due = recluster_due(len(pruned), baseline, cur.round_index, cfg)
-        assert cur.reclustered == due
-        if due:
-            assert cur.members == cluster(cur.edge, table1_walker, cfg, cur.links)
-            baseline = len(cur.members)
-        else:
-            # not due: the pruned cluster stands, unchanged when nobody left
-            assert cur.members == pruned and cur.admitted == ()
-    assert checked == want_checks
-    assert any(r.handover for r in recs)
-    assert any(len(r.members) < len(p.members) and not r.handover and not r.reclustered
-               for p, r in zip(recs, recs[1:]))
-    assert any(r.reclustered for r in recs) == (not math.isinf(period))
-
-
 def test_schedule_coverage_gaps_keep_the_last_cluster(caplog):
     # The coverage golden's shell: gaps before the first edge and after handovers.
     cfg = replace(
@@ -542,18 +503,31 @@ def test_membership_schedule_invariants(table1_walker, table1_optics):
             assert rec.links.distance_km(sat) < cfg.delta_d_km
 
 
-def test_membership_schedule_replay(table1_walker, table1_optics):
-    # Replay the prune / re-cluster / handover bookkeeping from the records.
+@pytest.mark.parametrize("period, fraction", [(1.0, 0.7), (2.0, 0.9), (math.inf, 0.7)])
+def test_membership_schedule_replay(
+    monkeypatch, table1_walker, table1_optics, period, fraction
+):
+    # Replay the prune / re-cluster / handover bookkeeping from the records,
+    # including the baseline that each re-clustering check is given.
     cfg = LescConfig(delta_d_km=2200.0, rounds=20, round_time_s=60.0,
-                     recluster_period=1.0, recluster_fraction=0.7,
+                     recluster_period=period, recluster_fraction=fraction,
                      gsl_snr_threshold=20.0)
-    recs = membership_schedule(
-        cfg, table1_walker, table1_optics, table1_optics, Substreams(12), 2
-    )
-    assert any(r.reclustered for r in recs)
+    checked = []
+
+    def recording_recluster_due(cluster_size, baseline_size, round_index, cfg):
+        checked.append((round_index, cluster_size, baseline_size))
+        return recluster_due(cluster_size, baseline_size, round_index, cfg)
+
+    monkeypatch.setattr(lesc, "recluster_due", recording_recluster_due)
+    recs = schedule(cfg, table1_walker, table1_optics, 12)
     baseline = len(recs[0].members)
+    want_checks = []
     for prev, cur in zip(recs, recs[1:]):
+        assert cur.admitted == tuple(
+            s for s in cur.members if s not in set(prev.members)
+        )
         if cur.handover:
+            # the new edge's cluster resets the baseline
             assert cur.members == cluster(cur.edge, table1_walker, cfg, cur.links)
             baseline = len(cur.members)
             continue
@@ -562,16 +536,20 @@ def test_membership_schedule_replay(table1_walker, table1_optics):
             s for s in prev.members
             if not cur.links.distance_km(s) > cfg.delta_d_km
         )
+        want_checks.append((cur.round_index, len(pruned), baseline))
         expected = recluster_due(len(pruned), baseline, cur.round_index, cfg)
         assert cur.reclustered == expected
         if expected:
             assert cur.members == cluster(cur.edge, table1_walker, cfg, cur.links)
             baseline = len(cur.members)
         else:
+            # not due: the pruned cluster stands, unchanged when nobody left
             assert cur.members == pruned
-        assert cur.admitted == tuple(
-            s for s in cur.members if s not in set(prev.members)
-        )
+    assert checked == want_checks
+    assert any(r.handover for r in recs)
+    assert any(len(r.members) < len(p.members) and not r.handover and not r.reclustered
+               for p, r in zip(recs, recs[1:]))
+    assert any(r.reclustered for r in recs) == (not math.isinf(period))
 
 
 def test_membership_schedule_deterministic(table1_walker, table1_optics):
