@@ -503,10 +503,18 @@ def test_membership_schedule_invariants(table1_walker, table1_optics):
             assert rec.links.distance_km(sat) < cfg.delta_d_km
 
 
-@pytest.mark.parametrize("period, fraction", [(1.0, 0.7), (2.0, 0.9), (math.inf, 0.7)])
-def test_membership_schedule_replay(
+def test_membership_schedule_replay(monkeypatch, table1_walker, table1_optics):
+    replay_schedule(monkeypatch, table1_walker, table1_optics, 1.0, 0.7)
+
+
+@pytest.mark.parametrize("period, fraction", [(2.0, 0.9), (math.inf, 0.7)])
+def test_membership_schedule_replay_across_periods(
     monkeypatch, table1_walker, table1_optics, period, fraction
 ):
+    replay_schedule(monkeypatch, table1_walker, table1_optics, period, fraction)
+
+
+def replay_schedule(monkeypatch, table1_walker, table1_optics, period, fraction):
     # Replay the prune / re-cluster / handover bookkeeping from the records,
     # including the baseline that each re-clustering check is given.
     cfg = LescConfig(delta_d_km=2200.0, rounds=20, round_time_s=60.0,
