@@ -31,7 +31,6 @@ from .lesc import (
     member_rounds,
     membership_schedule,
     parallel_map,
-    round_delay,
     round_log,
 )
 from .optical_link import OpticalParams
@@ -81,12 +80,10 @@ def run_cl(
     schedule = membership_schedule(cfg, walker, isl, gsl, streams, train_cfg.local_epochs)
     model = initial_model(train_set, train_cfg, streams)
     edge_rng = streams.derive("cltrain")
-    times = overhead.PRESET_TIMES["cl"]
     clients = {}
     admit = lambda sat, shard, _: _ClClient(shard)
     logs = []
     for rec in member_rounds(schedule, clients, admit, train_set, samples_per_client, streams):
-        delay = train_cfg.local_epochs * times["t_epoch_s"]
         shipped_snrs = []
         if not rec.coverage_failed:
             # a handover moves the server, so every member re-ships to it
@@ -97,8 +94,6 @@ def run_cl(
                 client = clients[sat]
                 client.shipped = _ship_shard(client.shard, link, corruption, ship_rng)
                 shipped_snrs.append(link.snr_db)
-            if shippers:
-                delay += times["t_send_s"]
             if rec.members:
                 shipped = [clients[sat].shipped for sat in rec.members]
                 pooled = Dataset(
@@ -108,6 +103,9 @@ def run_cl(
                 )
                 for _ in range(train_cfg.local_epochs):
                     model = sgd_epoch(model, pooled, train_cfg, edge_rng)
+        delay = overhead.round_delay(
+            "cl", train_cfg.local_epochs, sent=bool(shipped_snrs)
+        )
         accuracy, loss = evaluate(model, test_set)
         logs.append(round_log(rec, accuracy, loss, mean_or_nan(shipped_snrs), delay))
     return logs
@@ -134,7 +132,7 @@ def run_dl(
     """
     schedule = membership_schedule(cfg, walker, isl, gsl, streams, train_cfg.local_epochs)
     w0 = initial_model(train_set, train_cfg, streams)
-    delay = round_delay("dl", train_cfg.local_epochs)
+    delay = overhead.round_delay("dl", train_cfg.local_epochs)
     clients = {}
 
     def admit(sat, shard, round_index):

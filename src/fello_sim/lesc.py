@@ -290,18 +290,11 @@ def recluster_due(
     return shrunk and round_index % int(cfg.recluster_period) == 0
 
 
-def round_delay(mode: str, local_epochs: int) -> float:
-    """Modelled delay of one fello or dl round, from the overhead preset."""
-    return overhead.total_delay(
-        overhead.preset_inputs(mode, rounds=1, local_epochs=local_epochs)
-    )
-
-
 def round_interval(cfg: LescConfig, local_epochs: int) -> float:
     """Simulated seconds per round: explicit override or FELLO's round delay."""
     if cfg.round_time_s is not None:
         return cfg.round_time_s
-    return round_delay("fello", local_epochs)
+    return overhead.round_delay("fello", local_epochs)
 
 
 def membership_schedule(
@@ -450,7 +443,7 @@ def run_fello(
     instead of renormalizing over the round's participants.
     """
     schedule = membership_schedule(cfg, walker, isl, gsl, streams, train_cfg.local_epochs)
-    delay = round_delay("fello", train_cfg.local_epochs)
+    delay = overhead.round_delay("fello", train_cfg.local_epochs)
     global_model = initial_model(train_set, train_cfg, streams)
     clients = {}
     admit = lambda sat, shard, _: ClientState(sat=sat, shard=shard)

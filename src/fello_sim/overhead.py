@@ -1,10 +1,12 @@
-"""Closed-form training overhead for the three architectures.
+"""Training overhead model for the three architectures.
 
 Total delay, compute, and memory footprints for federated learning over
 ISLs (fello), fully local distributed training (dl), and centralized
 training at one edge fed by raw data uploads (cl). Component times either
 come from the pinned measurement preset or are derived from payload sizes,
-link rate, and device throughput.
+link rate, and device throughput. Each mode's delay components are the one
+delay formula: the report totals, the per-round delay of a run and the
+round clock are all sums of them.
 """
 
 import csv
@@ -12,6 +14,9 @@ import io
 import math
 from dataclasses import dataclass
 
+from .fl_engine import param_count
+
+# The architectures, in report and metrics order.
 MODES = ("fello", "cl", "dl")
 
 # Measured component times (seconds) and compute/memory figures per mode.
@@ -20,19 +25,17 @@ PRESET_TIMES = {
     "cl": {"t_send_s": 0.445e-3, "t_epoch_s": 195.88e-3, "t_agg_s": 0.0},
     "dl": {"t_send_s": 0.0, "t_epoch_s": 29.38e-3, "t_agg_s": 0.0},
 }
+# (compute_flops, server_memory_bytes, client_memory_bytes)
 PRESET_FIGURES = {
-    "fello": {"compute_flops": 0.878e12, "server_memory_bytes": 0.52e6,
-              "client_memory_bytes": 7.04e6},
-    "cl": {"compute_flops": 17.56e12, "server_memory_bytes": 140.28e6,
-           "client_memory_bytes": 7.01e6},
-    "dl": {"compute_flops": 0.878e12, "server_memory_bytes": math.nan,
-           "client_memory_bytes": 7.04e6},
+    "fello": (0.878e12, 0.52e6, 7.04e6),
+    "cl": (17.56e12, 140.28e6, 7.01e6),
+    "dl": (0.878e12, math.nan, 7.04e6),
 }
 
 
 @dataclass(frozen=True)
 class OverheadInputs:
-    """Component times feeding one mode's closed-form delay."""
+    """Component times feeding one mode's delay."""
 
     rounds: int
     local_epochs: int
@@ -65,34 +68,40 @@ class OverheadReport:
     components: tuple
 
 
-def _require_mode(inputs: OverheadInputs, mode: str):
-    if inputs.mode != mode:
-        raise ValueError(f"inputs are for mode {inputs.mode!r}, expected {mode!r}")
+def _components(inputs: OverheadInputs) -> tuple:
+    """(name, seconds) delay components of inputs.mode over inputs.rounds.
 
-
-def overhead_fello(inputs: OverheadInputs) -> float:
-    """A rounds of (download + upload + E local epochs + aggregation)."""
-    _require_mode(inputs, "fello")
-    return inputs.rounds * (
-        2.0 * inputs.t_send_s + inputs.local_epochs * inputs.t_epoch_s + inputs.t_agg_s
-    )
-
-
-def overhead_dl(inputs: OverheadInputs) -> float:
-    """Purely local: A*E training epochs, nothing transmitted."""
-    _require_mode(inputs, "dl")
-    return inputs.rounds * inputs.local_epochs * inputs.t_epoch_s
-
-
-def overhead_cl(inputs: OverheadInputs) -> float:
-    """One raw-data upload, then A*E epochs at the central edge."""
-    _require_mode(inputs, "cl")
-    return inputs.t_send_s + inputs.rounds * inputs.local_epochs * inputs.t_epoch_s
+    fello: a download and an upload, E local epochs and one aggregation per
+    round. cl: one raw-data upload, then E epochs per round at the edge.
+    dl: E local epochs per round, nothing transmitted.
+    """
+    train = inputs.rounds * inputs.local_epochs * inputs.t_epoch_s
+    if inputs.mode == "fello":
+        return (
+            ("send", 2.0 * inputs.rounds * inputs.t_send_s),
+            ("train", train),
+            ("aggregate", inputs.rounds * inputs.t_agg_s),
+        )
+    if inputs.mode == "cl":
+        return (("send", inputs.t_send_s), ("train", train))
+    return (("train", train),)
 
 
 def total_delay(inputs: OverheadInputs) -> float:
-    """Dispatch to the closed form matching inputs.mode."""
-    return {"fello": overhead_fello, "dl": overhead_dl, "cl": overhead_cl}[inputs.mode](inputs)
+    """The sum of the delay components, in their order."""
+    return sum(seconds for _, seconds in _components(inputs))
+
+
+def round_delay(mode: str, local_epochs: int, sent: bool = True) -> float:
+    """Modelled delay of one round from the preset times.
+
+    sent=False leaves out the send component, for a round in which nobody
+    transmitted.
+    """
+    inputs = preset_inputs(mode, rounds=1, local_epochs=local_epochs)
+    return sum(
+        seconds for name, seconds in _components(inputs) if sent or name != "send"
+    )
 
 
 def preset_inputs(mode: str, rounds: int = 40, local_epochs: int = 2) -> OverheadInputs:
@@ -156,26 +165,12 @@ def analytic_flops_per_sample(arch: tuple) -> float:
     return 3.0 * forward
 
 
-def _components(inputs: OverheadInputs) -> tuple:
-    train = inputs.rounds * inputs.local_epochs * inputs.t_epoch_s
-    if inputs.mode == "fello":
-        return (
-            ("send", 2.0 * inputs.rounds * inputs.t_send_s),
-            ("train", train),
-            ("aggregate", inputs.rounds * inputs.t_agg_s),
-        )
-    if inputs.mode == "cl":
-        return (("send", inputs.t_send_s), ("train", train))
-    return (("train", train),)
-
-
 def build_reports(
     rounds: int,
     local_epochs: int,
     accounting: str = "preset",
     arch: tuple = None,
     samples_per_client: int = None,
-    n_params: int = None,
     cluster_size: int = 20,
     device_flops: float = 1e12,
     link_rate_bps: float = 1.25e9,
@@ -186,61 +181,48 @@ def build_reports(
     'analytic' derives everything from the model architecture, shard size,
     and cluster size (4 bytes per parameter and per feature value).
     """
-    if accounting not in ("preset", "analytic"):
-        raise ValueError(f"unknown overhead accounting {accounting!r}")
-    reports = []
     if accounting == "preset":
-        for mode in MODES:
-            inputs = preset_inputs(mode, rounds=rounds, local_epochs=local_epochs)
-            fig = PRESET_FIGURES[mode]
-            reports.append(
-                OverheadReport(
-                    architecture=mode,
-                    total_delay_s=total_delay(inputs),
-                    compute_flops=fig["compute_flops"],
-                    server_memory_bytes=fig["server_memory_bytes"],
-                    client_memory_bytes=fig["client_memory_bytes"],
-                    components=_components(inputs),
-                )
+        inputs = {mode: preset_inputs(mode, rounds, local_epochs) for mode in MODES}
+        figures = PRESET_FIGURES
+    elif accounting == "analytic":
+        if arch is None or samples_per_client is None:
+            raise ValueError("analytic accounting needs arch and samples_per_client")
+        if cluster_size < 1:
+            raise ValueError(f"cluster size must be >= 1, got {cluster_size}")
+        n_params = param_count(arch)
+        epoch_flops = analytic_flops_per_sample(arch) * samples_per_client
+        model_bytes = 4.0 * n_params
+        data_bytes = 4.0 * samples_per_client * arch[0]
+        compute = rounds * local_epochs * epoch_flops * cluster_size
+        client = model_bytes + data_bytes
+        inputs = {
+            mode: derive_times(
+                model_bytes=model_bytes,
+                data_bytes=data_bytes,
+                link_rate_bps=link_rate_bps,
+                flops_per_epoch=epoch_flops,
+                device_flops=device_flops,
+                rounds=rounds,
+                local_epochs=local_epochs,
+                mode=mode,
+                agg_flops=2.0 * cluster_size * n_params,
             )
-        return reports
-    if arch is None or samples_per_client is None or n_params is None:
-        raise ValueError("analytic accounting needs arch, samples_per_client, n_params")
-    if cluster_size < 1:
-        raise ValueError(f"cluster size must be >= 1, got {cluster_size}")
-    epoch_flops = analytic_flops_per_sample(arch) * samples_per_client
-    model_bytes = 4.0 * n_params
-    data_bytes = 4.0 * samples_per_client * arch[0]
-    total_train_flops = rounds * local_epochs * epoch_flops * cluster_size
-    memory = {
-        "fello": (model_bytes, model_bytes + data_bytes),
-        "dl": (math.nan, model_bytes + data_bytes),
-        "cl": (model_bytes + cluster_size * data_bytes, model_bytes + data_bytes),
-    }
-    for mode in MODES:
-        inputs = derive_times(
-            model_bytes=model_bytes,
-            data_bytes=data_bytes,
-            link_rate_bps=link_rate_bps,
-            flops_per_epoch=epoch_flops,
-            device_flops=device_flops,
-            rounds=rounds,
-            local_epochs=local_epochs,
-            mode=mode,
-            agg_flops=2.0 * cluster_size * n_params,
+            for mode in MODES
+        }
+        figures = {
+            "fello": (compute, model_bytes, client),
+            "cl": (compute, model_bytes + cluster_size * data_bytes, client),
+            "dl": (compute, math.nan, client),
+        }
+    else:
+        raise ValueError(f"unknown overhead accounting {accounting!r}")
+    return [
+        OverheadReport(
+            mode, total_delay(inputs[mode]), *figures[mode],
+            components=_components(inputs[mode]),
         )
-        server_mem, client_mem = memory[mode]
-        reports.append(
-            OverheadReport(
-                architecture=mode,
-                total_delay_s=total_delay(inputs),
-                compute_flops=total_train_flops,
-                server_memory_bytes=server_mem,
-                client_memory_bytes=client_mem,
-                components=_components(inputs),
-            )
-        )
-    return reports
+        for mode in MODES
+    ]
 
 
 def render_text(reports: list) -> str:

@@ -19,7 +19,6 @@ from concurrent.futures import ProcessPoolExecutor
 from . import baselines, overhead
 from .config import ScenarioConfig, apply_sweep, serialize_config
 from .datasets import load_mnist, synthetic_split
-from .fl_engine import param_count
 from .lesc import run_fello
 from .seeding import Substreams, derive_seed
 
@@ -125,16 +124,12 @@ def render_metrics(cfg: ScenarioConfig, points: list, results: dict) -> str:
 
 def emit_overhead_report(cfg: ScenarioConfig, output_dir: str = None) -> list:
     """Write overhead.txt and overhead.csv; returns the reports."""
-    d = cfg.dataset_n_features
-    c = cfg.dataset_n_classes
-    h = cfg.train_hidden_size
     reports = overhead.build_reports(
         rounds=cfg.lesc_rounds,
         local_epochs=cfg.train_local_epochs,
         accounting=cfg.overhead_accounting,
-        arch=(d, h, c),
+        arch=(cfg.dataset_n_features, cfg.train_hidden_size, cfg.dataset_n_classes),
         samples_per_client=cfg.dataset_samples_per_client,
-        n_params=param_count((d, h, c)),
         cluster_size=cfg.overhead_cluster_size,
         device_flops=cfg.overhead_device_flops,
         link_rate_bps=cfg.overhead_link_rate_bps,

@@ -17,6 +17,7 @@ from fello_sim.fl_engine import (
 )
 from fello_sim.lesc import LescConfig
 from fello_sim.orbits import SatIndex, WalkerConfig
+from fello_sim.overhead import PRESET_TIMES
 from fello_sim.seeding import Substreams
 
 NONE = CorruptionSpec(kind="none")
@@ -98,8 +99,11 @@ def test_cl_ships_only_on_admission(table1_optics):
     assert not math.isnan(logs[0].mean_link_snr_db)
     assert math.isnan(logs[1].mean_link_snr_db)
     assert math.isnan(logs[2].mean_link_snr_db)
-    assert logs[0].round_delay_s > logs[1].round_delay_s
-    assert logs[1].round_delay_s == logs[2].round_delay_s
+    # The send is charged only in the round that ships.
+    times = PRESET_TIMES["cl"]
+    train = tc.local_epochs * times["t_epoch_s"]
+    assert logs[0].round_delay_s == times["t_send_s"] + train
+    assert logs[1].round_delay_s == logs[2].round_delay_s == train
 
 
 def test_cl_shipping_applies_corruption(table1_optics, logs_equal):

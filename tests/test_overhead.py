@@ -7,16 +7,15 @@ import pytest
 
 from fello_sim.overhead import (
     MODES,
+    PRESET_TIMES,
     OverheadInputs,
     analytic_flops_per_sample,
     build_reports,
     derive_times,
-    overhead_cl,
-    overhead_dl,
-    overhead_fello,
     render_csv,
     render_text,
     preset_inputs,
+    round_delay,
     total_delay,
 )
 
@@ -30,14 +29,11 @@ def test_closed_forms_against_reference_formulas():
         fello = OverheadInputs(a, e, ts, te, ta, mode="fello")
         dl = OverheadInputs(a, e, 0.0, te, 0.0, mode="dl")
         cl = OverheadInputs(a, e, ts, te, 0.0, mode="cl")
-        assert overhead_fello(fello) == pytest.approx(
+        assert total_delay(fello) == pytest.approx(
             a * (2 * ts + e * te + ta), rel=1e-12
         )
-        assert overhead_dl(dl) == pytest.approx(a * e * te, rel=1e-12)
-        assert overhead_cl(cl) == pytest.approx(ts + a * e * te, rel=1e-12)
-        assert total_delay(fello) == overhead_fello(fello)
-        assert total_delay(dl) == overhead_dl(dl)
-        assert total_delay(cl) == overhead_cl(cl)
+        assert total_delay(dl) == pytest.approx(a * e * te, rel=1e-12)
+        assert total_delay(cl) == pytest.approx(ts + a * e * te, rel=1e-12)
 
 
 def test_preset_totals():
@@ -55,10 +51,6 @@ def test_preset_totals():
 
 
 def test_mode_checks_and_edge_cases():
-    with pytest.raises(ValueError):
-        overhead_fello(preset_inputs("dl"))
-    with pytest.raises(ValueError):
-        overhead_cl(preset_inputs("fello"))
     with pytest.raises(ValueError):
         preset_inputs("mesh")
     with pytest.raises(ValueError):
@@ -80,6 +72,19 @@ def test_linearity_in_rounds():
     heavier = OverheadInputs(base.rounds, base.local_epochs, 0.0, base.t_epoch_s,
                              0.0, mode="dl")
     assert total_delay(heavier) == total_delay(base)
+
+
+def test_round_delay_is_one_preset_round():
+    for mode in MODES:
+        for epochs in (1, 2, 5):
+            want = total_delay(preset_inputs(mode, rounds=1, local_epochs=epochs))
+            assert round_delay(mode, epochs) == want
+    # Without a send only the training is left; dl never sends.
+    assert round_delay("cl", 2, sent=False) == 2 * PRESET_TIMES["cl"]["t_epoch_s"]
+    assert round_delay("dl", 2, sent=False) == round_delay("dl", 2)
+    assert round_delay("fello", 2, sent=False) == pytest.approx(
+        round_delay("fello", 2) - 2.0 * PRESET_TIMES["fello"]["t_send_s"], rel=1e-12
+    )
 
 
 def test_derive_times_arithmetic():
@@ -152,7 +157,7 @@ def test_build_reports_analytic():
         r.architecture: r
         for r in build_reports(
             40, 2, accounting="analytic", arch=arch, samples_per_client=2208,
-            n_params=n_params, cluster_size=18,
+            cluster_size=18,
         )
     }
     epoch_flops = 304896.0 * 2208

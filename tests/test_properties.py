@@ -2,7 +2,8 @@
 
 Each property holds for every valid input, so the examples are drawn rather
 than picked: Walker shells and times, satellite addresses, link budgets,
-parameter vectors, bit error rates and whole scenario configs. Example
+parameter vectors, bit error rates, overhead inputs and whole scenario
+configs. Example
 counts are capped to keep the suite fast.
 """
 
@@ -19,6 +20,7 @@ from fello_sim.config import ScenarioConfig, load_config, serialize_config, vali
 from fello_sim.fl_engine import CorruptionSpec, aggregate, corrupt_vector, init_model
 from fello_sim.optical_link import LinkSample, OpticalParams, evaluate_link, peak_snr
 from fello_sim.orbits import SatIndex, WalkerConfig, all_indices, positions_at, row_of
+from fello_sim.overhead import MODES, OverheadInputs, _components, total_delay
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
@@ -143,6 +145,23 @@ def test_aggregate_is_a_convex_combination(data, n_models, seed):
     slack = 1e-9 * (1.0 + np.abs(stacked).max())
     assert np.all(out >= stacked.min(axis=0) - slack)
     assert np.all(out <= stacked.max(axis=0) + slack)
+
+
+@PROPERTY
+@given(
+    inputs=st.builds(
+        OverheadInputs,
+        rounds=st.integers(0, 10_000),
+        local_epochs=st.integers(1, 50),
+        t_send_s=st.floats(0.0, 10.0),
+        t_epoch_s=st.floats(0.0, 10.0),
+        t_agg_s=st.floats(0.0, 10.0),
+        mode=st.sampled_from(MODES),
+    )
+)
+def test_total_delay_is_the_sum_of_its_components(inputs):
+    # The reported total and its components are one formula, to the bit.
+    assert total_delay(inputs) == sum(seconds for _, seconds in _components(inputs))
 
 
 sweeps = st.one_of(
