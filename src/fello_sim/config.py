@@ -18,8 +18,7 @@ from .fl_engine import CorruptionSpec, TrainConfig
 from .lesc import LescConfig
 from .optical_link import OpticalParams
 from .orbits import WalkerConfig
-
-ARCHITECTURES = ("fello", "cl", "dl")
+from .overhead import MODES
 
 
 class ConfigError(Exception):
@@ -31,7 +30,7 @@ class ScenarioConfig:
     """Flat mirror of the config file; defaults reproduce the stock setup."""
 
     # [run]
-    architectures: tuple = ("fello", "cl", "dl")
+    architectures: tuple = MODES
     master_seed: int = 42
     output_dir: str = "out"
     paper_literal: bool = False
@@ -272,7 +271,7 @@ def validate_config(cfg: ScenarioConfig) -> None:
     if not cfg.architectures:
         raise ConfigError("run.architectures: need at least one architecture")
     for arch in cfg.architectures:
-        if arch not in ARCHITECTURES:
+        if arch not in MODES:
             raise ConfigError(f"run.architectures: unknown architecture {arch!r}")
     if len(set(cfg.architectures)) != len(cfg.architectures):
         raise ConfigError("run.architectures: duplicate architecture")
