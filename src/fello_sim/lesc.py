@@ -203,6 +203,16 @@ class RoundLinks:
         return self._cache[sat]
 
 
+def elevation(gs: np.ndarray, rel: np.ndarray, dists: np.ndarray) -> np.ndarray:
+    """Elevation above gs's horizon of the offsets rel (satellite minus gs).
+
+    dists are the offsets' norms. Directly overhead the sine up.rel/|rel|
+    can round above 1, so it is clipped to [-1, 1].
+    """
+    up = gs / np.linalg.norm(gs)
+    return np.arcsin(np.clip((rel @ up) / dists, -1.0, 1.0))
+
+
 def gsl_quality(
     gsl: OpticalParams,
     walker: WalkerConfig,
@@ -218,11 +228,10 @@ def gsl_quality(
     """
     rel = positions[row_of(walker, sat)] - gs
     dist = float(np.linalg.norm(rel))
-    up = gs / np.linalg.norm(gs)
-    elevation = math.asin(float(np.dot(up, rel)) / dist)
-    if elevation < min_elevation:
-        return 0.0, elevation
-    return peak_snr(gsl, dist), elevation
+    angle = float(elevation(gs, rel, dist))
+    if angle < min_elevation:
+        return 0.0, angle
+    return peak_snr(gsl, dist), angle
 
 
 def select_edge(
@@ -234,8 +243,7 @@ def select_edge(
     """Nearest visible satellite; ties break to the lowest index."""
     rel = positions - gs
     dists = np.linalg.norm(rel, axis=1)
-    up = gs / np.linalg.norm(gs)
-    visible = np.arcsin((rel @ up) / dists) >= min_elevation
+    visible = elevation(gs, rel, dists) >= min_elevation
     if not visible.any():
         raise CoverageError("no satellite above the elevation mask")
     # argmin returns the first minimum, which is the lowest index

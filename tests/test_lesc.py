@@ -132,6 +132,22 @@ def test_gsl_elevation_against_scalar_geometry(table1_walker, table1_optics):
         assert elevation == pytest.approx(want, abs=1e-9)
 
 
+@pytest.mark.parametrize("sat, t", [(SatIndex(33, 19), 300.0), (SatIndex(5, 19), 0.0)])
+def test_elevation_directly_under_a_satellite(sat, t):
+    # On the default shell, up.rel/|rel| rounds above 1 for a ground station
+    # under these satellites: asin raised, and arcsin's NaN hid the satellite.
+    cfg = ScenarioConfig()
+    walker = cfg.walker()
+    block = positions_at(walker, t)
+    p = block[row_of(walker, sat)]
+    gs = ground_station_position(
+        math.asin(p[2] / np.linalg.norm(p)), math.atan2(p[1], p[0]), walker.earth_radius_km
+    )
+    _, elevation = gsl_quality(cfg.gsl_optics(), walker, gs, sat, block, 0.0)
+    assert elevation == pytest.approx(math.pi / 2, abs=1e-6)
+    assert select_edge(walker, gs, block, math.radians(10.0)) == sat
+
+
 def test_select_edge_is_nearest_visible(table1_walker):
     for t in (0.0, 432.1, 3000.0):
         block = positions_at(table1_walker, t)
