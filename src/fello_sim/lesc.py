@@ -424,10 +424,15 @@ def mean_or_nan(values: list) -> float:
 def round_log(
     rec: MembershipRound, accuracy: float, loss: float, mean_snr_db: float, delay_s: float
 ) -> RoundLog:
-    """The RoundLog of one scheduled round with its training outcome."""
+    """The RoundLog of one scheduled round with its training outcome.
+
+    delay_s is the round's modelled delay. A round in which nobody trains
+    or sends (a coverage gap or an empty cluster) logs 0 instead.
+    """
+    idle = rec.coverage_failed or not rec.members
     return RoundLog(
         rec.round_index, rec.edge, len(rec.members), rec.reclustered, rec.handover,
-        accuracy, loss, mean_snr_db, delay_s,
+        accuracy, loss, mean_snr_db, 0.0 if idle else delay_s,
     )
 
 

@@ -228,6 +228,25 @@ def test_cumulative_delay_is_the_modelled_delay(tmp_path):
         assert math.isclose(float(last["cumulative_delay_s"]), want, rel_tol=1e-12)
 
 
+def test_idle_rounds_add_no_delay():
+    # The coverage golden's shell has gaps before the first edge and after
+    # handovers that keep the old members; a 1 km threshold empties every
+    # cluster. Nobody trains or sends in those rounds, so they cost nothing.
+    gaps = replace(
+        _small_dl_cfg("unused", 3e-6), n_orbits=5, sats_per_orbit=5,
+        lesc_delta_d_km=8000.0, lesc_round_time_s=300.0, lesc_rounds=16,
+    )
+    for cfg in (gaps, replace(gaps, lesc_delta_d_km=1.0)):
+        streams = Substreams(derive_seed(cfg.master_seed, "fello", 0))
+        recs = membership_schedule(cfg.lesc(), cfg.walker(), cfg.isl_optics(),
+                                   cfg.gsl_optics(), streams, cfg.train_local_epochs)
+        idle = [rec.coverage_failed or not rec.members for rec in recs]
+        assert any(idle)
+        for arch in ("fello", "cl", "dl"):
+            logs = run_one(cfg, arch, 0)
+            assert [log.round_delay_s == 0.0 for log in logs] == idle, arch
+
+
 def test_criterion_7_scenario_determinism(tmp_path):
     base = replace(
         ScenarioConfig(),
