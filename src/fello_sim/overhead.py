@@ -126,7 +126,7 @@ def derive_times(
     """Component times from payload sizes, link rate and device throughput.
 
     Model transfers pace fello sends, the raw shard paces the one-off cl
-    upload, and dl transmits nothing.
+    upload, and dl transmits nothing; OverheadInputs rejects other modes.
     """
     for name, value in (
         ("model_bytes", model_bytes),
@@ -139,18 +139,11 @@ def derive_times(
             raise ValueError(f"{name} must be > 0, got {value}")
     if agg_flops < 0.0:
         raise ValueError(f"agg_flops must be >= 0, got {agg_flops}")
-    if mode == "fello":
-        t_send = 8.0 * model_bytes / link_rate_bps
-    elif mode == "cl":
-        t_send = 8.0 * data_bytes / link_rate_bps
-    elif mode == "dl":
-        t_send = 0.0
-    else:
-        raise ValueError(f"unknown overhead mode {mode!r}")
+    payload_bytes = {"fello": model_bytes, "cl": data_bytes}.get(mode, 0.0)
     return OverheadInputs(
         rounds=rounds,
         local_epochs=local_epochs,
-        t_send_s=t_send,
+        t_send_s=8.0 * payload_bytes / link_rate_bps,
         t_epoch_s=flops_per_epoch / device_flops,
         t_agg_s=agg_flops / device_flops if mode == "fello" else 0.0,
         mode=mode,
@@ -197,15 +190,8 @@ def build_reports(
         client = model_bytes + data_bytes
         inputs = {
             mode: derive_times(
-                model_bytes=model_bytes,
-                data_bytes=data_bytes,
-                link_rate_bps=link_rate_bps,
-                flops_per_epoch=epoch_flops,
-                device_flops=device_flops,
-                rounds=rounds,
-                local_epochs=local_epochs,
-                mode=mode,
-                agg_flops=2.0 * cluster_size * n_params,
+                model_bytes, data_bytes, link_rate_bps, epoch_flops, device_flops,
+                rounds, local_epochs, mode, agg_flops=2.0 * cluster_size * n_params,
             )
             for mode in MODES
         }
