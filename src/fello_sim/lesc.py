@@ -47,10 +47,6 @@ from .seeding import Substreams
 logger = logging.getLogger("fello_sim")
 
 
-class CoverageError(Exception):
-    """No satellite is visible from the ground station."""
-
-
 @dataclass(frozen=True)
 class LescConfig:
     """Edge selection and clustering policy.
@@ -203,49 +199,24 @@ class RoundLinks:
         return self._cache[sat]
 
 
-def elevation(gs: np.ndarray, rel: np.ndarray, dists: np.ndarray) -> np.ndarray:
-    """Elevation above gs's horizon of the offsets rel (satellite minus gs).
+def ground_view(gs: np.ndarray, positions: np.ndarray) -> tuple:
+    """(distances, elevations) of every satellite in positions, seen from gs.
 
-    dists are the offsets' norms. Directly overhead the sine up.rel/|rel|
-    can round above 1, so it is clipped to [-1, 1].
+    Elevation is above gs's horizon. Directly overhead the sine
+    up.rel/|rel| can round above 1, so it is clipped to [-1, 1].
     """
-    up = gs / np.linalg.norm(gs)
-    return np.arcsin(np.clip((rel @ up) / dists, -1.0, 1.0))
-
-
-def gsl_quality(
-    gsl: OpticalParams,
-    walker: WalkerConfig,
-    gs: np.ndarray,
-    sat: SatIndex,
-    positions: np.ndarray,
-    min_elevation: float,
-) -> tuple:
-    """(linear SNR, elevation) of the ground-satellite link.
-
-    The GSL budget reuses the optical model at zero pointing error, so it
-    is deterministic; SNR reports as 0 below the elevation mask.
-    """
-    rel = positions[row_of(walker, sat)] - gs
-    dist = float(np.linalg.norm(rel))
-    angle = float(elevation(gs, rel, dist))
-    if angle < min_elevation:
-        return 0.0, angle
-    return peak_snr(gsl, dist), angle
-
-
-def select_edge(
-    walker: WalkerConfig,
-    gs: np.ndarray,
-    positions: np.ndarray,
-    min_elevation: float,
-) -> SatIndex:
-    """Nearest visible satellite; ties break to the lowest index."""
     rel = positions - gs
     dists = np.linalg.norm(rel, axis=1)
-    visible = elevation(gs, rel, dists) >= min_elevation
-    if not visible.any():
-        raise CoverageError("no satellite above the elevation mask")
+    up = gs / np.linalg.norm(gs)
+    return dists, np.arcsin(np.clip((rel @ up) / dists, -1.0, 1.0))
+
+
+def select_edge(walker: WalkerConfig, dists: np.ndarray, visible: np.ndarray) -> SatIndex:
+    """Nearest visible satellite; ties break to the lowest index.
+
+    dists and visible are per-row arrays of ground_view's shape; at least
+    one satellite must be visible.
+    """
     # argmin returns the first minimum, which is the lowest index
     return all_indices(walker)[int(np.argmin(np.where(visible, dists, np.inf)))]
 
@@ -326,9 +297,12 @@ def membership_schedule(
     In distance mode that makes it the same for every architecture; in SNR
     mode admission and pruning read pointing-error draws, and each
     architecture's streams come from its own derive_seed(master, arch,
-    point), so the architectures' schedules can differ. The shell's
-    positions are computed once per round and shared by the GSL check,
-    edge selection and the round's links.
+    point), so the architectures' schedules can differ. Each round computes
+    the shell's positions and the ground station's view of them once. The
+    view feeds both the GSL check and edge selection; the positions also
+    feed the round's links. The GSL budget is the optical model at zero
+    pointing error, so it is deterministic, and it reads 0 while the edge
+    is below the elevation mask.
     """
     dt = round_interval(cfg, local_epochs)
     gs = ground_station_position(cfg.gs_lat, cfg.gs_lon, walker.earth_radius_km)
@@ -337,21 +311,23 @@ def membership_schedule(
     for a in range(1, cfg.rounds + 1):
         t = a * dt
         positions = positions_at(walker, t)
-        select = edge is None or (
-            gsl_quality(gsl, walker, gs, edge, positions, cfg.min_elevation)[0]
-            < cfg.gsl_threshold_linear
-        )
-        handover = select and edge is not None
+        dists, elevations = ground_view(gs, positions)
+        visible = elevations >= cfg.min_elevation
+        handover = False
+        if edge is not None:
+            row = row_of(walker, edge)
+            gsl_snr = peak_snr(gsl, float(dists[row])) if visible[row] else 0.0
+            handover = gsl_snr < cfg.gsl_threshold_linear
+        select = edge is None or handover
+        if select and not visible.any():
+            if handover:
+                logger.warning("round %d: handover found no coverage, retrying", a)
+            else:
+                logger.warning("round %d: no coverage, retrying next round", a)
+            out.append(MembershipRound(a, t, edge, members, (), False, False, True, None))
+            continue
         if select:
-            try:
-                edge = select_edge(walker, gs, positions, cfg.min_elevation)
-            except CoverageError:
-                if handover:
-                    logger.warning("round %d: handover found no coverage, retrying", a)
-                else:
-                    logger.warning("round %d: no coverage, retrying next round", a)
-                out.append(MembershipRound(a, t, edge, members, (), False, False, True, None))
-                continue
+            edge = select_edge(walker, dists, visible)
         links = RoundLinks(isl, walker, a, edge, positions, streams)
         current = () if select else prune_clients(members, cfg, links)
         reclustered = not select and recluster_due(len(current), baseline, a, cfg)

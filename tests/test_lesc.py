@@ -18,11 +18,10 @@ from fello_sim.fl_engine import (
     train_local,
 )
 from fello_sim.lesc import (
-    CoverageError,
     LescConfig,
     RoundLinks,
     cluster,
-    gsl_quality,
+    ground_view,
     membership_schedule,
     prune_clients,
     recluster_due,
@@ -93,10 +92,23 @@ def test_snr_unit_conversion():
     assert LescConfig(gsl_snr_threshold=30.0).gsl_threshold_linear == pytest.approx(1000.0)
 
 
+def nearest_edge(walker, block, min_elevation=math.radians(10.0), gs=GS_EQUATOR):
+    """select_edge over the ground view of one positions_at block."""
+    dists, elevations = ground_view(gs, block)
+    return select_edge(walker, dists, elevations >= min_elevation)
+
+
+def gsl_snr_and_elevation(walker, optics, sat, t, cfg):
+    """The GSL SNR and elevation of sat at t, as the schedule reads them."""
+    dists, elevations = ground_view(GS_EQUATOR, positions_at(walker, t))
+    row = row_of(walker, sat)
+    above = elevations[row] >= cfg.min_elevation
+    return (peak_snr(optics, float(dists[row])) if above else 0.0), float(elevations[row])
+
+
 def test_gsl_zenith(table1_walker, table1_optics):
-    gamma, elevation = gsl_quality(
-        table1_optics, table1_walker, GS_EQUATOR, SatIndex(1, 1),
-        positions_at(table1_walker, 0.0), math.radians(10.0),
+    gamma, elevation = gsl_snr_and_elevation(
+        table1_walker, table1_optics, SatIndex(1, 1), 0.0, LescConfig()
     )
     assert elevation == pytest.approx(math.pi / 2, abs=1e-9)
     assert gamma > 1e6  # 570 km at zero pointing error is a strong link
@@ -104,15 +116,14 @@ def test_gsl_zenith(table1_walker, table1_optics):
 
 def test_gsl_below_horizon(table1_walker, table1_optics):
     # Slot 11 starts on the far side of the shell.
-    gamma, elevation = gsl_quality(
-        table1_optics, table1_walker, GS_EQUATOR, SatIndex(1, 11),
-        positions_at(table1_walker, 0.0), math.radians(10.0),
+    gamma, elevation = gsl_snr_and_elevation(
+        table1_walker, table1_optics, SatIndex(1, 11), 0.0, LescConfig()
     )
     assert gamma == 0.0
     assert elevation == pytest.approx(-math.pi / 2, abs=1e-6)
 
 
-def test_gsl_elevation_against_scalar_geometry(table1_walker, table1_optics):
+def test_gsl_elevation_against_scalar_geometry(table1_walker):
     rng = np.random.default_rng(5)
     for _ in range(100):
         sat = SatIndex(int(rng.integers(1, 37)), int(rng.integers(1, 21)))
@@ -121,15 +132,15 @@ def test_gsl_elevation_against_scalar_geometry(table1_walker, table1_optics):
         lon = float(rng.uniform(-math.pi, math.pi))
         gs = ground_station_position(lat, lon)
         block = positions_at(table1_walker, t)
-        _, elevation = gsl_quality(
-            table1_optics, table1_walker, gs, sat, block, 0.0
-        )
-        rel = block[row_of(table1_walker, sat)] - gs
+        dists, elevations = ground_view(gs, block)
+        row = row_of(table1_walker, sat)
+        rel = block[row] - gs
+        assert dists[row] == pytest.approx(math.dist(block[row], gs), rel=1e-12)
         want = math.pi / 2 - math.acos(
             float(np.dot(gs, rel))
             / (np.linalg.norm(gs) * np.linalg.norm(rel))
         )
-        assert elevation == pytest.approx(want, abs=1e-9)
+        assert elevations[row] == pytest.approx(want, abs=1e-9)
 
 
 @pytest.mark.parametrize("sat, t", [(SatIndex(33, 19), 300.0), (SatIndex(5, 19), 0.0)])
@@ -143,15 +154,15 @@ def test_elevation_directly_under_a_satellite(sat, t):
     gs = ground_station_position(
         math.asin(p[2] / np.linalg.norm(p)), math.atan2(p[1], p[0]), walker.earth_radius_km
     )
-    _, elevation = gsl_quality(cfg.gsl_optics(), walker, gs, sat, block, 0.0)
-    assert elevation == pytest.approx(math.pi / 2, abs=1e-6)
-    assert select_edge(walker, gs, block, math.radians(10.0)) == sat
+    _, elevations = ground_view(gs, block)
+    assert elevations[row_of(walker, sat)] == pytest.approx(math.pi / 2, abs=1e-6)
+    assert nearest_edge(walker, block, gs=gs) == sat
 
 
 def test_select_edge_is_nearest_visible(table1_walker):
     for t in (0.0, 432.1, 3000.0):
         block = positions_at(table1_walker, t)
-        got = select_edge(table1_walker, GS_EQUATOR, block, math.radians(10.0))
+        got = nearest_edge(table1_walker, block)
         best, best_d = None, math.inf
         for row, sat in enumerate(all_indices(table1_walker)):
             rel = block[row] - GS_EQUATOR
@@ -166,21 +177,29 @@ def test_select_edge_tie_breaks_to_lowest_index():
     # Two coincident satellites: planes 0 and pi of an equatorial 2x1 shell.
     cfg = WalkerConfig(n_orbits=2, sats_per_orbit=1, inclination=0.0,
                        altitude_km=570.0)
-    assert select_edge(cfg, GS_EQUATOR, positions_at(cfg, 0.0), 0.0) == SatIndex(1, 1)
+    assert nearest_edge(cfg, positions_at(cfg, 0.0), 0.0) == SatIndex(1, 1)
 
 
-def test_select_edge_coverage_error(table1_walker):
+def test_polar_ground_station_sees_no_satellite(table1_walker, table1_optics, caplog):
     # From a pole, a 70-degree shell never clears a 10-degree mask.
     polar_gs = ground_station_position(math.pi / 2, 0.0)
-    with pytest.raises(CoverageError):
-        select_edge(table1_walker, polar_gs, positions_at(table1_walker, 0.0),
-                    math.radians(10.0))
+    _, elevations = ground_view(polar_gs, positions_at(table1_walker, 0.0))
+    assert not (elevations >= math.radians(10.0)).any()
+    cfg = LescConfig(rounds=3, round_time_s=60.0, gs_lat=math.pi / 2)
+    with caplog.at_level("WARNING", logger="fello_sim"):
+        recs = schedule(cfg, table1_walker, table1_optics, 0)
+    for rec in recs:
+        assert rec.coverage_failed and not rec.handover
+        assert (rec.edge, rec.members, rec.links) == (None, (), None)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"round {a}: no coverage, retrying next round" for a in (1, 2, 3)
+    ]
 
 
 def test_cluster_nesting_and_bounds(table1_walker, table1_optics):
     t = 60.0
     block = positions_at(table1_walker, t)
-    edge = select_edge(table1_walker, GS_EQUATOR, block, math.radians(10.0))
+    edge = nearest_edge(table1_walker, block)
     links = RoundLinks(table1_optics, table1_walker, 1, edge, block, Substreams(0))
     sizes = {}
     previous = None
@@ -202,7 +221,7 @@ def test_cluster_nesting_and_bounds(table1_walker, table1_optics):
 def test_cluster_snr_mode_extremes(table1_walker, table1_optics):
     t = 60.0
     block = positions_at(table1_walker, t)
-    edge = select_edge(table1_walker, GS_EQUATOR, block, math.radians(10.0))
+    edge = nearest_edge(table1_walker, block)
     links = RoundLinks(table1_optics, table1_walker, 1, edge, block, Substreams(0))
     all_in = cluster(
         edge, table1_walker,
@@ -243,7 +262,7 @@ def test_cluster_snr_equals_drawing_every_link(
 ):
     isl = replace(table1_optics, snr_mode=snr_mode, pointing_sd_rad=pointing_sd_rad)
     block = positions_at(table1_walker, t)
-    edge = select_edge(table1_walker, GS_EQUATOR, block, math.radians(10.0))
+    edge = nearest_edge(table1_walker, block)
 
     def fresh_links():
         return RoundLinks(isl, table1_walker, round_index, edge, block, Substreams(seed))
@@ -283,7 +302,7 @@ def test_cluster_snr_draws_only_links_whose_peak_clears_the_threshold(
 
     monkeypatch.setattr(lesc, "evaluate_link", counting_evaluate_link)
     block = positions_at(table1_walker, 60.0)
-    edge = select_edge(table1_walker, GS_EQUATOR, block, math.radians(10.0))
+    edge = nearest_edge(table1_walker, block)
     links = RoundLinks(table1_optics, table1_walker, 1, edge, block, Substreams(0))
     cfg = LescConfig(threshold_mode="snr", delta_gamma=44.0)
     members = cluster(edge, table1_walker, cfg, links)
@@ -315,7 +334,7 @@ def test_round_links_cache_one_draw(table1_walker, table1_optics):
 def test_prune_matches_reference_filter(table1_walker, table1_optics):
     t = 180.0
     block = positions_at(table1_walker, t)
-    edge = select_edge(table1_walker, GS_EQUATOR, block, math.radians(10.0))
+    edge = nearest_edge(table1_walker, block)
     links = RoundLinks(table1_optics, table1_walker, 3, edge, block, Substreams(1))
     rng = np.random.default_rng(8)
     population = [s for s in all_indices(table1_walker) if s != edge]
@@ -369,15 +388,10 @@ def schedule(cfg, walker, optics, seed):
     return membership_schedule(cfg, walker, optics, optics, Substreams(seed), 2)
 
 
-def gsl_snr_and_elevation(walker, optics, sat, t, cfg):
-    return gsl_quality(optics, walker, GS_EQUATOR, sat, positions_at(walker, t),
-                       cfg.min_elevation)
-
-
 def assert_fresh_cluster(rec, walker, cfg):
     """The record selected the nearest visible edge and clustered around it."""
     block = positions_at(walker, rec.t)
-    assert rec.edge == select_edge(walker, GS_EQUATOR, block, cfg.min_elevation)
+    assert rec.edge == nearest_edge(walker, block, cfg.min_elevation)
     assert rec.links.edge == rec.edge
     assert rec.edge not in rec.members
     assert rec.members == cluster(rec.edge, walker, cfg, rec.links)
@@ -468,8 +482,6 @@ def test_schedule_coverage_gaps_keep_the_last_cluster(caplog):
 def test_api_edges_validate_indices(table1_walker, table1_optics):
     block = positions_at(table1_walker, 0.0)
     with pytest.raises(IndexError):
-        gsl_quality(table1_optics, table1_walker, GS_EQUATOR, SatIndex(37, 1), block, 0.0)
-    with pytest.raises(IndexError):
         RoundLinks(table1_optics, table1_walker, 1, SatIndex(1, 21), block, Substreams(0))
 
 
@@ -479,19 +491,27 @@ def test_membership_schedule_one_geometry_evaluation_per_round(monkeypatch):
         ScenarioConfig(), n_orbits=6, sats_per_orbit=8, lesc_delta_d_km=6000.0,
         lesc_round_time_s=200.0, lesc_rounds=16,
     )
-    times = []
+    times, views = [], []
 
     def counting_positions_at(walker, t):
         times.append(t)
         return positions_at(walker, t)
 
+    def counting_ground_view(gs, positions):
+        views.append(positions)
+        return ground_view(gs, positions)
+
     monkeypatch.setattr(lesc, "positions_at", counting_positions_at)
+    monkeypatch.setattr(lesc, "ground_view", counting_ground_view)
     recs = membership_schedule(
         cfg.lesc(), cfg.walker(), cfg.isl_optics(), cfg.gsl_optics(), Substreams(5), 2
     )
     assert any(r.handover for r in recs) and any(r.coverage_failed for r in recs)
     assert times == [r.t for r in recs]
     assert len(times) == cfg.lesc_rounds
+    # One ground view per round, of that round's positions.
+    assert len(views) == cfg.lesc_rounds
+    assert all(np.array_equal(v, positions_at(cfg.walker(), t)) for v, t in zip(views, times))
 
 
 def test_round_interval():
