@@ -144,7 +144,6 @@ class ClientState:
     parameters, the fallback content for lost packets on the uplink.
     """
 
-    sat: object
     shard: Dataset
     local_model: ModelParams = None
     last_upload: ModelParams = None
@@ -224,14 +223,10 @@ def train_local(
     w_global: ModelParams,
     cfg: TrainConfig,
     rng: np.random.Generator,
-    epochs: int = None,
 ) -> ModelParams:
     """Local update: start from the global model, run E epochs on the shard."""
-    n_epochs = cfg.local_epochs if epochs is None else epochs
-    if n_epochs < 0:
-        raise ValueError(f"epochs must be >= 0, got {n_epochs}")
     model = w_global.copy()
-    for _ in range(n_epochs):
+    for _ in range(cfg.local_epochs):
         model = sgd_epoch(model, client.shard, cfg, rng)
     return model
 

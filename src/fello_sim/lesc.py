@@ -435,7 +435,7 @@ def run_fello(
     delay = overhead.round_delay("fello", train_cfg.local_epochs)
     global_model = initial_model(train_set, train_cfg, streams)
     clients = {}
-    admit = lambda sat, shard, _: ClientState(sat=sat, shard=shard)
+    admit = lambda sat, shard, _: ClientState(shard)
     logs = []
     for rec in member_rounds(schedule, clients, admit, train_set, samples_per_client, streams):
         snrs = []

@@ -63,8 +63,6 @@ class OpticalParams:
     dark_current_a: float
     noise_temp_k: float
     load_resistance_ohm: float
-    electron_charge_c: float = ELECTRON_CHARGE_C
-    boltzmann_j_per_k: float = BOLTZMANN_J_PER_K
     snr_mode: str = "paper"
     ber_scheme: str = "ook"
     ber_fixed: float = 0.0
@@ -82,8 +80,6 @@ class OpticalParams:
             ("dark_current_a", self.dark_current_a),
             ("noise_temp_k", self.noise_temp_k),
             ("load_resistance_ohm", self.load_resistance_ohm),
-            ("electron_charge_c", self.electron_charge_c),
-            ("boltzmann_j_per_k", self.boltzmann_j_per_k),
         )
         for name, value in positive:
             if value <= 0.0:
@@ -178,9 +174,9 @@ def noise_power(
     """Sum of signal shot, dark current and thermal noise terms."""
     if _any(received_w < 0.0):
         raise ValueError(f"received power must be >= 0, got {received_w}")
-    shot = 2.0 * p.electron_charge_c * p.responsivity_a_per_w * received_w * p.bandwidth_hz
-    dark = 2.0 * p.electron_charge_c * p.dark_current_a * p.bandwidth_hz
-    thermal = 4.0 * p.boltzmann_j_per_k * p.noise_temp_k * p.bandwidth_hz / p.load_resistance_ohm
+    shot = 2.0 * ELECTRON_CHARGE_C * p.responsivity_a_per_w * received_w * p.bandwidth_hz
+    dark = 2.0 * ELECTRON_CHARGE_C * p.dark_current_a * p.bandwidth_hz
+    thermal = 4.0 * BOLTZMANN_J_PER_K * p.noise_temp_k * p.bandwidth_hz / p.load_resistance_ohm
     return shot + dark + thermal
 
 

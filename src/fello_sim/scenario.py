@@ -122,7 +122,7 @@ def render_metrics(cfg: ScenarioConfig, points: list, results: dict) -> str:
     return buf.getvalue()
 
 
-def emit_overhead_report(cfg: ScenarioConfig, output_dir: str = None) -> list:
+def emit_overhead_report(cfg: ScenarioConfig) -> list:
     """Write overhead.txt and overhead.csv; returns the reports."""
     reports = overhead.build_reports(
         rounds=cfg.lesc_rounds,
@@ -134,11 +134,10 @@ def emit_overhead_report(cfg: ScenarioConfig, output_dir: str = None) -> list:
         device_flops=cfg.overhead_device_flops,
         link_rate_bps=cfg.overhead_link_rate_bps,
     )
-    out = output_dir if output_dir is not None else cfg.output_dir
-    os.makedirs(out, exist_ok=True)
-    with open(os.path.join(out, "overhead.txt"), "w") as f:
+    os.makedirs(cfg.output_dir, exist_ok=True)
+    with open(os.path.join(cfg.output_dir, "overhead.txt"), "w") as f:
         f.write(overhead.render_text(reports))
-    with open(os.path.join(out, "overhead.csv"), "w", newline="") as f:
+    with open(os.path.join(cfg.output_dir, "overhead.csv"), "w", newline="") as f:
         f.write(overhead.render_csv(reports))
     return reports
 

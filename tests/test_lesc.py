@@ -624,7 +624,7 @@ def test_run_fello_single_client_equals_train_local(table1_optics):
     w = init_model(train.n_features, tc.hidden_size, train.n_classes,
                    ref.derive("init"))
     shard = partition_data(train, [sat], 40, ref.derive("shard", 1))[sat]
-    client = ClientState(sat=sat, shard=shard)
+    client = ClientState(shard=shard)
     for a, log in zip((1, 2), logs):
         local = train_local(client, w, tc, ref.derive("train", a, sat.plane, sat.slot))
         w = aggregate([(local, 40)])
@@ -648,7 +648,7 @@ def test_run_fello_matches_reference_fedavg(table1_optics):
     w = init_model(train.n_features, tc.hidden_size, train.n_classes,
                    ref.derive("init"))
     shards = partition_data(train, list(members), 30, ref.derive("shard", 1))
-    states = {s: ClientState(sat=s, shard=shards[s]) for s in members}
+    states = {s: ClientState(shard=shards[s]) for s in members}
     for a, log in zip((1, 2, 3), logs):
         uploads = []
         for s in members:
@@ -674,7 +674,7 @@ def test_run_fello_fixed_total_denominator(table1_optics):
     w0 = init_model(train.n_features, tc.hidden_size, train.n_classes,
                     ref.derive("init"))
     shard = partition_data(train, [sat], 40, ref.derive("shard", 1))[sat]
-    local = train_local(ClientState(sat=sat, shard=shard), w0, tc,
+    local = train_local(ClientState(shard=shard), w0, tc,
                         ref.derive("train", 1, 1, 2))
     halved = aggregate([(local, 40)], total_samples=80)
     accuracy, loss = evaluate(halved, test)
