@@ -268,6 +268,12 @@ def load_config(path: str) -> ScenarioConfig:
 
 def validate_config(cfg: ScenarioConfig) -> None:
     """Reject impossible values with a diagnostic naming the field."""
+    # NaN fails no range check (nan <= 0 is False), so it is rejected first.
+    for section, keys in SCHEMA.items():
+        for key, (field, tag) in keys.items():
+            value = getattr(cfg, field)
+            if tag.startswith("float") and value is not None and math.isnan(value):
+                raise ConfigError(f"{section}.{key}: must be a number, got nan")
     if not cfg.architectures:
         raise ConfigError("run.architectures: need at least one architecture")
     for arch in cfg.architectures:

@@ -57,6 +57,12 @@ def test_validate_rejects_bad_config(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_validate_rejects_nan_and_names_the_key(tmp_path, capsys):
+    path = write(tmp_path, "[overhead]\ndevice_flops = nan\n")
+    assert main(["validate", path]) == 1
+    assert "overhead.device_flops: must be a number" in capsys.readouterr().err
+
+
 def test_run_writes_outputs(tmp_path):
     path = write(tmp_path, TINY_SCENARIO)
     out = str(tmp_path / "out")

@@ -4,6 +4,7 @@ from dataclasses import replace
 import pytest
 
 from fello_sim.config import (
+    SCHEMA,
     ConfigError,
     ScenarioConfig,
     apply_sweep,
@@ -112,6 +113,27 @@ def test_bad_values_name_the_field(tmp_path):
             "[dataset]\nn_classes = 2\ntrain_per_class = 10\n"
             "samples_per_client = 100\ntest_per_class = 5\nn_features = 4\n",
         ))
+
+
+def test_nan_is_rejected_in_every_float_key(tmp_path):
+    with pytest.raises(ConfigError, match=r"isl_optics\.tx_power_w: must be a number"):
+        load_config(write(tmp_path, "[isl_optics]\ntx_power_w = nan\n"))
+    with pytest.raises(ConfigError, match=r"sweep value nan: lesc\.delta_d_km"):
+        load_config(write(
+            tmp_path, "[sweep]\nparameter = lesc.delta_d_km\nvalues = 2600, nan\n"
+        ))
+    floats = [
+        (section, key, field)
+        for section, keys in SCHEMA.items()
+        for key, (field, tag) in keys.items() if tag.startswith("float")
+    ]
+    assert {"isl_tx_power_w", "lesc_delta_d_km", "train_learning_rate", "dataset_spread",
+            "overhead_device_flops"} <= {field for _, _, field in floats}
+    for section, key, field in floats:
+        with pytest.raises(ConfigError, match=rf"^{section}\.{key}: must be a number"):
+            validate_config(replace(ScenarioConfig(), **{field: math.nan}))
+    # inf stays legal where a range allows it.
+    validate_config(replace(ScenarioConfig(), lesc_recluster_period=math.inf))
 
 
 def test_mnist_requires_existing_files(tmp_path):
