@@ -13,13 +13,22 @@ import tempfile
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fello_sim.config import ScenarioConfig, load_config, serialize_config, validate_config
 from fello_sim.fl_engine import CorruptionSpec, aggregate, corrupt_vector, init_model
+from fello_sim.lesc import ground_view, select_edge
 from fello_sim.optical_link import LinkSample, OpticalParams, evaluate_link, peak_snr
-from fello_sim.orbits import SatIndex, WalkerConfig, all_indices, positions_at, row_of
+from fello_sim.orbits import (
+    SatIndex,
+    WalkerConfig,
+    all_indices,
+    ground_station_position,
+    positions_at,
+    row_of,
+)
 from fello_sim.overhead import MODES, OverheadInputs, _components, total_delay
 
 PROPERTY = settings(max_examples=60, deadline=None)
@@ -72,6 +81,44 @@ def test_row_of_inverts_all_indices(cfg, data):
         data.draw(st.integers(1, cfg.sats_per_orbit)),
     )
     assert all_indices(cfg)[row_of(cfg, sat)] == sat
+
+
+DEFAULT_SHELL = ScenarioConfig().walker()
+
+
+def scalar_elevation(gs, p):
+    """Elevation of point p above gs's horizon, one component at a time."""
+    rel = [p[i] - gs[i] for i in range(3)]
+    sine = sum(g * r for g, r in zip(gs, rel)) / (math.hypot(*gs) * math.hypot(*rel))
+    return math.asin(min(1.0, max(-1.0, sine)))
+
+
+@PROPERTY
+@given(
+    lat=st.floats(-math.pi / 2, math.pi / 2),
+    lon=st.floats(-math.pi, math.pi),
+    t=st.floats(0.0, 1e5),
+    data=st.data(),
+)
+def test_ground_view_elevations(lat, lon, t, data):
+    block = positions_at(DEFAULT_SHELL, t)
+    gs = ground_station_position(lat, lon, DEFAULT_SHELL.earth_radius_km)
+    dists, elevations = ground_view(gs, block)
+    assert np.all((-math.pi / 2 <= elevations) & (elevations <= math.pi / 2))
+    row = data.draw(st.integers(0, len(block) - 1))
+    assert elevations[row] == pytest.approx(scalar_elevation(gs, block[row]), abs=1e-9)
+    assert dists[row] == pytest.approx(math.dist(gs, block[row]), rel=1e-12)
+    # A ground station directly under that satellite sees it at zenith and
+    # selects it, whatever the rounding of the sine.
+    p = block[row]
+    under = ground_station_position(
+        math.asin(p[2] / np.linalg.norm(p)), math.atan2(p[1], p[0]),
+        DEFAULT_SHELL.earth_radius_km,
+    )
+    dists, elevations = ground_view(under, block)
+    assert elevations[row] == pytest.approx(math.pi / 2, abs=1e-6)
+    assert select_edge(DEFAULT_SHELL, dists, elevations >= math.radians(10.0)) == \
+        all_indices(DEFAULT_SHELL)[row]
 
 
 @settings(max_examples=200, deadline=None)
