@@ -83,18 +83,6 @@ class ModelParams:
             self.biases.append(vec[at : at + fan_out])
             at += fan_out
 
-    @property
-    def n_params(self) -> int:
-        return self.vec.size
-
-    def flat(self) -> np.ndarray:
-        """The parameter vector itself, not a copy."""
-        return self.vec
-
-    def from_flat(self, vec: np.ndarray) -> "ModelParams":
-        """A model with this one's architecture holding a copy of vec."""
-        return ModelParams(np.array(vec, dtype=np.float64), self.arch)
-
     def copy(self) -> "ModelParams":
         return ModelParams(self.vec.copy(), self.arch)
 
@@ -173,29 +161,20 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
-def local_loss(model: ModelParams, data: Dataset) -> float:
-    """Mean cross-entropy of the model on the given samples."""
-    if data.n_samples == 0:
-        raise ValueError("cannot evaluate loss on an empty dataset")
-    _, logits = _forward(model, data.features)
-    log_p = _log_softmax(logits)
-    return float(-log_p[np.arange(data.n_samples), data.labels].mean())
 
-
-def _gradients(model: ModelParams, x: np.ndarray, y: np.ndarray):
-    """Mean cross-entropy gradients for one minibatch."""
+def _gradients(model: ModelParams, x: np.ndarray, y: np.ndarray, grad: ModelParams):
+    """Write one minibatch's mean cross-entropy gradient into grad's layers."""
     n = x.shape[0]
     h, logits = _forward(model, x)
     log_p = _log_softmax(logits)
     delta_out = np.exp(log_p)
     delta_out[np.arange(n), y] -= 1.0
     delta_out /= n
-    g_w1 = h.T @ delta_out
-    g_b1 = delta_out.sum(axis=0)
+    np.matmul(h.T, delta_out, out=grad.weights[1])
+    delta_out.sum(axis=0, out=grad.biases[1])
     delta_h = (delta_out @ model.weights[1].T) * (h > 0.0)
-    g_w0 = x.T @ delta_h
-    g_b0 = delta_h.sum(axis=0)
-    return [g_w0, g_w1], [g_b0, g_b1]
+    np.matmul(x.T, delta_h, out=grad.weights[0])
+    delta_h.sum(axis=0, out=grad.biases[0])
 
 
 def sgd_epoch(
@@ -204,17 +183,17 @@ def sgd_epoch(
     """One pass over the data in shuffled minibatches; returns a new model."""
     order = rng.permutation(data.n_samples)
     current = model.copy()
-    weights, biases = current.weights, current.biases
+    grad = ModelParams(np.empty_like(current.vec), current.arch)
     for start in range(0, data.n_samples, cfg.batch_size):
         batch = order[start : start + cfg.batch_size]
-        g_w, g_b = _gradients(current, data.features[batch], data.labels[batch])
-        for layer in range(len(weights)):
-            if not (np.isfinite(g_w[layer]).all() and np.isfinite(g_b[layer]).all()):
-                raise FloatingPointError(
-                    f"non-finite gradient in layer {layer} at batch offset {start}"
-                )
-            weights[layer] -= cfg.learning_rate * g_w[layer]
-            biases[layer] -= cfg.learning_rate * g_b[layer]
+        _gradients(current, data.features[batch], data.labels[batch], grad)
+        if not np.isfinite(grad.vec).all():
+            layer = next(i for i, (w, b) in enumerate(zip(grad.weights, grad.biases))
+                         if not (np.isfinite(w).all() and np.isfinite(b).all()))
+            raise FloatingPointError(
+                f"non-finite gradient in layer {layer} at batch offset {start}"
+            )
+        current.vec -= cfg.learning_rate * grad.vec
     return current
 
 
@@ -225,7 +204,7 @@ def train_local(
     rng: np.random.Generator,
 ) -> ModelParams:
     """Local update: start from the global model, run E epochs on the shard."""
-    model = w_global.copy()
+    model = w_global
     for _ in range(cfg.local_epochs):
         model = sgd_epoch(model, client.shard, cfg, rng)
     return model
@@ -243,7 +222,7 @@ def aggregate(models: list, total_samples: int = None) -> ModelParams:
     if denom <= 0:
         raise ValueError(f"aggregation denominator must be > 0, got {denom}")
     arch = models[0][0].arch
-    acc = np.zeros(models[0][0].n_params)
+    acc = np.zeros(models[0][0].vec.size)
     for model, n_k in models:
         if model.arch != arch:
             raise ValueError(f"architecture mismatch: {model.arch} vs {arch}")

@@ -16,7 +16,9 @@ from dataclasses import replace
 import numpy as np
 
 from fello_sim.config import ScenarioConfig, load_config, serialize_config
-from fello_sim.fl_engine import Dataset, TrainConfig, aggregate, init_model, local_loss, sgd_epoch
+from fello_sim.fl_engine import (
+    Dataset, ModelParams, TrainConfig, aggregate, evaluate, init_model, sgd_epoch,
+)
 from fello_sim.lesc import membership_schedule
 from fello_sim.optical_link import antenna_gain, noise_power, pointing_loss, received_power
 from fello_sim.orbits import SatIndex, positions_at, row_of
@@ -113,16 +115,17 @@ def test_criterion_4_fedavg_correctness():
     models = [init_model(4, 3, 3, rng) for rng in rngs]
 
     single = aggregate([(models[0], 17)])
-    assert np.allclose(single.flat(), models[0].flat(), rtol=0.0, atol=1e-12)
+    assert np.allclose(single.vec, models[0].vec, rtol=0.0, atol=1e-12)
 
     ab = aggregate([(models[0], 2), (models[1], 3)])
     ba = aggregate([(models[1], 3), (models[0], 2)])
-    assert np.allclose(ab.flat(), ba.flat(), rtol=0.0, atol=1e-12)
+    assert np.allclose(ab.vec, ba.vec, rtol=0.0, atol=1e-12)
 
     # constants 1, 2, 3 weighted 6, 3, 2 over a fixed total of 6: exactly 3
-    constant = [models[0].from_flat(np.full(models[0].n_params, v)) for v in (1.0, 2.0, 3.0)]
+    arch = models[0].arch
+    constant = [ModelParams(np.full(models[0].vec.size, v), arch) for v in (1.0, 2.0, 3.0)]
     blended = aggregate(list(zip(constant, (6, 3, 2))), total_samples=6)
-    assert (blended.flat() == 3.0).all()
+    assert (blended.vec == 3.0).all()
 
     data_rng = np.random.default_rng(7)
     data = Dataset(data_rng.normal(size=(12, 4)), data_rng.integers(0, 3, size=12), 3)
@@ -130,14 +133,14 @@ def test_criterion_4_fedavg_correctness():
     # unit learning rate and one full-size batch turn the update into the gradient
     cfg = TrainConfig(learning_rate=1.0, local_epochs=1, batch_size=12, hidden_size=3)
     stepped = sgd_epoch(model, data, cfg, np.random.default_rng(0))
-    grad = model.flat() - stepped.flat()
+    grad = model.vec - stepped.vec
     h = 1e-5
     fd = np.empty_like(grad)
     for i in range(grad.size):
         bump = np.zeros_like(grad)
         bump[i] = h
-        up = local_loss(model.from_flat(model.flat() + bump), data)
-        down = local_loss(model.from_flat(model.flat() - bump), data)
+        up = evaluate(ModelParams(model.vec + bump, model.arch), data)[1]
+        down = evaluate(ModelParams(model.vec - bump, model.arch), data)[1]
         fd[i] = (up - down) / (2.0 * h)
     assert np.allclose(grad, fd, rtol=1e-4, atol=1e-8)
 

@@ -14,7 +14,6 @@ from fello_sim.fl_engine import (
     corrupt_vector,
     evaluate,
     init_model,
-    local_loss,
     partition_data,
     sgd_epoch,
     train_local,
@@ -60,12 +59,12 @@ def test_dataset_subset():
 def test_model_flat_round_trip():
     model = init_model(5, 4, 3, np.random.default_rng(0))
     assert model.arch == (5, 4, 3)
-    assert model.n_params == 5 * 4 + 4 + 4 * 3 + 3
-    rebuilt = model.from_flat(model.flat())
+    assert model.vec.size == 5 * 4 + 4 + 4 * 3 + 3
+    rebuilt = ModelParams(model.vec.copy(), model.arch)
     for a, b in zip(rebuilt.weights + rebuilt.biases, model.weights + model.biases):
         assert np.array_equal(a, b)
     with pytest.raises(ValueError):
-        model.from_flat(np.zeros(model.n_params + 1))
+        ModelParams(np.zeros(model.vec.size + 1), model.arch)
 
 
 def test_model_copy_is_deep():
@@ -82,18 +81,13 @@ def test_model_params_is_one_vector():
     w0 = rng.uniform(-math.sqrt(6.0 / 9), math.sqrt(6.0 / 9), size=(5, 4))
     w1 = rng.uniform(-math.sqrt(6.0 / 7), math.sqrt(6.0 / 7), size=(4, 3))
     want = np.concatenate([w0.ravel(), np.zeros(4), w1.ravel(), np.zeros(3)])
-    assert np.array_equal(model.flat(), want)
-    assert model.flat() is model.vec
+    assert np.array_equal(model.vec, want)
     for view in model.weights + model.biases:
         assert np.shares_memory(view, model.vec)
     model.biases[1][2] = 7.0
     assert model.vec[-1] == 7.0
-    source = want.copy()
-    rebuilt = model.from_flat(source)
-    source[0] += 1.0
-    assert rebuilt.vec[0] == want[0]
     with pytest.raises(ValueError):
-        ModelParams(np.zeros(model.n_params), (5, 4, 4))
+        ModelParams(np.zeros(model.vec.size), (5, 4, 4))
 
 
 def test_init_model_glorot():
@@ -108,7 +102,7 @@ def test_init_model_glorot():
     for b in model.biases:
         assert not b.any()
     again = init_model(100, 50, 10, np.random.default_rng(4))
-    assert np.array_equal(again.flat(), init_model(100, 50, 10, np.random.default_rng(4)).flat())
+    assert np.array_equal(again.vec, init_model(100, 50, 10, np.random.default_rng(4)).vec)
 
 
 def test_train_config_validation():
@@ -125,8 +119,8 @@ def test_train_config_validation():
 def test_uniform_model_loss_is_log_k():
     data = toy_dataset(n=40, n_features=6, n_classes=10)
     zero = init_model(6, 3, 10, np.random.default_rng(0))
-    zero = zero.from_flat(np.zeros(zero.n_params))
-    assert local_loss(zero, data) == pytest.approx(math.log(10.0), rel=1e-12)
+    zero = ModelParams(np.zeros(zero.vec.size), zero.arch)
+    assert evaluate(zero, data)[1] == pytest.approx(math.log(10.0), rel=1e-12)
 
 
 def test_loss_brute_force_oracle():
@@ -142,13 +136,13 @@ def test_loss_brute_force_oracle():
         z = max(logits)
         log_norm = z + math.log(sum(math.exp(v - z) for v in logits))
         total += log_norm - logits[y]
-    assert local_loss(model, data) == pytest.approx(total / 5.0, rel=1e-12)
+    assert evaluate(model, data)[1] == pytest.approx(total / 5.0, rel=1e-12)
 
 
 def test_gradient_hand_computed_one_step():
     # 1 feature -> 1 hidden -> 2 classes, single sample, ReLU active.
     template = init_model(1, 1, 2, np.random.default_rng(0))
-    model = template.from_flat(np.array([1.0, 0.0, 0.5, -0.5, 0.0, 0.0]))
+    model = ModelParams(np.array([1.0, 0.0, 0.5, -0.5, 0.0, 0.0]), template.arch)
     data = Dataset(np.array([[1.0]]), np.array([0]), 2)
     cfg = TrainConfig(learning_rate=0.1, local_epochs=1, batch_size=1, hidden_size=1)
     stepped = sgd_epoch(model, data, cfg, np.random.default_rng(0))
@@ -156,7 +150,7 @@ def test_gradient_hand_computed_one_step():
     g = s - 1.0
     want = np.array([1.0 - 0.1 * g, -0.1 * g, 0.5 - 0.1 * g, -0.5 + 0.1 * g,
                      -0.1 * g, 0.1 * g])
-    assert np.allclose(stepped.flat(), want, rtol=1e-12, atol=1e-15)
+    assert np.allclose(stepped.vec, want, rtol=1e-12, atol=1e-15)
 
 
 def test_gradient_matches_finite_differences():
@@ -164,16 +158,16 @@ def test_gradient_matches_finite_differences():
     model = init_model(2, 3, 4, np.random.default_rng(5))
     cfg = TrainConfig(learning_rate=1.0, local_epochs=1, batch_size=5, hidden_size=3)
     stepped = sgd_epoch(model, data, cfg, np.random.default_rng(0))
-    grad = model.flat() - stepped.flat()  # eta = 1, one full batch
+    grad = model.vec - stepped.vec  # eta = 1, one full batch
 
     step = 1e-5
-    flat = model.flat()
+    flat = model.vec
     for i in range(flat.size):
         bumped = flat.copy()
         bumped[i] += step
-        up = local_loss(model.from_flat(bumped), data)
+        up = evaluate(ModelParams(bumped, model.arch), data)[1]
         bumped[i] -= 2.0 * step
-        down = local_loss(model.from_flat(bumped), data)
+        down = evaluate(ModelParams(bumped, model.arch), data)[1]
         fd = (up - down) / (2.0 * step)
         assert grad[i] == pytest.approx(fd, rel=1e-4, abs=1e-9)
 
@@ -183,17 +177,17 @@ def test_vanishing_learning_rate_leaves_model():
     model = init_model(4, 3, 3, np.random.default_rng(6))
     cfg = TrainConfig(learning_rate=1e-300, local_epochs=1, batch_size=8, hidden_size=3)
     after = sgd_epoch(model, data, cfg, np.random.default_rng(1))
-    assert np.abs(after.flat() - model.flat()).max() < 1e-250
+    assert np.abs(after.vec - model.vec).max() < 1e-250
 
 
 def test_training_descends():
     data = toy_dataset(n=60, seed=12)
     model = init_model(4, 8, 3, np.random.default_rng(7))
     cfg = TrainConfig(learning_rate=0.05, local_epochs=5, batch_size=16, hidden_size=8)
-    before = local_loss(model, data)
+    before = evaluate(model, data)[1]
     client = ClientState(shard=data)
     after_model = train_local(client, model, cfg, np.random.default_rng(2))
-    assert local_loss(after_model, data) < before
+    assert evaluate(after_model, data)[1] < before
 
 
 def test_train_local_determinism():
@@ -203,41 +197,105 @@ def test_train_local_determinism():
     client = ClientState(shard=data)
     a = train_local(client, model, cfg, np.random.default_rng(3))
     b = train_local(client, model, cfg, np.random.default_rng(3))
-    assert np.array_equal(a.flat(), b.flat())
+    assert np.array_equal(a.vec, b.vec)
     # Input model is never mutated.
-    assert np.array_equal(model.flat(), init_model(4, 3, 3, np.random.default_rng(8)).flat())
+    assert np.array_equal(model.vec, init_model(4, 3, 3, np.random.default_rng(8)).vec)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_training_never_mutates_its_input():
+    data = toy_dataset()
+    model = init_model(4, 3, 3, np.random.default_rng(13))
+    before = model.vec.copy()
+    cfg = TrainConfig(learning_rate=0.1, local_epochs=2, batch_size=8, hidden_size=3)
+    sgd_epoch(model, data, cfg, np.random.default_rng(14))
+    assert np.array_equal(model.vec, before)
+    train_local(ClientState(shard=data), model, cfg, np.random.default_rng(14))
+    assert np.array_equal(model.vec, before)
+    # The first batch's step overflows the weights; the second batch's gradient is NaN.
+    blowup = TrainConfig(learning_rate=1e300, local_epochs=1, batch_size=8, hidden_size=3)
+    with pytest.raises(FloatingPointError,
+                       match=r"^non-finite gradient in layer 0 at batch offset 8$"):
+        sgd_epoch(model, data, blowup, np.random.default_rng(14))
+    assert np.array_equal(model.vec, before)
+
+
+def _reference_sgd_epoch(model, data, cfg, rng):
+    """sgd_epoch as a per-layer loop: gradients as lists, one check and update per layer."""
+    order = rng.permutation(data.n_samples)
+    current = model.copy()
+    weights, biases = current.weights, current.biases
+    for start in range(0, data.n_samples, cfg.batch_size):
+        batch = order[start : start + cfg.batch_size]
+        x, y = data.features[batch], data.labels[batch]
+        n = x.shape[0]
+        h = np.maximum(x @ weights[0] + biases[0], 0.0)
+        logits = h @ weights[1] + biases[1]
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        log_p = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        delta_out = np.exp(log_p)
+        delta_out[np.arange(n), y] -= 1.0
+        delta_out /= n
+        g_w1 = h.T @ delta_out
+        g_b1 = delta_out.sum(axis=0)
+        delta_h = (delta_out @ weights[1].T) * (h > 0.0)
+        g_w = [x.T @ delta_h, g_w1]
+        g_b = [delta_h.sum(axis=0), g_b1]
+        for layer in range(len(weights)):
+            if not (np.isfinite(g_w[layer]).all() and np.isfinite(g_b[layer]).all()):
+                raise FloatingPointError(
+                    f"non-finite gradient in layer {layer} at batch offset {start}"
+                )
+            weights[layer] -= cfg.learning_rate * g_w[layer]
+            biases[layer] -= cfg.learning_rate * g_b[layer]
+    return current
+
+
+def test_sgd_epoch_matches_per_layer_reference_bitwise():
+    # The paper's 784-64-10 shape; 500 = 15 * 32 + 20 leaves a short last batch.
+    rng = np.random.default_rng(50)
+    data = Dataset(rng.random((500, 784)), rng.integers(0, 10, size=500), 10)
+    model = init_model(784, 64, 10, np.random.default_rng(51))
+    cfg = TrainConfig(learning_rate=0.1, local_epochs=2, batch_size=32, hidden_size=64)
+    got, want = model, model
+    got_rng, want_rng = np.random.default_rng(52), np.random.default_rng(52)
+    for _ in range(cfg.local_epochs):
+        got = sgd_epoch(got, data, cfg, got_rng)
+        want = _reference_sgd_epoch(want, data, cfg, want_rng)
+    assert not np.array_equal(got.vec, model.vec)
+    assert np.array_equal(got.vec, want.vec)
 
 
 def test_aggregate_identities():
     model = init_model(3, 2, 2, np.random.default_rng(9))
     same = aggregate([(model, 5)])
-    assert np.allclose(same.flat(), model.flat(), rtol=1e-12)
+    assert np.allclose(same.vec, model.vec, rtol=1e-12)
     # Equal-weight mirror models cancel.
-    neg = model.from_flat(-model.flat())
+    neg = ModelParams(-model.vec, model.arch)
     zero = aggregate([(model, 7), (neg, 7)])
-    assert np.abs(zero.flat()).max() < 1e-12
+    assert np.abs(zero.vec).max() < 1e-12
 
 
 def test_aggregate_hand_case():
     template = init_model(1, 2, 2, np.random.default_rng(0))
-    const = lambda v: template.from_flat(np.full(template.n_params, float(v)))
+    const = lambda v: ModelParams(np.full(template.vec.size, float(v)), template.arch)
     # (1*6 + 2*3 + 3*2) / 6 = 3, elementwise.
     mix = aggregate([(const(6), 1), (const(3), 2), (const(2), 3)])
-    assert np.allclose(mix.flat(), 3.0, rtol=1e-12)
+    assert np.allclose(mix.vec, 3.0, rtol=1e-12)
     # Pinning the denominator rescales: same numerator over 12.
     fixed = aggregate([(const(6), 1), (const(3), 2), (const(2), 3)], total_samples=12)
-    assert np.allclose(fixed.flat(), 1.5, rtol=1e-12)
+    assert np.allclose(fixed.vec, 1.5, rtol=1e-12)
 
 
 def test_aggregate_linearity():
     rng = np.random.default_rng(10)
     template = init_model(2, 3, 2, rng)
-    us = [template.from_flat(rng.normal(size=template.n_params)) for _ in range(3)]
-    vs = [template.from_flat(rng.normal(size=template.n_params)) for _ in range(3)]
+    us = [ModelParams(rng.normal(size=template.vec.size), template.arch) for _ in range(3)]
+    vs = [ModelParams(rng.normal(size=template.vec.size), template.arch) for _ in range(3)]
     ns = [4, 1, 5]
-    lhs = aggregate(list(zip(us, ns))).flat() + aggregate(list(zip(vs, ns))).flat()
-    sums = [u.from_flat(u.flat() + v.flat()) for u, v in zip(us, vs)]
-    rhs = aggregate(list(zip(sums, ns))).flat()
+    lhs = aggregate(list(zip(us, ns))).vec + aggregate(list(zip(vs, ns))).vec
+    sums = [ModelParams(u.vec + v.vec, u.arch) for u, v in zip(us, vs)]
+    rhs = aggregate(list(zip(sums, ns))).vec
     assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
 
@@ -258,7 +316,7 @@ def test_evaluate_tie_break_and_uniform_accuracy():
     labels = np.tile(np.arange(4), 10)
     test = Dataset(features, labels, 4)
     zero = init_model(4, 2, 4, np.random.default_rng(0))
-    zero = zero.from_flat(np.zeros(zero.n_params))
+    zero = ModelParams(np.zeros(zero.vec.size), zero.arch)
     acc, loss = evaluate(zero, test)
     assert acc == 0.25
     assert loss == pytest.approx(math.log(4.0), rel=1e-12)
@@ -391,9 +449,9 @@ def test_corrupt_model_matches_vector_path():
     spec = CorruptionSpec(kind="packet", packet_bits=64)
     link = make_link(ber_prob=0.3)
     got = corrupt_model(model, link, spec, np.random.default_rng(8), prev=prev)
-    want = corrupt_vector(model.flat(), link, spec, np.random.default_rng(8),
-                          prev=prev.flat())
-    assert np.array_equal(got.flat(), want)
+    want = corrupt_vector(model.vec, link, spec, np.random.default_rng(8),
+                          prev=prev.vec)
+    assert np.array_equal(got.vec, want)
 
 
 def test_corruption_spec_validation():

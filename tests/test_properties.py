@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fello_sim.config import ScenarioConfig, load_config, serialize_config, validate_config
-from fello_sim.fl_engine import CorruptionSpec, aggregate, corrupt_vector, init_model
+from fello_sim.fl_engine import CorruptionSpec, ModelParams, aggregate, corrupt_vector, init_model
 from fello_sim.lesc import ground_view, select_edge
 from fello_sim.optical_link import LinkSample, OpticalParams, evaluate_link, peak_snr
 from fello_sim.orbits import (
@@ -181,13 +181,13 @@ def test_aggregate_is_a_convex_combination(data, n_models, seed):
     rng = np.random.default_rng(seed)
     shape = init_model(3, 2, 2, rng)
     vecs = [
-        data.draw(arrays(np.float64, shape.n_params,
+        data.draw(arrays(np.float64, shape.vec.size,
                          elements=st.floats(-1e6, 1e6)))
         for _ in range(n_models)
     ]
     weights = data.draw(st.lists(st.integers(1, 5000), min_size=n_models,
                                  max_size=n_models))
-    out = aggregate([(shape.from_flat(v), w) for v, w in zip(vecs, weights)]).flat()
+    out = aggregate([(ModelParams(v, shape.arch), w) for v, w in zip(vecs, weights)]).vec
     stacked = np.stack(vecs)
     slack = 1e-9 * (1.0 + np.abs(stacked).max())
     assert np.all(out >= stacked.min(axis=0) - slack)
