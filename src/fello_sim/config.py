@@ -268,12 +268,16 @@ def load_config(path: str) -> ScenarioConfig:
 
 def validate_config(cfg: ScenarioConfig) -> None:
     """Reject impossible values with a diagnostic naming the field."""
-    # NaN fails no range check (nan <= 0 is False), so it is rejected first.
+    # NaN and inf slip past range checks; recluster_period alone takes inf ("never").
     for section, keys in SCHEMA.items():
         for key, (field, tag) in keys.items():
             value = getattr(cfg, field)
-            if tag.startswith("float") and value is not None and math.isnan(value):
+            if not tag.startswith("float") or value is None:
+                continue
+            if math.isnan(value):
                 raise ConfigError(f"{section}.{key}: must be a number, got nan")
+            if math.isinf(value) and field != "lesc_recluster_period":
+                raise ConfigError(f"{section}.{key}: must be finite, got {value}")
     if not cfg.architectures:
         raise ConfigError("run.architectures: need at least one architecture")
     for arch in cfg.architectures:

@@ -63,6 +63,12 @@ def test_validate_rejects_nan_and_names_the_key(tmp_path, capsys):
     assert "overhead.device_flops: must be a number" in capsys.readouterr().err
 
 
+def test_validate_rejects_inf_and_names_the_key(tmp_path, capsys):
+    path = write(tmp_path, "[train]\nlearning_rate = inf\n")
+    assert main(["validate", path]) == 1
+    assert "train.learning_rate: must be finite, got inf" in capsys.readouterr().err
+
+
 def test_run_writes_outputs(tmp_path):
     path = write(tmp_path, TINY_SCENARIO)
     out = str(tmp_path / "out")

@@ -136,6 +136,31 @@ def test_nan_is_rejected_in_every_float_key(tmp_path):
     validate_config(replace(ScenarioConfig(), lesc_recluster_period=math.inf))
 
 
+def test_inf_is_rejected_except_in_recluster_period(tmp_path):
+    with pytest.raises(ConfigError, match=r"train\.learning_rate: must be finite, got inf$"):
+        load_config(write(tmp_path, "[train]\nlearning_rate = inf\n"))
+    with pytest.raises(ConfigError,
+                       match=r"^sweep value inf: isl_optics\.tx_power_w: must be finite"):
+        load_config(write(
+            tmp_path, "[sweep]\nparameter = isl_optics.tx_power_w\nvalues = 0.03, inf\n"
+        ))
+    floats = [
+        (section, key, field)
+        for section, keys in SCHEMA.items()
+        for key, (field, tag) in keys.items()
+        if tag.startswith("float") and field != "lesc_recluster_period"
+    ]
+    assert {"isl_tx_power_w", "train_learning_rate", "lesc_round_time_s", "dataset_spread",
+            "overhead_device_flops"} <= {field for _, _, field in floats}
+    for section, key, field in floats:
+        for value, text in ((math.inf, "inf"), (-math.inf, "-inf")):
+            with pytest.raises(ConfigError,
+                               match=rf"^{section}\.{key}: must be finite, got {text}$"):
+                validate_config(replace(ScenarioConfig(), **{field: value}))
+    path = write(tmp_path, "[lesc]\nrecluster_period = inf\n")
+    assert math.isinf(load_config(path).lesc_recluster_period)
+
+
 def test_mnist_requires_existing_files(tmp_path):
     with pytest.raises(ConfigError, match="train_images"):
         load_config(write(tmp_path, "[dataset]\nkind = mnist\n"))
