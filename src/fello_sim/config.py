@@ -56,21 +56,18 @@ class ScenarioConfig:
     isl_snr_mode: str = "paper"
     isl_ber_scheme: str = "ook"
     isl_ber_fixed: float = 0.0
-    # [gsl_optics]
+    # [gsl_optics]: only the zero-pointing budget peak_snr reads
     gsl_wavelength_m: float = 1.5e-6
     gsl_bandwidth_hz: float = 1.25e9
     gsl_tx_power_w: float = 0.03
     gsl_tx_efficiency: float = 0.8
     gsl_rx_efficiency: float = 0.8
     gsl_telescope_diameter_m: float = 0.06
-    gsl_pointing_sd_rad: float = 3e-6
     gsl_responsivity_a_per_w: float = 0.6007
     gsl_dark_current_a: float = 1e-9
     gsl_noise_temp_k: float = 500.0
     gsl_load_resistance_ohm: float = 1000.0
     gsl_snr_mode: str = "paper"
-    gsl_ber_scheme: str = "ook"
-    gsl_ber_fixed: float = 0.0
     # [lesc]
     lesc_threshold_mode: str = "distance"
     lesc_delta_d_km: float = 2600.0

@@ -50,6 +50,8 @@ class OpticalParams:
     snr_mode: 'paper' divides received power by the noise sum as-is;
     'electrical' uses (responsivity * P_R)^2 / noise.
     ber_scheme: 'ook' for Q(sqrt(snr)), 'fixed' for the constant ber_fixed.
+    pointing_sd_rad, ber_scheme and ber_fixed are read only by evaluate_link;
+    a link evaluated through peak_snr alone leaves them at their defaults.
     """
 
     wavelength_m: float
@@ -58,12 +60,12 @@ class OpticalParams:
     tx_efficiency: float
     rx_efficiency: float
     telescope_diameter_m: float
-    pointing_sd_rad: float
     responsivity_a_per_w: float
     dark_current_a: float
     noise_temp_k: float
     load_resistance_ohm: float
     snr_mode: str = "paper"
+    pointing_sd_rad: float = 3e-6
     ber_scheme: str = "ook"
     ber_fixed: float = 0.0
 
@@ -181,19 +183,14 @@ def noise_power(
 
 
 def snr(
-    received_w: float | np.ndarray,
-    noise: float | np.ndarray,
-    mode: str = "paper",
-    responsivity_a_per_w: float = 1.0,
+    p: OpticalParams, received_w: float | np.ndarray, noise: float | np.ndarray
 ) -> float | np.ndarray:
-    """Signal-to-noise ratio, linear."""
+    """Signal-to-noise ratio, linear, in the link's snr_mode."""
     if _any(noise <= 0.0):
         raise ValueError(f"noise power must be > 0, got {noise}")
-    if mode == "paper":
+    if p.snr_mode == "paper":
         return received_w / noise
-    if mode == "electrical":
-        return (responsivity_a_per_w * received_w) ** 2 / noise
-    raise ValueError(f"unknown snr mode {mode!r}")
+    return (p.responsivity_a_per_w * received_w) ** 2 / noise
 
 
 def peak_snr(
@@ -206,22 +203,17 @@ def peak_snr(
     beyond floating-point rounding.
     """
     p_r = received_power(p, distance_km, 0.0, 0.0)
-    return snr(
-        p_r, noise_power(p, p_r), mode=p.snr_mode,
-        responsivity_a_per_w=p.responsivity_a_per_w,
-    )
+    return snr(p, p_r, noise_power(p, p_r))
 
 
-def ber(snr_linear: float, scheme: str = "ook", fixed_value: float = 0.0) -> float:
-    """Bit error probability for the given modulation scheme."""
+def ber(p: OpticalParams, snr_linear: float) -> float:
+    """Bit error probability under the link's ber_scheme."""
     if snr_linear < 0.0:
         raise ValueError(f"snr must be >= 0, got {snr_linear}")
-    if scheme == "ook":
-        # Q(sqrt(snr)) = 0.5 * erfc(sqrt(snr / 2))
-        return 0.5 * math.erfc(math.sqrt(snr_linear / 2.0))
-    if scheme == "fixed":
-        return fixed_value
-    raise ValueError(f"unknown ber scheme {scheme!r}")
+    if p.ber_scheme == "fixed":
+        return p.ber_fixed
+    # Q(sqrt(snr)) = 0.5 * erfc(sqrt(snr / 2))
+    return 0.5 * math.erfc(math.sqrt(snr_linear / 2.0))
 
 
 def achievable_rate(p: OpticalParams, snr_linear: float, ber_prob: float) -> float:
@@ -239,8 +231,8 @@ def evaluate_link(
     theta_r = sample_pointing_error(p.pointing_sd_rad, rng)
     p_r = received_power(p, distance_km, theta_t, theta_r)
     p_n = noise_power(p, p_r)
-    gamma = snr(p_r, p_n, mode=p.snr_mode, responsivity_a_per_w=p.responsivity_a_per_w)
-    p_e = ber(gamma, scheme=p.ber_scheme, fixed_value=p.ber_fixed)
+    gamma = snr(p, p_r, p_n)
+    p_e = ber(p, gamma)
     rate = achievable_rate(p, gamma, p_e)
     return LinkSample(
         distance_km=distance_km,

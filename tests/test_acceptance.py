@@ -188,7 +188,6 @@ def _small_dl_cfg(out_dir: str, sigma: float) -> ScenarioConfig:
         master_seed=7,
         output_dir=out_dir,
         isl_pointing_sd_rad=sigma,
-        gsl_pointing_sd_rad=sigma,
         lesc_rounds=3,
         lesc_round_time_s=60.0,
         train_hidden_size=8,

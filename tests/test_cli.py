@@ -69,6 +69,13 @@ def test_validate_rejects_inf_and_names_the_key(tmp_path, capsys):
     assert "train.learning_rate: must be finite, got inf" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["pointing_sd_rad", "ber_scheme", "ber_fixed"])
+def test_validate_rejects_keys_the_ground_link_does_not_read(tmp_path, capsys, key):
+    path = write(tmp_path, f"[gsl_optics]\n{key} = 0\n")
+    assert main(["validate", path]) == 1
+    assert f"unknown key {key!r} in [gsl_optics]" in capsys.readouterr().err
+
+
 def test_run_writes_outputs(tmp_path):
     path = write(tmp_path, TINY_SCENARIO)
     out = str(tmp_path / "out")

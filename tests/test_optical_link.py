@@ -126,38 +126,35 @@ def test_noise_power_oracles(table1_optics):
 
 
 def test_snr_modes(table1_optics):
-    assert snr(1e-8, 1e-8) == pytest.approx(1.0, rel=1e-12)
+    assert snr(table1_optics, 1e-8, 1e-8) == pytest.approx(1.0, rel=1e-12)
     p_r = received_power(table1_optics, 1000.0, 0.0, 0.0)
     p_n = noise_power(table1_optics, p_r)
-    gamma = snr(p_r, p_n)
+    gamma = snr(table1_optics, p_r, p_n)
     assert gamma == pytest.approx(1.977e6, rel=2e-3)
     assert abs(db(gamma) - 63.0) < 0.1
-    elec = snr(p_r, p_n, mode="electrical", responsivity_a_per_w=0.6007)
+    elec = snr(replace(table1_optics, snr_mode="electrical"), p_r, p_n)
     assert elec == pytest.approx((0.6007 * p_r) ** 2 / p_n, rel=1e-12)
     with pytest.raises(ValueError):
-        snr(1e-8, 0.0)
-    with pytest.raises(ValueError):
-        snr(1e-8, 1e-8, mode="optical")
+        snr(table1_optics, 1e-8, 0.0)
 
 
-def test_ber_ook():
-    assert ber(0.0) == 0.5
+def test_ber_ook(table1_optics):
+    assert ber(table1_optics, 0.0) == 0.5
     # Q(2) against numerical integration of the standard normal tail.
     xs = np.linspace(2.0, 12.0, 200_001)
     q2 = np.trapezoid(np.exp(-xs * xs / 2.0) / math.sqrt(2.0 * math.pi), xs)
-    assert ber(4.0) == pytest.approx(q2, rel=1e-6)
-    assert ber(4.0) == pytest.approx(0.02275, rel=1e-3)
-    assert ber(100.0) < 1e-23
-    grid = [ber(g) for g in np.linspace(0.0, 30.0, 50)]
+    assert ber(table1_optics, 4.0) == pytest.approx(q2, rel=1e-6)
+    assert ber(table1_optics, 4.0) == pytest.approx(0.02275, rel=1e-3)
+    assert ber(table1_optics, 100.0) < 1e-23
+    grid = [ber(table1_optics, g) for g in np.linspace(0.0, 30.0, 50)]
     assert all(a >= b for a, b in zip(grid, grid[1:]))
 
 
-def test_ber_fixed_and_errors():
-    assert ber(123.0, scheme="fixed", fixed_value=0.25) == 0.25
+def test_ber_fixed_and_errors(table1_optics):
+    fixed = replace(table1_optics, ber_scheme="fixed", ber_fixed=0.25)
+    assert ber(fixed, 123.0) == 0.25
     with pytest.raises(ValueError):
-        ber(-1.0)
-    with pytest.raises(ValueError):
-        ber(1.0, scheme="bpsk")
+        ber(table1_optics, -1.0)
 
 
 def test_achievable_rate(table1_optics):
@@ -184,7 +181,7 @@ def test_evaluate_link_tiny_jitter_recovers_ideal_budget(table1_optics):
     p_r = received_power(table1_optics, 1000.0, 0.0, 0.0)
     assert s.received_power_w == pytest.approx(p_r, rel=1e-6)
     assert s.snr_linear == pytest.approx(
-        snr(p_r, noise_power(table1_optics, p_r)), rel=1e-6
+        snr(table1_optics, p_r, noise_power(table1_optics, p_r)), rel=1e-6
     )
 
 
@@ -230,7 +227,7 @@ def test_link_sample_fields_consistent(table1_optics):
     assert s.noise_power == pytest.approx(
         noise_power(table1_optics, s.received_power_w), rel=1e-12
     )
-    assert s.ber == pytest.approx(ber(s.snr_linear), rel=1e-12)
+    assert s.ber == pytest.approx(ber(table1_optics, s.snr_linear), rel=1e-12)
     assert s.rate_bps == pytest.approx(
         achievable_rate(table1_optics, s.snr_linear, s.ber), rel=1e-12
     )
