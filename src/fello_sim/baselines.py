@@ -2,9 +2,8 @@
 
 Both baselines run the LESC membership schedule (edge selection, pruning,
 re-clustering, handover) through the same round driver as the federated
-run, so their curves share its time axis. In distance mode they also share
-its cluster composition; in SNR mode each architecture's schedule follows
-its own pointing-error draws and can differ. The centralized edge trains
+run, so their curves share its time axis. Every architecture runs on the
+same schedule, shards and initial model. The centralized edge trains
 on raw data shipped once per clustering epoch, with the same channel
 impairment applied to the feature payload that the federated run applies
 to models. Distributed clients train purely locally and never transmit.

@@ -294,10 +294,8 @@ def membership_schedule(
     so. A round without coverage keeps the previous edge and members.
 
     Membership depends only on geometry and link draws keyed from streams.
-    In distance mode that makes it the same for every architecture; in SNR
-    mode admission and pruning read pointing-error draws, and each
-    architecture's streams come from its own derive_seed(master, arch,
-    point), so the architectures' schedules can differ. Each round computes
+    run_one gives every architecture the same streams, so every architecture
+    runs on the same schedule, shards and initial model. Each round computes
     the shell's positions and the ground station's view of them once. The
     view feeds both the GSL check and edge selection; the positions also
     feed the round's links. The GSL budget is the optical model at zero

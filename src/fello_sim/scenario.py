@@ -1,8 +1,9 @@
 """Scenario execution: runs, sweeps, metrics and report emission.
 
-Each (architecture, sweep point) pair runs with its own seed derived from
-the master seed, while the dataset itself is derived from the master seed
-alone so every arm trains on identical data. Outputs land in the config's
+Every architecture at a sweep point runs on one set of streams derived from
+the master seed and the point (common random numbers), so the arms share
+the membership schedule, link draws, shards and initial model; the dataset
+is derived from the master seed alone. Outputs land in the config's
 output directory: metrics.csv, overhead.txt/overhead.csv, and manifest.cfg,
 plus a FAILED marker when any arm raised. A failed arm does not stop the
 others: metrics.csv keeps every completed arm's rows, and FAILED holds one
@@ -57,7 +58,8 @@ def run_one(
     """One architecture at one sweep point; cfg must already be resolved."""
     if train_set is None or test_set is None:
         train_set, test_set = build_datasets(cfg)
-    streams = Substreams(derive_seed(cfg.master_seed, arch, sweep_index))
+    # One stream set for every arm; keyed "fello" so FELLO's rows keep their bytes.
+    streams = Substreams(derive_seed(cfg.master_seed, "fello", sweep_index))
     kwargs = dict(
         cfg=cfg.lesc(),
         walker=cfg.walker(),

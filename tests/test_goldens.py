@@ -11,6 +11,8 @@ A change that alters numbers on purpose regenerates the files with
 `PYTHONPATH=src python tests/test_goldens.py` and says why in CHANGES.md.
 """
 
+import csv
+import io
 import logging
 import os
 import sys
@@ -19,7 +21,8 @@ from dataclasses import replace
 import pytest
 
 from fello_sim.config import ScenarioConfig, serialize_config
-from fello_sim.scenario import run_scenario
+from fello_sim.overhead import MODES
+from fello_sim.scenario import build_datasets, run_one, run_scenario
 
 GOLDENS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "goldens")
 
@@ -84,6 +87,30 @@ def test_metrics_match_golden(name, tmp_path):
 
 def test_default_manifest_matches_golden():
     assert manifest() == read_golden("manifest.cfg")
+
+
+def test_architectures_share_the_snr_membership():
+    cfg = replace(BASE, **SCENARIOS["snr_packet"])
+    train_set, test_set = build_datasets(cfg)
+    membership = {
+        arch: [(log.edge, log.cluster_size, log.reclustered, log.handover)
+               for log in run_one(cfg, arch, 0, train_set, test_set)]
+        for arch in MODES
+    }
+    assert membership["fello"] == membership["cl"] == membership["dl"]
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_golden_membership_agrees_across_architectures(name):
+    text = read_golden(f"{name}.csv").decode()
+    rows = list(csv.DictReader(io.StringIO(text.split("\n", 1)[1])))
+    membership = {}
+    for row in rows:
+        key = (row["sweep_value"], row["round"])
+        value = (row["cluster_size"], row["reclustered"], row["handover"])
+        membership.setdefault(key, set()).add(value)
+    assert all(len(values) == 1 for values in membership.values())
+    assert len(rows) == len(MODES) * len(membership)
 
 
 if __name__ == "__main__":
