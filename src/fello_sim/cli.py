@@ -6,6 +6,7 @@ error, 2 runtime error.
 """
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 
@@ -79,6 +80,8 @@ def _linkbudget(cfg, sat_from: SatIndex, sat_to: SatIndex, t: float) -> int:
         raise ConfigError(
             f"--from and --to both name satellite {sat_from.plane},{sat_from.slot}"
         )
+    if not math.isfinite(t):
+        raise ConfigError(f"--time must be finite, got {t}")
     d = distance(cfg.walker(), sat_from, sat_to, t)
     rng = Substreams(cfg.master_seed).derive(
         "linkbudget", sat_from.plane, sat_from.slot, sat_to.plane, sat_to.slot, t

@@ -151,6 +151,16 @@ def test_linkbudget_rejects_same_satellite(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("time", ["nan", "inf", "-inf"])
+def test_linkbudget_rejects_non_finite_time(tmp_path, capsys, time):
+    path = write(tmp_path, TINY_SCENARIO)
+    args = ["linkbudget", path, "--from", "1,1", "--to", "1,2", f"--time={time}"]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --time must be finite")
+    assert len(err.splitlines()) == 1
+
+
 def test_linkbudget_malformed_index(tmp_path, capsys):
     path = write(tmp_path, TINY_SCENARIO)
     with pytest.raises(SystemExit):
