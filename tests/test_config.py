@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from fello_sim.config import (
@@ -12,6 +13,7 @@ from fello_sim.config import (
     serialize_config,
     validate_config,
 )
+from fello_sim.optical_link import evaluate_link, peak_snr
 
 
 def write(tmp_path, text, name="scenario.cfg"):
@@ -248,3 +250,36 @@ def test_paper_literal_switches_the_bundle():
     assert plain.isl_optics().snr_mode == "paper"
     electrical = replace(plain, isl_snr_mode="electrical")
     assert electrical.isl_optics().snr_mode == "electrical"
+
+
+# Every optics key must reach its link's output; a key that nothing reads
+# would be accepted, echoed to the manifest and have no effect.
+_OTHER_CHOICE = {"snr_mode": "electrical", "ber_scheme": "fixed"}
+
+
+def _perturbed(cfg: ScenarioConfig, section: str, key: str) -> ScenarioConfig:
+    field, _ = SCHEMA[section][key]
+    value = _OTHER_CHOICE.get(key) or getattr(cfg, field) * 0.5
+    return replace(cfg, **{field: value})
+
+
+@pytest.mark.parametrize("key", sorted(SCHEMA["gsl_optics"]))
+def test_every_ground_link_key_moves_peak_snr(key):
+    cfg = ScenarioConfig()
+    changed = _perturbed(cfg, "gsl_optics", key)
+    assert peak_snr(changed.gsl_optics(), 1500.0) != peak_snr(cfg.gsl_optics(), 1500.0)
+
+
+@pytest.mark.parametrize("key", sorted(SCHEMA["isl_optics"]))
+def test_every_isl_key_moves_the_link_sample(key):
+    # A nonzero ber_fixed makes switching ber_scheme visible; ber_fixed
+    # itself is read only under ber_scheme = fixed.
+    cfg = replace(ScenarioConfig(), isl_ber_fixed=0.25)
+    if key == "ber_fixed":
+        cfg = replace(cfg, isl_ber_scheme="fixed")
+    changed = _perturbed(cfg, "isl_optics", key)
+
+    def sample(c):
+        return evaluate_link(c.isl_optics(), 1500.0, np.random.default_rng(3))
+
+    assert sample(changed) != sample(cfg)
