@@ -1,9 +1,8 @@
 """Scenario execution: runs, sweeps, metrics and report emission.
 
-Every architecture at a sweep point runs on one set of streams derived from
-the master seed and the point (common random numbers), so the arms share
-the membership schedule, link draws, shards and initial model; the dataset
-is derived from the master seed alone. Outputs land in the config's
+All architectures at a sweep point share one set of streams (common random
+numbers): the same schedule, link draws, shards and initial model. The
+dataset depends on the master seed alone. Outputs land in the config's
 output directory: metrics.csv, overhead.txt/overhead.csv, and manifest.cfg,
 plus a FAILED marker when any arm raised. A failed arm does not stop the
 others: metrics.csv keeps every completed arm's rows, and FAILED holds one
