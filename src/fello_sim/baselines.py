@@ -40,7 +40,7 @@ from .seeding import Substreams
 @dataclass
 class _ClClient:
     shard: Dataset
-    shipped: Dataset = None  # the edge's copy, impaired by the link it crossed
+    shipped: Dataset = None  # what the edge received over the link it crossed
 
 
 @dataclass
@@ -48,14 +48,6 @@ class _DlClient:
     shard: Dataset
     model: object
     rng: np.random.Generator
-
-
-def _ship_shard(
-    shard: Dataset, link, corruption: CorruptionSpec, rng: np.random.Generator
-) -> Dataset:
-    """One client's raw upload: features impaired per link, labels intact."""
-    flat = corrupt_vector(shard.features.ravel(), link, corruption, rng)
-    return Dataset(flat.reshape(shard.features.shape), shard.labels, shard.n_classes)
 
 
 def run_cl(
@@ -91,7 +83,8 @@ def run_cl(
                 link = rec.links.sample(sat)
                 ship_rng = streams.derive("ship", rec.round_index, sat.plane, sat.slot)
                 client = clients[sat]
-                client.shipped = _ship_shard(client.shard, link, corruption, ship_rng)
+                features = corrupt_vector(client.shard.features, link, corruption, ship_rng)
+                client.shipped = Dataset(features, client.shard.labels, train_set.n_classes)
                 shipped_snrs.append(link.snr_db)
             if rec.members:
                 shipped = [clients[sat].shipped for sat in rec.members]

@@ -109,7 +109,7 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class CorruptionSpec:
-    """How transmitted parameter vectors are impaired."""
+    """How transmitted payloads, models or raw shards, are impaired."""
 
     kind: str = "none"
     awgn_scale: float = 1.0
@@ -271,15 +271,16 @@ def corrupt_vector(
     rng: np.random.Generator,
     prev: np.ndarray = None,
 ) -> np.ndarray:
-    """Impair one transmitted vector according to the link realization.
+    """Impair one transmitted array per the link realization; keeps its shape.
 
-    'none' passes through. 'awgn' adds white noise with SD awgn_scale/sqrt(snr).
-    'packet' splits the vector into packets of packet_bits and replaces each
-    lost one with the receiver's previous values (zeros when there are none).
+    'none' returns the input itself, so callers must not write into a received
+    payload. 'awgn' adds white noise with SD awgn_scale/sqrt(snr). 'packet'
+    splits the row-major flattening into packets of packet_bits and replaces
+    each lost one with the receiver's previous values (zeros when none).
     """
     vec = np.asarray(vec, dtype=np.float64)
     if spec.kind == "none":
-        return vec.copy()
+        return vec
     if spec.kind == "awgn":
         if link.snr_linear <= 0.0:
             raise ValueError(f"awgn corruption needs snr > 0, got {link.snr_linear}")
@@ -287,19 +288,15 @@ def corrupt_vector(
         return vec + rng.normal(0.0, sd, size=vec.shape)
     # packet erasures
     if prev is None:
-        prev = np.zeros_like(vec)
+        prev = 0.0
     elif prev.shape != vec.shape:
         raise ValueError(f"prev shape {prev.shape} mismatches vector {vec.shape}")
     params_per_packet = max(1, spec.packet_bits // PACKET_BITS_PER_PARAM)
     n_packets = math.ceil(vec.size / params_per_packet)
     p_fail = -math.expm1(spec.packet_bits * math.log1p(-link.ber))
     lost = rng.random(n_packets) < p_fail
-    out = vec.copy()
-    for i in np.nonzero(lost)[0]:
-        lo = i * params_per_packet
-        hi = min(lo + params_per_packet, vec.size)
-        out[lo:hi] = prev[lo:hi]
-    return out
+    erased = np.repeat(lost, params_per_packet)[: vec.size].reshape(vec.shape)
+    return np.where(erased, prev, vec)
 
 
 def corrupt_model(

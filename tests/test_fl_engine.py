@@ -380,8 +380,26 @@ def test_corrupt_none_is_identity():
     vec = np.random.default_rng(0).normal(size=100)
     out = corrupt_vector(vec, make_link(), CorruptionSpec(kind="none"),
                          np.random.default_rng(1))
-    assert np.array_equal(out, vec)
-    assert out is not vec
+    assert out is vec
+
+
+@pytest.mark.parametrize("spec", [
+    CorruptionSpec(kind="awgn", awgn_scale=3.0),
+    CorruptionSpec(kind="packet", packet_bits=160),  # 5 values per packet
+])
+@pytest.mark.parametrize("with_prev", [False, True])
+def test_corrupt_array_equals_its_flattening(spec, with_prev):
+    # A (rows, cols) payload crosses the channel as its row-major flattening,
+    # so packets run across row boundaries (23 columns, 5 values a packet).
+    features = np.random.default_rng(9).normal(size=(7, 23))
+    prev = np.full(features.shape, -4.0) if with_prev else None
+    link = make_link(snr_linear=50.0, ber_prob=2e-3)
+    got = corrupt_vector(features, link, spec, np.random.default_rng(10), prev=prev)
+    flat = corrupt_vector(features.ravel(), link, spec, np.random.default_rng(10),
+                          prev=None if prev is None else prev.ravel())
+    assert got.shape == features.shape
+    assert np.array_equal(got, flat.reshape(features.shape))
+    assert not np.array_equal(got, features)
 
 
 def test_corrupt_awgn_scales_with_snr():
