@@ -95,6 +95,8 @@ def run_cl(
                 )
                 for _ in range(train_cfg.local_epochs):
                     model = sgd_epoch(model, pooled, train_cfg, edge_rng)
+                # free this round's pool before the next round ships and pools
+                del shipped, pooled
         delay = overhead.round_delay("cl", train_cfg.local_epochs, sent=bool(shipped_snrs))
         accuracy, loss = evaluate(model, test_set)
         logs.append(round_log(rec, accuracy, loss, mean_or_nan(shipped_snrs), delay))

@@ -34,7 +34,7 @@ def _add_common(sub: argparse.ArgumentParser):
     sub.add_argument(
         "--paper-literal", action="store_true",
         help="verbatim-equation fidelity bundle (rotation sign, phasing, "
-             "fixed-denominator aggregation, optical-power SNR)",
+             "fixed-denominator aggregation); requires snr_mode = paper on both links",
     )
     sub.add_argument("--workers", type=int, default=None, help="parallel workers")
 

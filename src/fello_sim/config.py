@@ -127,16 +127,11 @@ class ScenarioConfig:
                                phasing_factor="paper_literal", y_sign=-1.0)
         return self._build(WalkerConfig, "constellation")
 
-    def _optics(self, section: str) -> OpticalParams:
-        if self.paper_literal:
-            return self._build(OpticalParams, section, snr_mode="paper")
-        return self._build(OpticalParams, section)
-
     def isl_optics(self) -> OpticalParams:
-        return self._optics("isl_optics")
+        return self._build(OpticalParams, "isl_optics")
 
     def gsl_optics(self) -> OpticalParams:
-        return self._optics("gsl_optics")
+        return self._build(OpticalParams, "gsl_optics")
 
     def lesc(self) -> LescConfig:
         return self._build(LescConfig, "lesc")
@@ -238,7 +233,7 @@ def load_config(path: str) -> ScenarioConfig:
     try:
         with open(path) as f:
             parser.read_file(f)
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read {path}: {e}") from None
     except configparser.Error as e:
         raise ConfigError(f"{path}: {e}") from None
@@ -298,6 +293,9 @@ def validate_config(cfg: ScenarioConfig) -> None:
             builder()
         except ValueError as e:
             raise ConfigError(f"[{section}] {e}") from None
+    for section, mode in (("isl_optics", cfg.isl_snr_mode), ("gsl_optics", cfg.gsl_snr_mode)):
+        if cfg.paper_literal and mode != "paper":
+            raise ConfigError(f"{section}.snr_mode: paper_literal requires paper, got {mode!r}")
     if cfg.dataset_kind not in ("synthetic", "mnist"):
         raise ConfigError(f"dataset.kind: unknown kind {cfg.dataset_kind!r}")
     if cfg.dataset_samples_per_client < 1:

@@ -76,6 +76,24 @@ def test_validate_rejects_keys_the_ground_link_does_not_read(tmp_path, capsys, k
     assert f"unknown key {key!r} in [gsl_optics]" in capsys.readouterr().err
 
 
+def test_validate_rejects_a_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "scenario.cfg"
+    path.write_bytes(b"[run]\nmaster_seed = 1\n\xff\xfe\x00\x81\n")
+    assert main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read {path}")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("section", ["isl_optics", "gsl_optics"])
+def test_paper_literal_flag_rejects_an_electrical_snr_mode(tmp_path, capsys, section):
+    path = write(tmp_path, f"[{section}]\nsnr_mode = electrical\n")
+    assert main(["validate", path]) == 0
+    capsys.readouterr()
+    assert main(["validate", path, "--paper-literal"]) == 1
+    assert f"{section}.snr_mode: paper_literal requires" in capsys.readouterr().err
+
+
 def test_run_writes_outputs(tmp_path):
     path = write(tmp_path, TINY_SCENARIO)
     out = str(tmp_path / "out")

@@ -1,5 +1,7 @@
 import math
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -238,18 +240,27 @@ def test_builders_mirror_flat_fields():
 
 
 def test_paper_literal_switches_the_bundle():
-    cfg = replace(ScenarioConfig(), paper_literal=True,
-                  isl_snr_mode="electrical", gsl_snr_mode="electrical")
+    cfg = replace(ScenarioConfig(), paper_literal=True)
+    validate_config(cfg)
     walker = cfg.walker()
     assert walker.phasing_factor == "paper_literal"
     assert walker.y_sign == -1.0
-    # Verbatim-equation mode pins the optical-power SNR form.
-    assert cfg.isl_optics().snr_mode == "paper"
-    assert cfg.gsl_optics().snr_mode == "paper"
-    plain = ScenarioConfig()
-    assert plain.isl_optics().snr_mode == "paper"
-    electrical = replace(plain, isl_snr_mode="electrical")
+    # Verbatim-equation mode uses the optical-power SNR form, so an explicit
+    # electrical SNR on either link would have no effect: it is rejected.
+    for field, key in (("isl_snr_mode", "isl_optics"), ("gsl_snr_mode", "gsl_optics")):
+        with pytest.raises(ConfigError, match=rf"{key}\.snr_mode: paper_literal requires"):
+            validate_config(replace(cfg, **{field: "electrical"}))
+    electrical = replace(ScenarioConfig(), isl_snr_mode="electrical")
+    validate_config(electrical)
     assert electrical.isl_optics().snr_mode == "electrical"
+
+
+def test_readme_quick_start_is_a_valid_config(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"```ini\n(.*?)```", readme, re.DOTALL)
+    assert block is not None, "README.md has no ini block"
+    cfg = load_config(write(tmp_path, block.group(1)))
+    assert cfg.architectures == ("fello", "cl", "dl")
 
 
 # Every optics key must reach its link's output; a key that nothing reads

@@ -142,8 +142,7 @@ def test_no_pointing_draw_beats_the_peak_snr(
 
 @PROPERTY
 @given(
-    vec=arrays(np.float64, st.one_of(st.integers(0, 64), st.tuples(st.integers(0, 8),
-                                                                    st.integers(0, 8))),
+    vec=arrays(np.float64, st.integers(0, 64) | st.tuples(st.integers(0, 8), st.integers(0, 8)),
                elements=st.floats()),
     ber=st.floats(0.0, 0.5),
     seed=st.integers(0, 2**32),
