@@ -32,9 +32,9 @@ def _read_idx(path: str, expected_magic: int) -> np.ndarray:
 
 
 def load_idx_images(path: str) -> np.ndarray:
-    """IDX image file to a (n, rows*cols) float array scaled to [0, 1]."""
+    """IDX image file to a (n, rows*cols) float32 array scaled to [0, 1]."""
     raw = _read_idx(path, IDX_IMAGES_MAGIC)
-    return raw.reshape(raw.shape[0], -1).astype(np.float64) / 255.0
+    return raw.reshape(raw.shape[0], -1).astype(np.float32) / np.float32(255.0)
 
 
 def load_idx_labels(path: str) -> np.ndarray:
@@ -55,9 +55,11 @@ def synthetic_blobs(
     spread: float = 0.15,
     centers: np.ndarray = None,
 ) -> Dataset:
-    """Gaussian blobs around per-class centers, features clipped to [0, 1].
+    """Gaussian blobs around per-class centers, float32 features clipped to [0, 1].
 
-    Centers default to uniform draws in [0.25, 0.75] so clipped tails stay
+    The draws are float64 and rounded once when stored, so the streams do not
+    depend on the feature dtype; 0 and 1 are float32 values, so clipping after
+    the rounding equals clipping before it. Centers default to uniform draws in [0.25, 0.75] so clipped tails stay
     mild; pass explicit centers to sample more data from the same classes.
     """
     if n_classes < 2:
@@ -70,7 +72,7 @@ def synthetic_blobs(
         centers = rng.uniform(0.25, 0.75, size=(n_classes, n_features))
     elif centers.shape != (n_classes, n_features):
         raise ValueError(f"centers shape {centers.shape} mismatches blob spec")
-    features = np.empty((n_classes * samples_per_class, n_features))
+    features = np.empty((n_classes * samples_per_class, n_features), dtype=np.float32)
     labels = np.empty(n_classes * samples_per_class, dtype=np.int64)
     for c in range(n_classes):
         lo = c * samples_per_class

@@ -5,6 +5,10 @@ minibatch SGD for local client epochs, and sample-count-weighted model
 averaging. Transmitted parameter vectors can be impaired per the channel
 state: additive white Gaussian noise scaled by 1/sqrt(snr), or packetized
 erasures where a lost packet leaves the receiver's previous values.
+
+Training runs in the precision of the features: float32 data gives float32
+models, gradients and payloads, float64 data float64 ones. Random draws are
+float64 and rounded once when stored.
 """
 
 import math
@@ -15,18 +19,25 @@ import numpy as np
 from .optical_link import LinkSample
 
 PACKET_BITS_PER_PARAM = 32
+FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 
 @dataclass
 class Dataset:
-    """Feature matrix with integer class labels."""
+    """Feature matrix with integer class labels.
+
+    float32 and float64 features keep their dtype; any other converts to
+    float64.
+    """
 
     features: np.ndarray
     labels: np.ndarray
     n_classes: int
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
+        self.features = np.asarray(self.features)
+        if self.features.dtype not in FLOAT_DTYPES:
+            self.features = self.features.astype(np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.features.ndim != 2:
             raise ValueError(f"features must be 2-D, got shape {self.features.shape}")
@@ -59,7 +70,7 @@ def param_count(arch: tuple) -> int:
 
 
 class ModelParams:
-    """MLP parameters held as one flat float64 vector.
+    """MLP parameters held as one flat float32 or float64 vector.
 
     arch lists the layer widths, input first. Layer by layer, the vector
     holds the row-major (fan_in, fan_out) weight matrix and then the bias;
@@ -70,9 +81,10 @@ class ModelParams:
     def __init__(self, vec: np.ndarray, arch: tuple):
         self.arch = tuple(int(d) for d in arch)
         n_params = param_count(self.arch)
-        if vec.dtype != np.float64 or vec.shape != (n_params,):
+        if vec.dtype not in FLOAT_DTYPES or vec.shape != (n_params,):
             raise ValueError(
-                f"expected {n_params} float64 values, got {vec.dtype} of shape {vec.shape}"
+                f"expected {n_params} float32 or float64 values,"
+                f" got {vec.dtype} of shape {vec.shape}"
             )
         self.vec = vec
         self.weights, self.biases = [], []
@@ -138,11 +150,18 @@ class ClientState:
 
 
 def init_model(
-    n_features: int, hidden_size: int, n_classes: int, rng: np.random.Generator
+    n_features: int,
+    hidden_size: int,
+    n_classes: int,
+    rng: np.random.Generator,
+    dtype=np.float64,
 ) -> ModelParams:
-    """Glorot-uniform weights, zero biases, layer by layer in order."""
+    """Glorot-uniform weights, zero biases, layer by layer in order.
+
+    The draws are float64 whatever the dtype, and rounded once when stored.
+    """
     dims = (n_features, hidden_size, n_classes)
-    model = ModelParams(np.zeros(param_count(dims)), dims)
+    model = ModelParams(np.zeros(param_count(dims), dtype=dtype), dims)
     for w in model.weights:
         bound = math.sqrt(6.0 / (w.shape[0] + w.shape[1]))
         w[...] = rng.uniform(-bound, bound, size=w.shape)
@@ -214,20 +233,23 @@ def aggregate(models: list, total_samples: int = None) -> ModelParams:
     """Sample-count-weighted average of local models.
 
     Weights are N_k over the participants' sample total unless total_samples
-    pins the denominator to a fixed population size instead.
+    pins the denominator to a fixed population size instead. The sum
+    accumulates in float64 and is rounded once to the models' dtype.
     """
     if not models:
         raise ValueError("cannot aggregate an empty participant list")
     denom = total_samples if total_samples is not None else sum(n for _, n in models)
     if denom <= 0:
         raise ValueError(f"aggregation denominator must be > 0, got {denom}")
-    arch = models[0][0].arch
+    arch, dtype = models[0][0].arch, models[0][0].vec.dtype
     acc = np.zeros(models[0][0].vec.size)
     for model, n_k in models:
         if model.arch != arch:
             raise ValueError(f"architecture mismatch: {model.arch} vs {arch}")
-        acc += (n_k / denom) * model.vec
-    return ModelParams(acc, arch)
+        if model.vec.dtype != dtype:
+            raise ValueError(f"dtype mismatch: {model.vec.dtype} vs {dtype}")
+        acc += (n_k / denom) * np.asarray(model.vec, dtype=np.float64)
+    return ModelParams(acc.astype(dtype, copy=False), arch)
 
 
 def evaluate(model: ModelParams, test: Dataset) -> tuple:
@@ -271,26 +293,28 @@ def corrupt_vector(
     rng: np.random.Generator,
     prev: np.ndarray = None,
 ) -> np.ndarray:
-    """Impair one transmitted array per the link realization; keeps its shape.
+    """Impair one transmitted array per the link realization.
 
-    'none' returns the input itself, so callers must not write into a received
-    payload. 'awgn' adds white noise with SD awgn_scale/sqrt(snr). 'packet'
-    splits the row-major flattening into packets of packet_bits and replaces
-    each lost one with the receiver's previous values (zeros when none).
+    The result has the input's shape and dtype. 'none' returns the input itself, so callers must not write into a received
+    payload. 'awgn' adds float64 white noise with SD awgn_scale/sqrt(snr) and
+    rounds the sum once. 'packet' splits the row-major flattening into packets
+    of packet_bits and replaces each lost one with the receiver's previous
+    values (zeros when none), which must match the input's shape and dtype.
     """
-    vec = np.asarray(vec, dtype=np.float64)
     if spec.kind == "none":
         return vec
     if spec.kind == "awgn":
         if link.snr_linear <= 0.0:
             raise ValueError(f"awgn corruption needs snr > 0, got {link.snr_linear}")
         sd = spec.awgn_scale / math.sqrt(link.snr_linear)
-        return vec + rng.normal(0.0, sd, size=vec.shape)
+        return (vec + rng.normal(0.0, sd, size=vec.shape)).astype(vec.dtype, copy=False)
     # packet erasures
     if prev is None:
         prev = 0.0
-    elif prev.shape != vec.shape:
-        raise ValueError(f"prev shape {prev.shape} mismatches vector {vec.shape}")
+    elif prev.shape != vec.shape or prev.dtype != vec.dtype:
+        raise ValueError(
+            f"prev {prev.dtype} {prev.shape} mismatches vector {vec.dtype} {vec.shape}"
+        )
     params_per_packet = max(1, spec.packet_bits // PACKET_BITS_PER_PARAM)
     n_packets = math.ceil(vec.size / params_per_packet)
     p_fail = -math.expm1(spec.packet_bits * math.log1p(-link.ber))

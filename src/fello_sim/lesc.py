@@ -354,10 +354,13 @@ def parallel_map(fn, items, workers: int) -> list:
 def initial_model(
     train_set: Dataset, train_cfg: TrainConfig, streams: Substreams
 ) -> ModelParams:
-    """The run's starting model, drawn from its "init" substream."""
+    """The run's starting model, drawn from its "init" substream.
+
+    It takes the train set's feature dtype, which every later model keeps.
+    """
     return init_model(
         train_set.n_features, train_cfg.hidden_size, train_set.n_classes,
-        streams.derive("init"),
+        streams.derive("init"), dtype=train_set.features.dtype,
     )
 
 

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from fello_sim import baselines
 from fello_sim.baselines import run_cl, run_dl
 from fello_sim.datasets import synthetic_split
 from fello_sim.fl_engine import (
@@ -51,7 +52,7 @@ def test_cl_single_client_is_composite_local_training(table1_optics):
     ref = Substreams(71)
     sat = SatIndex(1, 2)
     model = init_model(train.n_features, tc.hidden_size, train.n_classes,
-                       ref.derive("init"))
+                       ref.derive("init"), dtype=train.features.dtype)
     shard = partition_data(train, [sat], 40, ref.derive("shard", 1))[sat]
     edge_rng = ref.derive("cltrain")
     for log in logs:
@@ -73,7 +74,7 @@ def test_cl_pools_members_in_order(table1_optics):
     members = [SatIndex(1, 2), SatIndex(1, 3)]
     ref = Substreams(72)
     model = init_model(train.n_features, tc.hidden_size, train.n_classes,
-                       ref.derive("init"))
+                       ref.derive("init"), dtype=train.features.dtype)
     shards = partition_data(train, members, 30, ref.derive("shard", 1))
     pooled = Dataset(
         np.concatenate([shards[s].features for s in members]),
@@ -88,6 +89,27 @@ def test_cl_pools_members_in_order(table1_optics):
         accuracy, loss = evaluate(model, test)
         assert log.accuracy == accuracy
         assert log.global_loss == loss
+
+
+@pytest.mark.parametrize("kind", ["none", "awgn", "packet"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_cl_pools_shards_in_the_data_dtype(table1_optics, monkeypatch, dtype, kind):
+    walker = static_walker(1, 5)
+    base, test, tc, streams = setup(79)
+    train = Dataset(base.features.astype(dtype), base.labels, base.n_classes)
+    cfg = LescConfig(delta_d_km=9000.0, rounds=2, round_time_s=30.0,
+                     gsl_snr_threshold=0.0, snr_units="linear")
+    seen = []
+
+    def recording_sgd_epoch(model, data, train_cfg, rng):
+        seen.append((data.n_samples, data.features.dtype, model.vec.dtype))
+        return sgd_epoch(model, data, train_cfg, rng)
+
+    monkeypatch.setattr(baselines, "sgd_epoch", recording_sgd_epoch)
+    spec = CorruptionSpec(kind=kind, awgn_scale=10.0, packet_bits=64)
+    run_cl(cfg, walker, table1_optics, table1_optics, tc, spec, train, test, 30, streams)
+    # two members pool 60 rows for every epoch of both rounds
+    assert seen == [(60, np.dtype(dtype), np.dtype(dtype))] * (2 * tc.local_epochs)
 
 
 def test_cl_ships_only_on_admission(table1_optics):
@@ -129,7 +151,7 @@ def test_dl_single_client_is_plain_trajectory(table1_optics):
     ref = Substreams(75)
     sat = SatIndex(1, 2)
     model = init_model(train.n_features, tc.hidden_size, train.n_classes,
-                       ref.derive("init"))
+                       ref.derive("init"), dtype=train.features.dtype)
     shard = partition_data(train, [sat], 40, ref.derive("shard", 1))[sat]
     rng = ref.derive("dltrain", 1, sat.plane, sat.slot)
     for log in logs:
@@ -151,7 +173,7 @@ def test_dl_reports_member_means(table1_optics):
     members = [SatIndex(1, 2), SatIndex(1, 3)]
     ref = Substreams(76)
     w0 = init_model(train.n_features, tc.hidden_size, train.n_classes,
-                    ref.derive("init"))
+                    ref.derive("init"), dtype=train.features.dtype)
     shards = partition_data(train, members, 30, ref.derive("shard", 1))
     models = {s: w0.copy() for s in members}
     rngs = {s: ref.derive("dltrain", 1, s.plane, s.slot) for s in members}

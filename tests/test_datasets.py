@@ -1,8 +1,11 @@
+import csv
 import struct
 
 import numpy as np
 import pytest
 
+from fello_sim import baselines, fl_engine
+from fello_sim.cli import main
 from fello_sim.datasets import (
     load_idx_images,
     load_idx_labels,
@@ -37,13 +40,67 @@ def test_idx_round_trip(tmp_path):
     loaded = load_idx_images(str(img_path))
     assert loaded.shape == (7, 20)
     assert loaded.min() >= 0.0 and loaded.max() <= 1.0
-    assert np.array_equal(loaded, images.reshape(7, 20) / 255.0)
+    assert loaded.dtype == np.float32
+    assert np.array_equal(loaded, (images.reshape(7, 20) / 255.0).astype(np.float32))
     assert np.array_equal(load_idx_labels(str(lab_path)), labels)
 
     data = load_mnist(str(img_path), str(lab_path))
     assert data.n_samples == 7
     assert data.n_features == 20
     assert data.n_classes == 10
+
+
+MNIST_SCENARIO = """
+[run]
+architectures = fello,cl,dl
+master_seed = 5
+
+[lesc]
+rounds = 2
+round_time_s = 60
+delta_d_km = 1800
+
+[train]
+local_epochs = 1
+batch_size = 4
+hidden_size = 8
+
+[dataset]
+kind = mnist
+samples_per_client = 12
+"""
+
+
+def test_mnist_scenario_trains_in_float32(tmp_path, monkeypatch):
+    # 40 tiny IDX training images and 12 test images through the run command
+    rng = np.random.default_rng(8)
+    section = []
+    for split, n in (("train", 40), ("test", 12)):
+        images, labels = tmp_path / f"{split}-images.idx", tmp_path / f"{split}-labels.idx"
+        write_idx_images(images, rng.integers(0, 256, size=(n, 4, 5)))
+        write_idx_labels(labels, rng.integers(0, 10, size=n))
+        section += [f"{split}_images = {images}", f"{split}_labels = {labels}"]
+    config = tmp_path / "mnist.cfg"
+    config.write_text(MNIST_SCENARIO + "\n".join(section) + "\n")
+    seen = set()
+
+    def recording(sgd_epoch):
+        def wrapped(model, data, train_cfg, rng):
+            seen.add((data.features.dtype, model.vec.dtype))
+            return sgd_epoch(model, data, train_cfg, rng)
+        return wrapped
+
+    # FELLO trains through fl_engine.train_local, CL and DL through baselines
+    monkeypatch.setattr(fl_engine, "sgd_epoch", recording(fl_engine.sgd_epoch))
+    monkeypatch.setattr(baselines, "sgd_epoch", recording(baselines.sgd_epoch))
+    out = tmp_path / "out"
+    assert main(["run", str(config), "--out", str(out)]) == 0
+    assert seen == {(np.dtype(np.float32), np.dtype(np.float32))}
+    with open(out / "metrics.csv") as f:
+        rows = list(csv.DictReader(f.readlines()[1:]))
+    assert [row["architecture"] for row in rows] == ["fello"] * 2 + ["cl"] * 2 + ["dl"] * 2
+    assert all(int(row["cluster_size"]) > 0 for row in rows)
+    assert all(0.0 <= float(row["accuracy"]) <= 1.0 for row in rows)
 
 
 def test_idx_bad_magic(tmp_path):
@@ -91,6 +148,17 @@ def test_blobs_shape_and_balance():
     assert data.features.min() >= 0.0 and data.features.max() <= 1.0
     counts = np.bincount(data.labels, minlength=4)
     assert (counts == 25).all()
+
+
+def test_blobs_are_float64_draws_rounded_once():
+    data = synthetic_blobs(3, 5, 20, np.random.default_rng(2), spread=0.4)
+    rng = np.random.default_rng(2)
+    centers = rng.uniform(0.25, 0.75, size=(3, 5))
+    wide = np.vstack([centers[c] + rng.normal(0.0, 0.4, size=(20, 5)) for c in range(3)])
+    want = np.clip(wide, 0.0, 1.0)[rng.permutation(60)]
+    assert data.features.dtype == np.float32
+    assert ((want == 0.0) | (want == 1.0)).any()  # clipping took part
+    assert np.array_equal(data.features, want.astype(np.float32))
 
 
 def test_blobs_deterministic_and_validated():

@@ -18,7 +18,9 @@ from fello_sim.fl_engine import (
     sgd_epoch,
     train_local,
 )
+from fello_sim.lesc import initial_model
 from fello_sim.optical_link import LinkSample
+from fello_sim.seeding import Substreams
 
 
 def make_link(snr_linear=1e6, ber_prob=0.0):
@@ -264,6 +266,63 @@ def test_sgd_epoch_matches_per_layer_reference_bitwise():
         want = _reference_sgd_epoch(want, data, cfg, want_rng)
     assert not np.array_equal(got.vec, model.vec)
     assert np.array_equal(got.vec, want.vec)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_precision_follows_the_data(dtype):
+    base = toy_dataset()
+    data = Dataset(base.features.astype(dtype), base.labels, base.n_classes)
+    assert data.features.dtype == dtype
+    cfg = TrainConfig(learning_rate=0.1, local_epochs=2, batch_size=8, hidden_size=3)
+    model = initial_model(data, cfg, Substreams(3))
+    stepped = sgd_epoch(model, data, cfg, np.random.default_rng(1))
+    trained = train_local(ClientState(shard=data), model, cfg, np.random.default_rng(2))
+    mean = aggregate([(stepped, 3), (trained, 5)])
+    results = [model.vec, stepped.vec, trained.vec, mean.vec]
+    link = make_link(snr_linear=50.0, ber_prob=1e-2)
+    for kind in ("none", "awgn", "packet"):
+        spec = CorruptionSpec(kind=kind, packet_bits=64)
+        # both payload kinds: a model vector and a (rows, cols) shard
+        for payload, prev in ((mean.vec, model.vec), (data.features, 2.0 * data.features)):
+            for fallback in (None, prev):
+                results.append(corrupt_vector(payload, link, spec,
+                                              np.random.default_rng(4), prev=fallback))
+    assert [r.dtype for r in results] == [np.dtype(dtype)] * len(results)
+    other = np.float64 if dtype == np.float32 else np.float32
+    with pytest.raises(ValueError, match="dtype mismatch"):
+        aggregate([(mean, 1), (ModelParams(mean.vec.astype(other), mean.arch), 1)])
+    with pytest.raises(ValueError, match="mismatches vector"):
+        corrupt_vector(mean.vec, link, CorruptionSpec(kind="packet"),
+                       np.random.default_rng(4), prev=mean.vec.astype(other))
+
+
+def test_other_dtypes_convert_to_float64():
+    data = Dataset(np.ones((3, 2), dtype=np.int32), np.zeros(3, dtype=int), 2)
+    assert data.features.dtype == np.float64
+    template = init_model(1, 1, 2, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="float32 or float64"):
+        ModelParams(np.zeros(template.vec.size, dtype=np.float16), template.arch)
+
+
+def test_float32_training_tracks_float64():
+    # The same rounded inputs in both precisions: float32 features and a
+    # float32 initial model, the float64 run seeing them widened exactly.
+    rng = np.random.default_rng(60)
+    features = rng.random((500, 784)).astype(np.float32)
+    labels = rng.integers(0, 10, size=500)
+    cfg = TrainConfig(learning_rate=0.1, local_epochs=2, batch_size=32, hidden_size=64)
+    init = init_model(784, 64, 10, np.random.default_rng(61), dtype=np.float32)
+    assert np.array_equal(init.vec, init_model(784, 64, 10, np.random.default_rng(61)).vec
+                          .astype(np.float32))
+    trained = {}
+    for dtype in (np.float32, np.float64):
+        client = ClientState(shard=Dataset(features.astype(dtype), labels, 10))
+        w0 = ModelParams(init.vec.astype(dtype), init.arch)
+        trained[dtype] = train_local(client, w0, cfg, np.random.default_rng(62))
+    assert trained[np.float32].vec.dtype == np.float32
+    assert not np.array_equal(trained[np.float64].vec, init.vec)
+    gap = np.abs(trained[np.float32].vec - trained[np.float64].vec).max()
+    assert gap < 1e-5
 
 
 def test_aggregate_identities():

@@ -177,13 +177,15 @@ def test_packet_loss_is_monotone_in_ber(bers, packet_bits, seed):
     data=st.data(),
     n_models=st.integers(1, 4),
     seed=st.integers(0, 2**32),
+    width=st.sampled_from([32, 64]),
 )
-def test_aggregate_is_a_convex_combination(data, n_models, seed):
+def test_aggregate_is_a_convex_combination(data, n_models, seed, width):
     rng = np.random.default_rng(seed)
     shape = init_model(3, 2, 2, rng)
+    dtype = np.float32 if width == 32 else np.float64
     vecs = [
-        data.draw(arrays(np.float64, shape.vec.size,
-                         elements=st.floats(-1e6, 1e6)))
+        data.draw(arrays(dtype, shape.vec.size,
+                         elements=st.floats(-1e6, 1e6, width=width)))
         for _ in range(n_models)
     ]
     weights = data.draw(st.lists(st.integers(1, 5000), min_size=n_models,
@@ -193,6 +195,12 @@ def test_aggregate_is_a_convex_combination(data, n_models, seed):
     slack = 1e-9 * (1.0 + np.abs(stacked).max())
     assert np.all(out >= stacked.min(axis=0) - slack)
     assert np.all(out <= stacked.max(axis=0) + slack)
+    # the float64 weighted sum, rounded once to the models' dtype
+    wide = np.zeros(shape.vec.size)
+    for v, w in zip(vecs, weights):
+        wide += (w / sum(weights)) * v.astype(np.float64)
+    assert out.dtype == dtype
+    assert np.array_equal(out, wide.astype(dtype))
 
 
 @PROPERTY
