@@ -57,10 +57,11 @@ def synthetic_blobs(
 ) -> Dataset:
     """Gaussian blobs around per-class centers, float32 features clipped to [0, 1].
 
+    Centers default to uniform draws in [0.25, 0.75] so clipped tails stay
+    mild; pass explicit centers to sample more data from the same classes.
     The draws are float64 and rounded once when stored, so the streams do not
     depend on the feature dtype; 0 and 1 are float32 values, so clipping after
-    the rounding equals clipping before it. Centers default to uniform draws in [0.25, 0.75] so clipped tails stay
-    mild; pass explicit centers to sample more data from the same classes.
+    the rounding equals clipping before it.
     """
     if n_classes < 2:
         raise ValueError(f"need at least 2 classes, got {n_classes}")

@@ -295,11 +295,12 @@ def corrupt_vector(
 ) -> np.ndarray:
     """Impair one transmitted array per the link realization.
 
-    The result has the input's shape and dtype. 'none' returns the input itself, so callers must not write into a received
-    payload. 'awgn' adds float64 white noise with SD awgn_scale/sqrt(snr) and
-    rounds the sum once. 'packet' splits the row-major flattening into packets
-    of packet_bits and replaces each lost one with the receiver's previous
-    values (zeros when none), which must match the input's shape and dtype.
+    The result has the input's shape and dtype. 'none' returns the input
+    itself, so callers must not write into a received payload. 'awgn' adds
+    float64 white noise with SD awgn_scale/sqrt(snr) and rounds the sum once.
+    'packet' splits the row-major flattening into packets of packet_bits and
+    replaces each lost one with the receiver's previous values (zeros when
+    none), which must match the input's shape and dtype.
     """
     if spec.kind == "none":
         return vec

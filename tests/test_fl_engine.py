@@ -48,6 +48,9 @@ def test_dataset_validation():
         Dataset(np.zeros((3, 2)), np.array([0, 1, 2]), 2)
     with pytest.raises(ValueError):
         Dataset(np.zeros((3, 2)), np.zeros(3, dtype=int), 1)
+    # float32 and float64 features keep their dtype; any other becomes float64
+    ints = Dataset(np.ones((3, 2), dtype=np.int32), np.zeros(3, dtype=int), 2)
+    assert ints.features.dtype == np.float64
 
 
 def test_dataset_subset():
@@ -67,6 +70,8 @@ def test_model_flat_round_trip():
         assert np.array_equal(a, b)
     with pytest.raises(ValueError):
         ModelParams(np.zeros(model.vec.size + 1), model.arch)
+    with pytest.raises(ValueError, match="float32 or float64"):
+        ModelParams(np.zeros(model.vec.size, dtype=np.float16), model.arch)
 
 
 def test_model_copy_is_deep():
@@ -288,20 +293,6 @@ def test_precision_follows_the_data(dtype):
                 results.append(corrupt_vector(payload, link, spec,
                                               np.random.default_rng(4), prev=fallback))
     assert [r.dtype for r in results] == [np.dtype(dtype)] * len(results)
-    other = np.float64 if dtype == np.float32 else np.float32
-    with pytest.raises(ValueError, match="dtype mismatch"):
-        aggregate([(mean, 1), (ModelParams(mean.vec.astype(other), mean.arch), 1)])
-    with pytest.raises(ValueError, match="mismatches vector"):
-        corrupt_vector(mean.vec, link, CorruptionSpec(kind="packet"),
-                       np.random.default_rng(4), prev=mean.vec.astype(other))
-
-
-def test_other_dtypes_convert_to_float64():
-    data = Dataset(np.ones((3, 2), dtype=np.int32), np.zeros(3, dtype=int), 2)
-    assert data.features.dtype == np.float64
-    template = init_model(1, 1, 2, np.random.default_rng(0))
-    with pytest.raises(ValueError, match="float32 or float64"):
-        ModelParams(np.zeros(template.vec.size, dtype=np.float16), template.arch)
 
 
 def test_float32_training_tracks_float64():
@@ -312,8 +303,8 @@ def test_float32_training_tracks_float64():
     labels = rng.integers(0, 10, size=500)
     cfg = TrainConfig(learning_rate=0.1, local_epochs=2, batch_size=32, hidden_size=64)
     init = init_model(784, 64, 10, np.random.default_rng(61), dtype=np.float32)
-    assert np.array_equal(init.vec, init_model(784, 64, 10, np.random.default_rng(61)).vec
-                          .astype(np.float32))
+    wide = init_model(784, 64, 10, np.random.default_rng(61))
+    assert np.array_equal(init.vec, wide.vec.astype(np.float32))  # draws rounded once
     trained = {}
     for dtype in (np.float32, np.float64):
         client = ClientState(shard=Dataset(features.astype(dtype), labels, 10))
@@ -367,6 +358,9 @@ def test_aggregate_errors():
         aggregate([(model, 0)])
     with pytest.raises(ValueError):
         aggregate([(model, 1), (other, 1)])
+    narrow = ModelParams(model.vec.astype(np.float32), model.arch)
+    with pytest.raises(ValueError, match="dtype mismatch"):
+        aggregate([(model, 1), (narrow, 1)])
 
 
 def test_evaluate_tie_break_and_uniform_accuracy():
@@ -518,6 +512,9 @@ def test_corrupt_packet_prev_slices():
     with pytest.raises(ValueError):
         corrupt_vector(vec, make_link(), spec, np.random.default_rng(0),
                        prev=np.zeros(5))
+    with pytest.raises(ValueError, match="mismatches vector"):
+        corrupt_vector(vec, make_link(), spec, np.random.default_rng(0),
+                       prev=prev.astype(np.float32))
 
 
 def test_corrupt_model_matches_vector_path():
