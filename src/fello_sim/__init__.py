@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 
 from .orbits import SatIndex, WalkerConfig
 from .optical_link import LinkSample, OpticalParams
-from .fl_engine import CorruptionSpec, Dataset, ModelParams, TrainConfig
+from .fl_engine import CorruptionSpec, Dataset, ModelParams, RowView, TrainConfig
 from .lesc import LescConfig, RoundLog
 from .overhead import OverheadInputs, OverheadReport
 from .config import ScenarioConfig, load_config
@@ -28,6 +28,7 @@ __all__ = [
     "OpticalParams",
     "LinkSample",
     "Dataset",
+    "RowView",
     "ModelParams",
     "TrainConfig",
     "CorruptionSpec",

@@ -18,6 +18,8 @@ from . import overhead
 from .fl_engine import (
     CorruptionSpec,
     Dataset,
+    RowView,
+    Samples,
     TrainConfig,
     corrupt_vector,
     evaluate,
@@ -39,13 +41,13 @@ from .seeding import Substreams
 
 @dataclass
 class _ClClient:
-    shard: Dataset
-    shipped: Dataset = None  # what the edge received over the link it crossed
+    shard: RowView
+    shipped: Samples = None  # what the edge received over the link it crossed
 
 
 @dataclass
 class _DlClient:
-    shard: Dataset
+    shard: RowView
     model: object
     rng: np.random.Generator
 
@@ -57,8 +59,8 @@ def run_cl(
     gsl: OpticalParams,
     train_cfg: TrainConfig,
     corruption: CorruptionSpec,
-    train_set: Dataset,
-    test_set: Dataset,
+    train_set: Samples,
+    test_set: Samples,
     samples_per_client: int,
     streams: Substreams,
 ) -> list:
@@ -66,7 +68,9 @@ def run_cl(
 
     Newly admitted clients ship their shard when they join; a handover
     makes every member re-ship to the new edge. The pool always holds
-    exactly the current members' uploads.
+    exactly the current members' uploads. An unimpaired link delivers the
+    shard's own rows, so under "none" the pool is a RowView of the train
+    set; impaired uploads are materialised.
     """
     schedule = membership_schedule(cfg, walker, isl, gsl, streams, train_cfg.local_epochs)
     model = initial_model(train_set, train_cfg, streams)
@@ -81,18 +85,25 @@ def run_cl(
             shippers = rec.members if rec.handover else rec.admitted
             for sat in shippers:
                 link = rec.links.sample(sat)
-                ship_rng = streams.derive("ship", rec.round_index, sat.plane, sat.slot)
                 client = clients[sat]
-                features = corrupt_vector(client.shard.features, link, corruption, ship_rng)
-                client.shipped = Dataset(features, client.shard.labels, train_set.n_classes)
+                if corruption.kind == "none":
+                    client.shipped = client.shard
+                else:
+                    ship_rng = streams.derive("ship", rec.round_index, sat.plane, sat.slot)
+                    features, labels = client.shard.take()
+                    features = corrupt_vector(features, link, corruption, ship_rng)
+                    client.shipped = Dataset(features, labels, train_set.n_classes)
                 shipped_snrs.append(link.snr_db)
             if rec.members:
                 shipped = [clients[sat].shipped for sat in rec.members]
-                pooled = Dataset(
-                    np.concatenate([d.features for d in shipped]),
-                    np.concatenate([d.labels for d in shipped]),
-                    train_set.n_classes,
-                )
+                if corruption.kind == "none":
+                    pooled = shipped[0].base.subset(np.concatenate([d.rows for d in shipped]))
+                else:
+                    pooled = Dataset(
+                        np.concatenate([d.features for d in shipped]),
+                        np.concatenate([d.labels for d in shipped]),
+                        train_set.n_classes,
+                    )
                 for _ in range(train_cfg.local_epochs):
                     model = sgd_epoch(model, pooled, train_cfg, edge_rng)
                 # free this round's pool before the next round ships and pools
@@ -110,8 +121,8 @@ def run_dl(
     gsl: OpticalParams,
     train_cfg: TrainConfig,
     corruption: CorruptionSpec,
-    train_set: Dataset,
-    test_set: Dataset,
+    train_set: Samples,
+    test_set: Samples,
     samples_per_client: int,
     streams: Substreams,
     workers: int = 1,

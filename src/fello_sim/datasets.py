@@ -9,7 +9,7 @@ import struct
 
 import numpy as np
 
-from .fl_engine import Dataset
+from .fl_engine import Dataset, RowView
 
 IDX_IMAGES_MAGIC = 2051
 IDX_LABELS_MAGIC = 2049
@@ -54,14 +54,15 @@ def synthetic_blobs(
     rng: np.random.Generator,
     spread: float = 0.15,
     centers: np.ndarray = None,
-) -> Dataset:
+) -> RowView:
     """Gaussian blobs around per-class centers, float32 features clipped to [0, 1].
 
     Centers default to uniform draws in [0.25, 0.75] so clipped tails stay
     mild; pass explicit centers to sample more data from the same classes.
     The draws are float64 and rounded once when stored, so the streams do not
     depend on the feature dtype; 0 and 1 are float32 values, so clipping after
-    the rounding equals clipping before it.
+    the rounding equals clipping before it. The samples come in shuffled
+    order, as a RowView over the class-ordered block: the features exist once.
     """
     if n_classes < 2:
         raise ValueError(f"need at least 2 classes, got {n_classes}")
@@ -74,15 +75,18 @@ def synthetic_blobs(
     elif centers.shape != (n_classes, n_features):
         raise ValueError(f"centers shape {centers.shape} mismatches blob spec")
     features = np.empty((n_classes * samples_per_class, n_features), dtype=np.float32)
-    labels = np.empty(n_classes * samples_per_class, dtype=np.int64)
+    labels = np.repeat(np.arange(n_classes, dtype=np.int64), samples_per_class)
+    draws = np.empty((samples_per_class, n_features))
     for c in range(n_classes):
-        lo = c * samples_per_class
-        hi = lo + samples_per_class
-        features[lo:hi] = centers[c] + rng.normal(0.0, spread, size=(samples_per_class, n_features))
-        labels[lo:hi] = c
+        # bit for bit centers[c] + rng.normal(0.0, spread, ...), which
+        # computes 0.0 + spread * z from the same standard normal stream
+        rng.standard_normal(out=draws)
+        draws *= spread
+        draws += centers[c]
+        features[c * samples_per_class : (c + 1) * samples_per_class] = draws
     np.clip(features, 0.0, 1.0, out=features)
     order = rng.permutation(labels.size)
-    return Dataset(features[order], labels[order], n_classes)
+    return Dataset(features, labels, n_classes).subset(order)
 
 
 def synthetic_split(
@@ -93,8 +97,12 @@ def synthetic_split(
     rng: np.random.Generator,
     spread: float = 0.15,
 ) -> tuple:
-    """(train, test) blob datasets drawn around one shared set of centers."""
+    """(train, test) blob datasets drawn around one shared set of centers.
+
+    train is a RowView; the smaller test set is gathered once into a Dataset,
+    so evaluating on it copies nothing.
+    """
     centers = rng.uniform(0.25, 0.75, size=(n_classes, n_features))
     train = synthetic_blobs(n_classes, n_features, train_per_class, rng, spread, centers)
     test = synthetic_blobs(n_classes, n_features, test_per_class, rng, spread, centers)
-    return train, test
+    return train, Dataset(*test.take(), n_classes)

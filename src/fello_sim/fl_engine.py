@@ -9,6 +9,9 @@ erasures where a lost packet leaves the receiver's previous values.
 Training runs in the precision of the features: float32 data gives float32
 models, gradients and payloads, float64 data float64 ones. Random draws are
 float64 and rounded once when stored.
+
+Client shards are RowViews: row indices into the one train set, whose
+features are gathered a minibatch at a time.
 """
 
 import math
@@ -27,7 +30,8 @@ class Dataset:
     """Feature matrix with integer class labels.
 
     float32 and float64 features keep their dtype; any other converts to
-    float64.
+    float64. Labels must have an integer dtype: float or bool labels are
+    rejected rather than truncated.
     """
 
     features: np.ndarray
@@ -38,7 +42,10 @@ class Dataset:
         self.features = np.asarray(self.features)
         if self.features.dtype not in FLOAT_DTYPES:
             self.features = self.features.astype(np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
+        if labels.dtype.kind not in "iu":
+            raise ValueError(f"labels must have an integer dtype, got {labels.dtype}")
+        self.labels = labels.astype(np.int64, copy=False)
         if self.features.ndim != 2:
             raise ValueError(f"features must be 2-D, got shape {self.features.shape}")
         if self.labels.ndim != 1:
@@ -60,8 +67,71 @@ class Dataset:
     def n_features(self) -> int:
         return self.features.shape[1]
 
-    def subset(self, indices: np.ndarray) -> "Dataset":
-        return Dataset(self.features[indices], self.labels[indices], self.n_classes)
+    @property
+    def dtype(self) -> np.dtype:
+        return self.features.dtype
+
+    def take(self, positions=slice(None)) -> tuple:
+        """(features, labels) of the samples at these positions, in order."""
+        return self.features[positions], self.labels[positions]
+
+    def subset(self, indices) -> "RowView":
+        """The samples at these positions, as row indices into this dataset."""
+        return RowView(self, indices)
+
+
+class RowView:
+    """Samples of a base Dataset picked by row index, without copying them.
+
+    Sample i is row rows[i] of base; rows may repeat and need not be sorted.
+    Only take() gathers feature rows, so shards of one train set, and pools
+    of such shards, hold the features once.
+    """
+
+    def __init__(self, base: Dataset, rows):
+        self.base = base
+        self.rows = _row_indices(rows, base.n_samples)
+
+    @property
+    def n_samples(self) -> int:
+        return self.rows.size
+
+    @property
+    def n_features(self) -> int:
+        return self.base.n_features
+
+    @property
+    def n_classes(self) -> int:
+        return self.base.n_classes
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.base.dtype
+
+    def take(self, positions=slice(None)) -> tuple:
+        """(features, labels) of the samples at these positions, gathered."""
+        return self.base.take(self.rows[positions])
+
+    def subset(self, indices) -> "RowView":
+        """The samples at these positions, as rows of the same base."""
+        return RowView(self.base, self.rows[_row_indices(indices, self.n_samples)])
+
+
+# what training, evaluation and partitioning accept
+Samples = Dataset | RowView
+
+
+def _row_indices(indices, n_samples: int) -> np.ndarray:
+    """indices as a 1-D integer array of positions in [0, n_samples)."""
+    indices = np.asarray(indices)
+    if indices.ndim != 1 or indices.dtype.kind not in "iu":
+        raise ValueError(
+            f"row indices must be a 1-D integer array,"
+            f" got {indices.dtype} of shape {indices.shape}"
+        )
+    if indices.size and (indices.min() < 0 or indices.max() >= n_samples):
+        raise ValueError(f"row indices out of range for {n_samples} samples")
+    return indices
 
 
 def param_count(arch: tuple) -> int:
@@ -144,7 +214,7 @@ class ClientState:
     parameters, the fallback content for lost packets on the uplink.
     """
 
-    shard: Dataset
+    shard: Samples
     local_model: ModelParams = None
     last_upload: ModelParams = None
 
@@ -197,15 +267,20 @@ def _gradients(model: ModelParams, x: np.ndarray, y: np.ndarray, grad: ModelPara
 
 
 def sgd_epoch(
-    model: ModelParams, data: Dataset, cfg: TrainConfig, rng: np.random.Generator
+    model: ModelParams, data: Samples, cfg: TrainConfig, rng: np.random.Generator
 ) -> ModelParams:
-    """One pass over the data in shuffled minibatches; returns a new model."""
+    """One pass over a Dataset or RowView in shuffled minibatches; returns a new model.
+
+    Each minibatch is gathered from the data's own rows, so a RowView trains
+    bit for bit like a Dataset of the same samples.
+    """
     order = rng.permutation(data.n_samples)
     current = model.copy()
     grad = ModelParams(np.empty_like(current.vec), current.arch)
     for start in range(0, data.n_samples, cfg.batch_size):
         batch = order[start : start + cfg.batch_size]
-        _gradients(current, data.features[batch], data.labels[batch], grad)
+        x, y = data.take(batch)
+        _gradients(current, x, y, grad)
         if not np.isfinite(grad.vec).all():
             layer = next(i for i, (w, b) in enumerate(zip(grad.weights, grad.biases))
                          if not (np.isfinite(w).all() and np.isfinite(b).all()))
@@ -252,26 +327,28 @@ def aggregate(models: list, total_samples: int = None) -> ModelParams:
     return ModelParams(acc.astype(dtype, copy=False), arch)
 
 
-def evaluate(model: ModelParams, test: Dataset) -> tuple:
-    """(top-1 accuracy, mean cross-entropy) on the test set.
+def evaluate(model: ModelParams, test: Samples) -> tuple:
+    """(top-1 accuracy, mean cross-entropy) on a Dataset or RowView.
 
     Argmax ties resolve to the lowest class index.
     """
     if test.n_samples == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    _, logits = _forward(model, test.features)
+    features, labels = test.take()
+    _, logits = _forward(model, features)
     predicted = np.argmax(logits, axis=1)
     log_p = _log_softmax(logits)
-    loss = float(-log_p[np.arange(test.n_samples), test.labels].mean())
-    return float((predicted == test.labels).mean()), loss
+    loss = float(-log_p[np.arange(test.n_samples), labels].mean())
+    return float((predicted == labels).mean()), loss
 
 
 def partition_data(
-    full: Dataset, clients: list, samples_per_client: int, rng: np.random.Generator
+    full: Samples, clients: list, samples_per_client: int, rng: np.random.Generator
 ) -> dict:
-    """Draw one shard per client, sequentially in the given client order.
+    """Draw one RowView shard per client, sequentially in the given client order.
 
     Each shard samples without replacement; different clients may overlap.
+    A shard holds row indices into full's features, never a copy of them.
     """
     if not clients:
         raise ValueError("need at least one client")

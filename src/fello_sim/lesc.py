@@ -23,8 +23,8 @@ from . import overhead
 from .fl_engine import (
     ClientState,
     CorruptionSpec,
-    Dataset,
     ModelParams,
+    Samples,
     TrainConfig,
     aggregate,
     corrupt_model,
@@ -352,7 +352,7 @@ def parallel_map(fn, items, workers: int) -> list:
 
 
 def initial_model(
-    train_set: Dataset, train_cfg: TrainConfig, streams: Substreams
+    train_set: Samples, train_cfg: TrainConfig, streams: Substreams
 ) -> ModelParams:
     """The run's starting model, drawn from its "init" substream.
 
@@ -360,7 +360,7 @@ def initial_model(
     """
     return init_model(
         train_set.n_features, train_cfg.hidden_size, train_set.n_classes,
-        streams.derive("init"), dtype=train_set.features.dtype,
+        streams.derive("init"), dtype=train_set.dtype,
     )
 
 
@@ -368,7 +368,7 @@ def member_rounds(
     schedule: list,
     clients: dict,
     admit,
-    train_set: Dataset,
+    train_set: Samples,
     samples_per_client: int,
     streams: Substreams,
 ):
@@ -420,8 +420,8 @@ def run_fello(
     gsl: OpticalParams,
     train_cfg: TrainConfig,
     corruption: CorruptionSpec,
-    train_set: Dataset,
-    test_set: Dataset,
+    train_set: Samples,
+    test_set: Samples,
     samples_per_client: int,
     streams: Substreams,
     fixed_total: int = None,

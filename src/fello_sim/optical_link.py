@@ -217,10 +217,14 @@ def ber(p: OpticalParams, snr_linear: float) -> float:
 
 
 def achievable_rate(p: OpticalParams, snr_linear: float, ber_prob: float) -> float:
-    """Error-discounted Shannon rate (1 - ber) * B * log2(1 + snr), bits/s."""
+    """Error-discounted Shannon rate (1 - ber) * B * log2(1 + snr), bits/s.
+
+    log1p keeps full relative precision at small snr, where 1.0 + snr
+    would round away most or all of it.
+    """
     if not 0.0 <= ber_prob <= 1.0:
         raise ValueError(f"ber must be in [0, 1], got {ber_prob}")
-    return (1.0 - ber_prob) * p.bandwidth_hz * math.log2(1.0 + snr_linear)
+    return (1.0 - ber_prob) * p.bandwidth_hz * (math.log1p(snr_linear) / math.log(2.0))
 
 
 def evaluate_link(

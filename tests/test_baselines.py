@@ -52,7 +52,7 @@ def test_cl_single_client_is_composite_local_training(table1_optics):
     ref = Substreams(71)
     sat = SatIndex(1, 2)
     model = init_model(train.n_features, tc.hidden_size, train.n_classes,
-                       ref.derive("init"), dtype=train.features.dtype)
+                       ref.derive("init"), dtype=train.dtype)
     shard = partition_data(train, [sat], 40, ref.derive("shard", 1))[sat]
     edge_rng = ref.derive("cltrain")
     for log in logs:
@@ -74,11 +74,12 @@ def test_cl_pools_members_in_order(table1_optics):
     members = [SatIndex(1, 2), SatIndex(1, 3)]
     ref = Substreams(72)
     model = init_model(train.n_features, tc.hidden_size, train.n_classes,
-                       ref.derive("init"), dtype=train.features.dtype)
+                       ref.derive("init"), dtype=train.dtype)
     shards = partition_data(train, members, 30, ref.derive("shard", 1))
+    gathered = [shards[s].take() for s in members]
     pooled = Dataset(
-        np.concatenate([shards[s].features for s in members]),
-        np.concatenate([shards[s].labels for s in members]),
+        np.concatenate([features for features, _ in gathered]),
+        np.concatenate([labels for _, labels in gathered]),
         train.n_classes,
     )
     assert pooled.n_samples == 60  # sum of member shard sizes
@@ -96,20 +97,24 @@ def test_cl_pools_members_in_order(table1_optics):
 def test_cl_pools_shards_in_the_data_dtype(table1_optics, monkeypatch, dtype, kind):
     walker = static_walker(1, 5)
     base, test, tc, streams = setup(79)
-    train = Dataset(base.features.astype(dtype), base.labels, base.n_classes)
+    features, labels = base.take()
+    train = Dataset(features.astype(dtype), labels, base.n_classes)
     cfg = LescConfig(delta_d_km=9000.0, rounds=2, round_time_s=30.0,
                      gsl_snr_threshold=0.0, snr_units="linear")
     seen = []
 
     def recording_sgd_epoch(model, data, train_cfg, rng):
-        seen.append((data.n_samples, data.features.dtype, model.vec.dtype))
+        # an unimpaired pool indexes the train set's features instead of copying them
+        shared = np.shares_memory(getattr(data, "base", data).features, train.features)
+        seen.append((data.n_samples, data.dtype, model.vec.dtype, shared))
         return sgd_epoch(model, data, train_cfg, rng)
 
     monkeypatch.setattr(baselines, "sgd_epoch", recording_sgd_epoch)
     spec = CorruptionSpec(kind=kind, awgn_scale=10.0, packet_bits=64)
     run_cl(cfg, walker, table1_optics, table1_optics, tc, spec, train, test, 30, streams)
     # two members pool 60 rows for every epoch of both rounds
-    assert seen == [(60, np.dtype(dtype), np.dtype(dtype))] * (2 * tc.local_epochs)
+    want = (60, np.dtype(dtype), np.dtype(dtype), kind == "none")
+    assert seen == [want] * (2 * tc.local_epochs)
 
 
 def test_cl_ships_only_on_admission(table1_optics):
@@ -151,7 +156,7 @@ def test_dl_single_client_is_plain_trajectory(table1_optics):
     ref = Substreams(75)
     sat = SatIndex(1, 2)
     model = init_model(train.n_features, tc.hidden_size, train.n_classes,
-                       ref.derive("init"), dtype=train.features.dtype)
+                       ref.derive("init"), dtype=train.dtype)
     shard = partition_data(train, [sat], 40, ref.derive("shard", 1))[sat]
     rng = ref.derive("dltrain", 1, sat.plane, sat.slot)
     for log in logs:
@@ -173,7 +178,7 @@ def test_dl_reports_member_means(table1_optics):
     members = [SatIndex(1, 2), SatIndex(1, 3)]
     ref = Substreams(76)
     w0 = init_model(train.n_features, tc.hidden_size, train.n_classes,
-                    ref.derive("init"), dtype=train.features.dtype)
+                    ref.derive("init"), dtype=train.dtype)
     shards = partition_data(train, members, 30, ref.derive("shard", 1))
     models = {s: w0.copy() for s in members}
     rngs = {s: ref.derive("dltrain", 1, s.plane, s.slot) for s in members}

@@ -1,5 +1,6 @@
 import csv
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -86,7 +87,7 @@ def test_mnist_scenario_trains_in_float32(tmp_path, monkeypatch):
 
     def recording(sgd_epoch):
         def wrapped(model, data, train_cfg, rng):
-            seen.add((data.features.dtype, model.vec.dtype))
+            seen.add((data.dtype, model.vec.dtype))
             return sgd_epoch(model, data, train_cfg, rng)
         return wrapped
 
@@ -145,8 +146,9 @@ def test_blobs_shape_and_balance():
     data = synthetic_blobs(4, 6, 25, np.random.default_rng(1), spread=0.1)
     assert data.n_samples == 100
     assert data.n_features == 6
-    assert data.features.min() >= 0.0 and data.features.max() <= 1.0
-    counts = np.bincount(data.labels, minlength=4)
+    features, labels = data.take()
+    assert features.min() >= 0.0 and features.max() <= 1.0
+    counts = np.bincount(labels, minlength=4)
     assert (counts == 25).all()
 
 
@@ -155,17 +157,21 @@ def test_blobs_are_float64_draws_rounded_once():
     rng = np.random.default_rng(2)
     centers = rng.uniform(0.25, 0.75, size=(3, 5))
     wide = np.vstack([centers[c] + rng.normal(0.0, 0.4, size=(20, 5)) for c in range(3)])
-    want = np.clip(wide, 0.0, 1.0)[rng.permutation(60)]
-    assert data.features.dtype == np.float32
+    order = rng.permutation(60)
+    want = np.clip(wide, 0.0, 1.0)[order]
+    features, labels = data.take()
+    assert data.dtype == features.dtype == np.float32
     assert ((want == 0.0) | (want == 1.0)).any()  # clipping took part
-    assert np.array_equal(data.features, want.astype(np.float32))
+    assert np.array_equal(features, want.astype(np.float32))
+    assert np.array_equal(labels, np.repeat(np.arange(3), 20)[order])
 
 
 def test_blobs_deterministic_and_validated():
     a = synthetic_blobs(3, 4, 10, np.random.default_rng(7))
     b = synthetic_blobs(3, 4, 10, np.random.default_rng(7))
-    assert np.array_equal(a.features, b.features)
-    assert np.array_equal(a.labels, b.labels)
+    (a_features, a_labels), (b_features, b_labels) = a.take(), b.take()
+    assert np.array_equal(a_features, b_features)
+    assert np.array_equal(a_labels, b_labels)
     with pytest.raises(ValueError):
         synthetic_blobs(1, 4, 10, np.random.default_rng(0))
     with pytest.raises(ValueError):
@@ -182,8 +188,9 @@ def test_blobs_centers_are_reused():
     centers = rng.uniform(0.3, 0.7, size=(3, 5))
     data = synthetic_blobs(3, 5, 400, np.random.default_rng(4), spread=0.05,
                            centers=centers)
+    features, labels = data.take()
     for c in range(3):
-        mean = data.features[data.labels == c].mean(axis=0)
+        mean = features[labels == c].mean(axis=0)
         assert np.abs(mean - centers[c]).max() < 0.02
 
 
@@ -191,8 +198,9 @@ def test_split_shares_class_geometry(blob_data):
     train, test = blob_data
     assert train.n_samples == 180 and test.n_samples == 60
     # Per-class train means must be closest to the same class's test mean.
+    features, labels = train.take()
     for c in range(train.n_classes):
-        mu_train = train.features[train.labels == c].mean(axis=0)
+        mu_train = features[labels == c].mean(axis=0)
         dists = [
             np.linalg.norm(mu_train - test.features[test.labels == d].mean(axis=0))
             for d in range(test.n_classes)
@@ -203,5 +211,19 @@ def test_split_shares_class_geometry(blob_data):
 def test_split_deterministic():
     t1, s1 = synthetic_split(3, 4, 20, 10, np.random.default_rng(9))
     t2, s2 = synthetic_split(3, 4, 20, 10, np.random.default_rng(9))
-    assert np.array_equal(t1.features, t2.features)
+    assert all(np.array_equal(a, b) for a, b in zip(t1.take(), t2.take()))
     assert np.array_equal(s1.features, s2.features)
+    assert np.array_equal(s1.labels, s2.labels)
+
+
+def test_synthetic_split_holds_the_train_features_once():
+    # the class-ordered block plus its shuffle order, not a shuffled copy
+    tracemalloc.start()
+    try:
+        train, _ = synthetic_split(10, 784, 600, 100, np.random.default_rng(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    train_bytes = 10 * 600 * 784 * np.dtype(np.float32).itemsize
+    assert train.n_samples * train.n_features * train.dtype.itemsize == train_bytes
+    assert peak <= 1.5 * train_bytes

@@ -48,6 +48,15 @@ def test_dataset_validation():
         Dataset(np.zeros((3, 2)), np.array([0, 1, 2]), 2)
     with pytest.raises(ValueError):
         Dataset(np.zeros((3, 2)), np.zeros(3, dtype=int), 1)
+    # labels of a float or bool dtype are rejected, not truncated
+    with pytest.raises(ValueError, match="float64"):
+        Dataset(np.zeros((3, 2)), [0.9, 1.7, 2.2], 3)
+    with pytest.raises(ValueError, match="float32"):
+        Dataset(np.zeros((3, 2)), np.zeros(3, dtype=np.float32), 2)
+    with pytest.raises(ValueError, match="bool"):
+        Dataset(np.zeros((2, 2)), [True, False], 2)
+    small = Dataset(np.zeros((3, 2)), np.array([0, 1, 1], dtype=np.uint8), 2)
+    assert small.labels.dtype == np.int64
     # float32 and float64 features keep their dtype; any other becomes float64
     ints = Dataset(np.ones((3, 2), dtype=np.int32), np.zeros(3, dtype=int), 2)
     assert ints.features.dtype == np.float64
@@ -57,8 +66,19 @@ def test_dataset_subset():
     data = toy_dataset(n=10)
     sub = data.subset(np.array([1, 3, 5]))
     assert sub.n_samples == 3
-    assert np.array_equal(sub.features[1], data.features[3])
+    features, labels = sub.take()
+    assert np.array_equal(features[1], data.features[3])
+    assert np.array_equal(labels, data.labels[[1, 3, 5]])
     assert sub.n_features == data.n_features
+    # a subset of a subset indexes the same base
+    inner = sub.subset([2, 0])
+    assert inner.base is data
+    assert np.array_equal(inner.take()[0], data.features[[5, 1]])
+    for bad in ([3], [-1], [[0, 1]], [0.0, 1.0]):
+        with pytest.raises(ValueError):
+            sub.subset(np.array(bad))
+    with pytest.raises(ValueError):
+        data.subset([10])
 
 
 def test_model_flat_round_trip():
@@ -412,9 +432,11 @@ def test_partition_data():
     for shard in shards.values():
         assert shard.n_samples == 20
         assert shard.n_classes == full.n_classes
+        assert np.shares_memory(shard.base.features, full.features)  # indices, not a copy
     again = partition_data(full, clients, 20, np.random.default_rng(41))
     for c in clients:
-        assert np.array_equal(shards[c].features, again[c].features)
+        for got, want in zip(shards[c].take(), again[c].take()):
+            assert np.array_equal(got, want)
     with pytest.raises(ValueError):
         partition_data(full, [], 5, rng)
     with pytest.raises(ValueError):
@@ -425,7 +447,7 @@ def test_partition_full_size_is_permutation():
     full = toy_dataset(n=30, seed=42)
     shard = partition_data(full, ["only"], 30, np.random.default_rng(0))["only"]
     assert np.array_equal(
-        np.sort(shard.features, axis=0), np.sort(full.features, axis=0)
+        np.sort(shard.take()[0], axis=0), np.sort(full.features, axis=0)
     )
 
 

@@ -622,7 +622,7 @@ def test_run_fello_single_client_equals_train_local(table1_optics):
     ref = Substreams(streams.master_seed)
     sat = SatIndex(1, 2)
     w = init_model(train.n_features, tc.hidden_size, train.n_classes,
-                   ref.derive("init"), dtype=train.features.dtype)
+                   ref.derive("init"), dtype=train.dtype)
     shard = partition_data(train, [sat], 40, ref.derive("shard", 1))[sat]
     client = ClientState(shard=shard)
     for a, log in zip((1, 2), logs):
@@ -646,7 +646,7 @@ def test_run_fello_matches_reference_fedavg(table1_optics):
 
     ref = Substreams(streams.master_seed)
     w = init_model(train.n_features, tc.hidden_size, train.n_classes,
-                   ref.derive("init"), dtype=train.features.dtype)
+                   ref.derive("init"), dtype=train.dtype)
     shards = partition_data(train, list(members), 30, ref.derive("shard", 1))
     states = {s: ClientState(shard=shards[s]) for s in members}
     for a, log in zip((1, 2, 3), logs):
@@ -672,7 +672,7 @@ def test_run_fello_fixed_total_denominator(table1_optics):
     ref = Substreams(streams.master_seed)
     sat = SatIndex(1, 2)
     w0 = init_model(train.n_features, tc.hidden_size, train.n_classes,
-                    ref.derive("init"), dtype=train.features.dtype)
+                    ref.derive("init"), dtype=train.dtype)
     shard = partition_data(train, [sat], 40, ref.derive("shard", 1))[sat]
     local = train_local(ClientState(shard=shard), w0, tc,
                         ref.derive("train", 1, 1, 2))

@@ -167,6 +167,13 @@ def test_achievable_rate(table1_optics):
         achievable_rate(table1_optics, 1.0, 1.5)
 
 
+@pytest.mark.parametrize("snr_linear", [1e-12, 1e-20])
+def test_achievable_rate_keeps_precision_at_low_snr(table1_optics, snr_linear):
+    # log2(1 + snr) = snr / ln 2 to first order; 1.0 + snr would round it away
+    want = table1_optics.bandwidth_hz * snr_linear / math.log(2.0)
+    assert achievable_rate(table1_optics, snr_linear, 0.0) == pytest.approx(want, rel=1e-12)
+
+
 def test_evaluate_link_deterministic(table1_optics):
     s1 = evaluate_link(table1_optics, 1500.0, np.random.default_rng(5))
     s2 = evaluate_link(table1_optics, 1500.0, np.random.default_rng(5))
@@ -193,8 +200,9 @@ def test_evaluate_link_invariants(table1_optics):
         assert 0.0 < s.received_power_w <= ideal
         assert s.theta_t_rad >= 0.0 and s.theta_r_rad >= 0.0
         assert 0.0 <= s.ber <= 0.5
-        assert 0.0 <= s.rate_bps <= table1_optics.bandwidth_hz * math.log2(
-            1.0 + s.snr_linear
+        # the error-free Shannon rate, computed as achievable_rate computes it
+        assert 0.0 <= s.rate_bps <= table1_optics.bandwidth_hz * (
+            math.log1p(s.snr_linear) / math.log(2.0)
         )
         assert s.snr_db == db(s.snr_linear)
 

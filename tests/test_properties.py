@@ -2,8 +2,8 @@
 
 Each property holds for every valid input, so the examples are drawn rather
 than picked: Walker shells and times, satellite addresses, link budgets,
-parameter vectors, bit error rates, overhead inputs and whole scenario
-configs. Example
+parameter vectors, bit error rates, overhead inputs, index shards and whole
+scenario configs. Example
 counts are capped to keep the suite fast.
 """
 
@@ -18,7 +18,19 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fello_sim.config import ScenarioConfig, load_config, serialize_config, validate_config
-from fello_sim.fl_engine import CorruptionSpec, ModelParams, aggregate, corrupt_vector, init_model
+from fello_sim.fl_engine import (
+    ClientState,
+    CorruptionSpec,
+    Dataset,
+    ModelParams,
+    TrainConfig,
+    aggregate,
+    corrupt_vector,
+    evaluate,
+    init_model,
+    sgd_epoch,
+    train_local,
+)
 from fello_sim.lesc import ground_view, select_edge
 from fello_sim.optical_link import LinkSample, OpticalParams, evaluate_link, peak_snr
 from fello_sim.orbits import (
@@ -201,6 +213,43 @@ def test_aggregate_is_a_convex_combination(data, n_models, seed, width):
         wide += (w / sum(weights)) * v.astype(np.float64)
     assert out.dtype == dtype
     assert np.array_equal(out, wide.astype(dtype))
+
+
+@PROPERTY
+@given(
+    dtype=st.sampled_from([np.float32, np.float64]),
+    batch_size=st.integers(2, 8),
+    blocks=st.lists(st.tuples(st.integers(0, 4), st.integers(1, 7)), min_size=2, max_size=2),
+    shuffled=st.booleans(),
+    seed=st.integers(0, 2**32),
+)
+def test_index_shards_train_like_their_gathered_rows(dtype, batch_size, blocks, shuffled, seed):
+    # Two shards that overlap, sizes the batch size does not divide, drawn
+    # from a dataset or from a shuffled view of one as synthetic_blobs makes.
+    rng = np.random.default_rng(seed)
+    n, n_features, n_classes = 48, 5, 3
+    base = Dataset(rng.random((n, n_features)).astype(dtype),
+                   rng.integers(0, n_classes, size=n), n_classes)
+    order = rng.permutation(n) if shuffled else np.arange(n)
+    source = base.subset(order) if shuffled else base
+    sizes = [q * batch_size + min(r, batch_size - 1) for q, r in blocks]
+    first = rng.choice(n, size=sizes[0], replace=False)
+    shared = (min(sizes) + 1) // 2
+    second = np.concatenate([first[:shared], rng.choice(n, size=sizes[1] - shared, replace=False)])
+    cfg = TrainConfig(learning_rate=0.5, local_epochs=2, batch_size=batch_size, hidden_size=4)
+    model = init_model(n_features, cfg.hidden_size, n_classes, rng, dtype=dtype)
+    pool = np.concatenate([first, second])
+    for rows in (first, second, pool):
+        view = source.subset(rows)
+        gathered = Dataset(base.features[order[rows]], base.labels[order[rows]], n_classes)
+        assert view.n_samples == gathered.n_samples == rows.size
+        stepped = [sgd_epoch(model, d, cfg, np.random.default_rng(seed)) for d in (view, gathered)]
+        assert np.array_equal(stepped[0].vec, stepped[1].vec)
+        trained = [train_local(ClientState(shard=d), model, cfg, np.random.default_rng(seed))
+                   for d in (view, gathered)]
+        assert trained[0].vec.dtype == dtype
+        assert np.array_equal(trained[0].vec, trained[1].vec)
+        assert evaluate(trained[0], view) == evaluate(trained[0], gathered)
 
 
 @PROPERTY
