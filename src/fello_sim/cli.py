@@ -36,7 +36,10 @@ def _add_common(sub: argparse.ArgumentParser):
         help="verbatim-equation fidelity bundle (rotation sign, phasing, "
              "fixed-denominator aggregation); requires snr_mode = paper on both links",
     )
-    sub.add_argument("--workers", type=int, default=None, help="parallel workers")
+    sub.add_argument(
+        "--workers", type=int, default=None,
+        help="forked processes (Linux), at most one per (architecture, sweep point) arm",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

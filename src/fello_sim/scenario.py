@@ -12,6 +12,7 @@ traceback per failed arm, headed by the arm's name.
 import csv
 import io
 import math
+import multiprocessing
 import os
 import traceback
 from concurrent.futures import ProcessPoolExecutor
@@ -52,7 +53,6 @@ def run_one(
     sweep_index: int,
     train_set=None,
     test_set=None,
-    workers: int = 1,
 ) -> list:
     """One architecture at one sweep point; cfg must already be resolved."""
     if train_set is None or test_set is None:
@@ -73,11 +73,11 @@ def run_one(
     )
     if arch == "fello":
         fixed = train_set.n_samples if cfg.paper_literal else None
-        return run_fello(fixed_total=fixed, workers=workers, **kwargs)
+        return run_fello(fixed_total=fixed, **kwargs)
     if arch == "cl":
         return baselines.run_cl(**kwargs)
     if arch == "dl":
-        return baselines.run_dl(workers=workers, **kwargs)
+        return baselines.run_dl(**kwargs)
     raise ValueError(f"unknown architecture {arch!r}")
 
 
@@ -149,6 +149,53 @@ def _arm_name(cfg: ScenarioConfig, arch: str, value) -> str:
     return f"{arch} at {cfg.sweep_parameter} = {_sweep_cell(value)}"
 
 
+# The datasets a pool worker was started with: a single point's (train, test)
+# pair, or None when each task builds its own.
+_worker_datasets = None
+
+
+def _share_datasets(datasets):
+    global _worker_datasets
+    _worker_datasets = datasets
+
+
+def _pool_task(cfg: ScenarioConfig, arch: str, index: int) -> list:
+    return run_one(cfg, arch, index, *(_worker_datasets or ()))
+
+
+def _run_pooled(cfg: ScenarioConfig, resolved: list, arms: list, results: dict, failures: list):
+    """Run each (architecture, sweep point) arm as one task on forked processes.
+
+    A single point builds its datasets once, here; forked workers inherit
+    them through the initializer's arguments, which fork does not pickle.
+    Sweep tasks build their own. The pool never holds more processes than
+    arms, because a forked pool starts all of them at the first submit.
+    """
+    datasets = None
+    if len(resolved) == 1:
+        try:
+            datasets = build_datasets(resolved[0])
+        except Exception:
+            failed = traceback.format_exc()
+            failures.extend((arch, index, failed) for arch, index in arms)
+            return
+    with ProcessPoolExecutor(
+        max_workers=min(cfg.workers, len(arms)),
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_share_datasets,
+        initargs=(datasets,),
+    ) as pool:
+        futures = {
+            (arch, index): pool.submit(_pool_task, resolved[index], arch, index)
+            for arch, index in arms
+        }
+        for arm, future in futures.items():
+            try:
+                results[arm] = future.result()
+            except Exception:
+                failures.append((*arm, traceback.format_exc()))
+
+
 def run_scenario(cfg: ScenarioConfig) -> int:
     """Execute all (architecture, sweep point) runs and write all outputs.
 
@@ -165,19 +212,9 @@ def run_scenario(cfg: ScenarioConfig) -> int:
         resolved = [cfg]
     results = {}
     failures = []
-    if cfg.sweep_parameter is not None and cfg.workers > 1:
-        # Each task rebuilds its datasets deterministically in its worker.
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            futures = {
-                (arch, index): pool.submit(run_one, resolved[index], arch, index)
-                for arch in cfg.architectures
-                for index in range(len(points))
-            }
-            for (arch, index), future in futures.items():
-                try:
-                    results[(arch, index)] = future.result()
-                except Exception:
-                    failures.append((arch, index, traceback.format_exc()))
+    arms = [(arch, index) for arch in cfg.architectures for index in range(len(points))]
+    if cfg.workers > 1 and len(arms) > 1:
+        _run_pooled(cfg, resolved, arms, results, failures)
     else:
         for index, cfg_point in enumerate(resolved):
             try:
@@ -188,10 +225,7 @@ def run_scenario(cfg: ScenarioConfig) -> int:
                 continue
             for arch in cfg.architectures:
                 try:
-                    results[(arch, index)] = run_one(
-                        cfg_point, arch, index, train_set, test_set,
-                        workers=cfg.workers,
-                    )
+                    results[(arch, index)] = run_one(cfg_point, arch, index, train_set, test_set)
                 except Exception:
                     failures.append((arch, index, traceback.format_exc()))
     with open(os.path.join(cfg.output_dir, "metrics.csv"), "w", newline="") as f:

@@ -14,8 +14,10 @@ import numpy as np
 def derive_seed(master_seed: int, *keys) -> int:
     """Map (master seed, keys) to a 63-bit integer via SHA-256.
 
-    Keys may be ints, floats or strings; they are joined into a canonical
-    string so the mapping is stable across platforms and Python versions.
+    Keys may be ints, floats, bools, strings or tuples of them; they are
+    joined into a canonical string so the mapping is stable across platforms
+    and Python and numpy versions. A numpy scalar keys the same stream as the
+    Python value it equals.
     """
     material = "|".join([str(int(master_seed))] + [_key_token(k) for k in keys])
     digest = hashlib.sha256(material.encode("utf-8")).digest()
@@ -28,12 +30,12 @@ def substream(master_seed: int, *keys) -> np.random.Generator:
 
 
 def _key_token(key) -> str:
-    if isinstance(key, bool):
+    if isinstance(key, (bool, np.bool_)):
         return "b" + str(int(key))
     if isinstance(key, (int, np.integer)):
         return "i" + str(int(key))
-    if isinstance(key, float):
-        return "f" + repr(key)
+    if isinstance(key, (float, np.floating)):
+        return "f" + repr(float(key))
     if isinstance(key, str):
         return "s" + key
     if isinstance(key, tuple):

@@ -1,7 +1,9 @@
 import os
+from concurrent.futures import Future
 
 import pytest
 
+from fello_sim import baselines, scenario
 from fello_sim.cli import main
 
 TINY_SCENARIO = """
@@ -30,6 +32,7 @@ train_per_class = 40
 test_per_class = 10
 samples_per_client = 30
 """
+SWEEP = "\n[sweep]\nparameter = lesc.delta_d_km\nvalues = 1500,1800\n"
 
 
 def write(tmp_path, text, name="scenario.cfg"):
@@ -185,7 +188,8 @@ def test_linkbudget_malformed_index(tmp_path, capsys):
         main(["linkbudget", path, "--from", "11", "--to", "1,2"])
 
 
-def test_run_failure_writes_marker(tmp_path):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_failure_writes_marker(tmp_path, workers):
     # Valid config whose dataset files corrupt after validation.
     bogus = tmp_path / "img.idx"
     bogus.write_bytes(b"\x00\x00\x00\x00bad")
@@ -196,7 +200,7 @@ def test_run_failure_writes_marker(tmp_path):
     )
     path = write(tmp_path, text)
     out = str(tmp_path / "broken")
-    assert main(["run", path, "--out", out]) == 2
+    assert main(["run", path, "--out", out, "--workers", str(workers)]) == 2
     assert os.path.exists(os.path.join(out, "FAILED"))
     failed = read(os.path.join(out, "FAILED"))
     assert "Traceback" in failed
@@ -230,8 +234,7 @@ def test_failed_arms_do_not_stop_the_others(tmp_path, workers):
 
 
 def test_sweep_run_row_layout(tmp_path):
-    text = TINY_SCENARIO + "\n[sweep]\nparameter = lesc.delta_d_km\nvalues = 1500,1800\n"
-    path = write(tmp_path, text)
+    path = write(tmp_path, TINY_SCENARIO + SWEEP)
     out = str(tmp_path / "sweep")
     assert main(["run", path, "--out", out]) == 0
     lines = read(os.path.join(out, "metrics.csv")).strip().splitlines()
@@ -242,8 +245,8 @@ def test_sweep_run_row_layout(tmp_path):
     assert cells[4] == ["cl", "1500.0"]
 
 
-def test_worker_count_does_not_change_sweep_metrics(tmp_path):
-    text = TINY_SCENARIO + "\n[sweep]\nparameter = lesc.delta_d_km\nvalues = 1500,1800\n"
+@pytest.mark.parametrize("text", [TINY_SCENARIO, TINY_SCENARIO + SWEEP], ids=["single", "sweep"])
+def test_worker_count_does_not_change_metrics(tmp_path, text):
     path = write(tmp_path, text)
     out1 = str(tmp_path / "w1")
     out2 = str(tmp_path / "w2")
@@ -252,3 +255,79 @@ def test_worker_count_does_not_change_sweep_metrics(tmp_path):
     assert read(os.path.join(out1, "metrics.csv")) == read(
         os.path.join(out2, "metrics.csv")
     )
+
+
+class InlinePool:
+    """Stands in for ProcessPoolExecutor: records how it is made, runs tasks at submit."""
+
+    made = []
+
+    def __init__(self, max_workers, mp_context=None, initializer=None, initargs=()):
+        self.made.append((max_workers, mp_context and mp_context.get_start_method()))
+        if initializer is not None:
+            initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+@pytest.mark.parametrize("text, arms", [(TINY_SCENARIO, 3), (TINY_SCENARIO + SWEEP, 6)],
+                         ids=["single", "sweep"])
+def test_pool_holds_no_more_processes_than_arms(tmp_path, monkeypatch, text, arms):
+    # A forked pool starts all of its processes at the first submit.
+    monkeypatch.setattr(scenario, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(InlinePool, "made", [])
+    monkeypatch.setattr(scenario, "_worker_datasets", None)
+    path = write(tmp_path, text)
+    assert main(["run", path, "--out", str(tmp_path / "out"), "--workers", "64"]) == 0
+    assert InlinePool.made == [(arms, "fork")]
+
+
+def test_single_point_pool_builds_datasets_once_in_the_parent(tmp_path, monkeypatch):
+    log = tmp_path / "pids.log"
+
+    def recorded(event, fn):
+        def wrapper(*args, **kwargs):
+            with open(log, "a") as f:
+                f.write(f"{event} {os.getpid()}\n")
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(scenario, "build_datasets", recorded("build", scenario.build_datasets))
+    monkeypatch.setattr(scenario, "run_one", recorded("run_one", scenario.run_one))
+    path = write(tmp_path, TINY_SCENARIO)
+    assert main(["run", path, "--out", str(tmp_path / "out"), "--workers", "2"]) == 0
+    events = [line.split() for line in read(log).splitlines()]
+    parent = str(os.getpid())
+    assert [pid for event, pid in events if event == "build"] == [parent]
+    children = [pid for event, pid in events if event == "run_one"]
+    assert len(children) == 3 and parent not in children
+
+
+def test_a_failed_arm_on_the_pool_spares_the_others(tmp_path, monkeypatch):
+    def broken(**kwargs):
+        raise RuntimeError("cl diverged")
+
+    monkeypatch.setattr(baselines, "run_cl", broken)
+    path = write(tmp_path, TINY_SCENARIO)
+    out = str(tmp_path / "out")
+    assert main(["run", path, "--out", out, "--workers", "2"]) == 2
+    failed = read(os.path.join(out, "FAILED"))
+    assert failed.startswith("arm cl failed:\n")
+    assert failed.count(" failed:\n") == 1
+    assert "RuntimeError: cl diverged" in failed
+    rows = read(os.path.join(out, "metrics.csv")).strip().splitlines()[2:]
+    assert [row.split(",")[:3] for row in rows] == [
+        [arch, "", str(r)] for arch in ("fello", "dl") for r in (1, 2)
+    ]

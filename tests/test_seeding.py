@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from fello_sim.seeding import Substreams, derive_seed, substream
 
@@ -26,6 +27,20 @@ def test_keys_are_not_flattened_into_each_other():
     assert derive_seed(0, 12, 3) != derive_seed(0, 1, 23)
     assert derive_seed(0, 1) != derive_seed(0, "1")
     assert derive_seed(0, 1) != derive_seed(0, 1.0)
+
+
+@given(
+    master=st.integers(0, 2**63),
+    x=st.floats(allow_nan=False, allow_infinity=False),
+    flag=st.booleans(),
+)
+def test_numpy_scalar_keys_equal_their_python_values(master, x, flag):
+    # numpy 2's repr of np.float64(1.5) is "np.float64(1.5)", not "1.5".
+    assert derive_seed(master, np.float64(x)) == derive_seed(master, x)
+    narrow = np.float32(np.clip(x, -3e38, 3e38))
+    assert derive_seed(master, narrow) == derive_seed(master, float(narrow))
+    assert derive_seed(master, np.bool_(flag)) == derive_seed(master, flag)
+    assert derive_seed(master, (np.float64(x), np.bool_(flag))) == derive_seed(master, (x, flag))
 
 
 def test_unsupported_key_type():
