@@ -10,7 +10,7 @@ to models. Distributed clients train purely locally and never transmit.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -18,8 +18,6 @@ from . import overhead
 from .fl_engine import (
     CorruptionSpec,
     Dataset,
-    RowView,
-    Samples,
     TrainConfig,
     corrupt_vector,
     evaluate,
@@ -41,13 +39,13 @@ from .seeding import Substreams
 
 @dataclass
 class _ClClient:
-    shard: RowView
-    shipped: Samples = None  # what the edge received over the link it crossed
+    shard: Dataset
+    shipped: Dataset = None  # what the edge received over the link it crossed
 
 
 @dataclass
 class _DlClient:
-    shard: RowView
+    shard: Dataset
     model: object
     rng: np.random.Generator
 
@@ -59,8 +57,8 @@ def run_cl(
     gsl: OpticalParams,
     train_cfg: TrainConfig,
     corruption: CorruptionSpec,
-    train_set: Samples,
-    test_set: Samples,
+    train_set: Dataset,
+    test_set: Dataset,
     samples_per_client: int,
     streams: Substreams,
 ) -> list:
@@ -69,8 +67,8 @@ def run_cl(
     Newly admitted clients ship their shard when they join; a handover
     makes every member re-ship to the new edge. The pool always holds
     exactly the current members' uploads. An unimpaired link delivers the
-    shard's own rows, so under "none" the pool is a RowView of the train
-    set; impaired uploads are materialised.
+    shard's own rows, so under "none" the pool is a Dataset over the train
+    set's features with the members' rows; impaired uploads are materialised.
     """
     schedule = membership_schedule(cfg, walker, isl, gsl, streams, train_cfg.local_epochs)
     model = initial_model(train_set, train_cfg, streams)
@@ -97,7 +95,7 @@ def run_cl(
             if rec.members:
                 shipped = [clients[sat].shipped for sat in rec.members]
                 if corruption.kind == "none":
-                    pooled = shipped[0].base.subset(np.concatenate([d.rows for d in shipped]))
+                    pooled = replace(train_set, rows=np.concatenate([d.rows for d in shipped]))
                 else:
                     pooled = Dataset(
                         np.concatenate([d.features for d in shipped]),
@@ -121,8 +119,8 @@ def run_dl(
     gsl: OpticalParams,
     train_cfg: TrainConfig,
     corruption: CorruptionSpec,
-    train_set: Samples,
-    test_set: Samples,
+    train_set: Dataset,
+    test_set: Dataset,
     samples_per_client: int,
     streams: Substreams,
     workers: int = 1,

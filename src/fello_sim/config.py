@@ -2,10 +2,11 @@
 
 One flat frozen dataclass mirrors the config file key for key (angles in
 degrees, SI units otherwise). Each field is the only declaration of its
-key: SCHEMA is derived from the field list, and builder methods pass each
-section's keys to its domain object by name. Serialization echoes every
-field at full precision via repr, so a serialized config loads back equal
-to the original.
+key's name, section and type: SCHEMA is derived from the field list, and
+builder methods pass each section's keys to its domain object by name. The
+domain objects declare the same defaults again, and a test holds the two
+equal. Serialization echoes every field at full precision via repr, so a
+serialized config loads back equal to the original.
 """
 
 import configparser
@@ -150,6 +151,8 @@ _PREFIX_SECTIONS = {
     "sweep": "sweep",
 }
 _RUN_KEYS = ("architectures", "master_seed", "output_dir", "paper_literal", "workers")
+# keys read once per run, never per sweep point
+_RUN_WIDE = ("run.architectures", "run.output_dir", "run.workers")
 # fields whose INI form is not named by their annotation
 _TAGS = {
     "architectures": "str_list",
@@ -224,6 +227,8 @@ def _sweep_target(parameter: str) -> tuple:
         raise ConfigError(f"sweep parameter {parameter!r} addresses no config field")
     if section == "sweep":
         raise ConfigError("cannot sweep the sweep section itself")
+    if parameter in _RUN_WIDE:
+        raise ConfigError(f"cannot sweep {parameter}: it holds for the whole run")
     return SCHEMA[section][key]
 
 
@@ -333,14 +338,19 @@ def validate_config(cfg: ScenarioConfig) -> None:
     if cfg.overhead_link_rate_bps <= 0.0:
         raise ConfigError("overhead.link_rate_bps: must be > 0")
     if cfg.sweep_parameter is not None:
-        field, tag = _sweep_target(cfg.sweep_parameter)
+        field, _ = _sweep_target(cfg.sweep_parameter)
         if not cfg.sweep_values:
             raise ConfigError("sweep.values: sweep declared without values")
+        seen = []
         for value in cfg.sweep_values:
             try:
-                validate_config(apply_sweep(cfg, value))
+                point = apply_sweep(cfg, value)
+                validate_config(point)
             except ConfigError as e:
                 raise ConfigError(f"sweep value {value!r}: {e}") from None
+            if getattr(point, field) in seen:
+                raise ConfigError(f"sweep.values: {value!r} repeats an earlier value")
+            seen.append(getattr(point, field))
     elif cfg.sweep_values:
         raise ConfigError("sweep.values: set without sweep.parameter")
 

@@ -9,7 +9,7 @@ import struct
 
 import numpy as np
 
-from .fl_engine import Dataset, RowView
+from .fl_engine import Dataset
 
 IDX_IMAGES_MAGIC = 2051
 IDX_LABELS_MAGIC = 2049
@@ -54,7 +54,7 @@ def synthetic_blobs(
     rng: np.random.Generator,
     spread: float = 0.15,
     centers: np.ndarray = None,
-) -> RowView:
+) -> Dataset:
     """Gaussian blobs around per-class centers, float32 features clipped to [0, 1].
 
     Centers default to uniform draws in [0.25, 0.75] so clipped tails stay
@@ -62,7 +62,7 @@ def synthetic_blobs(
     The draws are float64 and rounded once when stored, so the streams do not
     depend on the feature dtype; 0 and 1 are float32 values, so clipping after
     the rounding equals clipping before it. The samples come in shuffled
-    order, as a RowView over the class-ordered block: the features exist once.
+    order, as rows of the class-ordered block: the features exist once.
     """
     if n_classes < 2:
         raise ValueError(f"need at least 2 classes, got {n_classes}")
@@ -86,7 +86,7 @@ def synthetic_blobs(
         features[c * samples_per_class : (c + 1) * samples_per_class] = draws
     np.clip(features, 0.0, 1.0, out=features)
     order = rng.permutation(labels.size)
-    return Dataset(features, labels, n_classes).subset(order)
+    return Dataset(features, labels, n_classes, order)
 
 
 def synthetic_split(
@@ -99,8 +99,8 @@ def synthetic_split(
 ) -> tuple:
     """(train, test) blob datasets drawn around one shared set of centers.
 
-    train is a RowView; the smaller test set is gathered once into a Dataset,
-    so evaluating on it copies nothing.
+    train keeps its shuffle as rows; the smaller test set is gathered once
+    into a Dataset without rows, so evaluating on it copies nothing.
     """
     centers = rng.uniform(0.25, 0.75, size=(n_classes, n_features))
     train = synthetic_blobs(n_classes, n_features, train_per_class, rng, spread, centers)

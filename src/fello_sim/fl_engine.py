@@ -10,10 +10,11 @@ Training runs in the precision of the features: float32 data gives float32
 models, gradients and payloads, float64 data float64 ones. Random draws are
 float64 and rounded once when stored.
 
-Client shards are RowViews: row indices into the one train set, whose
-features are gathered a minibatch at a time.
+Client shards are Datasets over the one train set's feature matrix: their
+rows pick its samples, whose features are gathered a minibatch at a time.
 """
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -27,16 +28,21 @@ FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 @dataclass
 class Dataset:
-    """Feature matrix with integer class labels.
+    """Samples of a feature matrix with integer class labels.
 
     float32 and float64 features keep their dtype; any other converts to
     float64. Labels must have an integer dtype: float or bool labels are
-    rejected rather than truncated.
+    rejected rather than truncated. rows picks the samples by row index,
+    without copying them: sample i is row rows[i], rows may repeat and need
+    not be sorted, and None means every row in order. Only take() gathers
+    feature rows, so shards of one train set, and pools of such shards,
+    hold the features once.
     """
 
     features: np.ndarray
     labels: np.ndarray
     n_classes: int
+    rows: np.ndarray = None
 
     def __post_init__(self):
         self.features = np.asarray(self.features)
@@ -58,10 +64,12 @@ class Dataset:
             raise ValueError(f"need at least 2 classes, got {self.n_classes}")
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.n_classes):
             raise ValueError("labels out of range for n_classes")
+        if self.rows is not None:
+            self.rows = _row_indices(self.rows, self.labels.shape[0])
 
     @property
     def n_samples(self) -> int:
-        return self.features.shape[0]
+        return self.labels.shape[0] if self.rows is None else self.rows.size
 
     @property
     def n_features(self) -> int:
@@ -73,52 +81,17 @@ class Dataset:
 
     def take(self, positions=slice(None)) -> tuple:
         """(features, labels) of the samples at these positions, in order."""
+        if self.rows is not None:
+            positions = self.rows[positions]
         return self.features[positions], self.labels[positions]
 
-    def subset(self, indices) -> "RowView":
-        """The samples at these positions, as row indices into this dataset."""
-        return RowView(self, indices)
-
-
-class RowView:
-    """Samples of a base Dataset picked by row index, without copying them.
-
-    Sample i is row rows[i] of base; rows may repeat and need not be sorted.
-    Only take() gathers feature rows, so shards of one train set, and pools
-    of such shards, hold the features once.
-    """
-
-    def __init__(self, base: Dataset, rows):
-        self.base = base
-        self.rows = _row_indices(rows, base.n_samples)
-
-    @property
-    def n_samples(self) -> int:
-        return self.rows.size
-
-    @property
-    def n_features(self) -> int:
-        return self.base.n_features
-
-    @property
-    def n_classes(self) -> int:
-        return self.base.n_classes
-
-    @property
-    def dtype(self) -> np.dtype:
-        return self.base.dtype
-
-    def take(self, positions=slice(None)) -> tuple:
-        """(features, labels) of the samples at these positions, gathered."""
-        return self.base.take(self.rows[positions])
-
-    def subset(self, indices) -> "RowView":
-        """The samples at these positions, as rows of the same base."""
-        return RowView(self.base, self.rows[_row_indices(indices, self.n_samples)])
-
-
-# what training, evaluation and partitioning accept
-Samples = Dataset | RowView
+    def subset(self, indices) -> "Dataset":
+        """The samples at these positions, as rows of the same feature matrix."""
+        indices = _row_indices(indices, self.n_samples)
+        # a shallow copy: the matrix and labels are already checked
+        view = copy.copy(self)
+        view.rows = indices if self.rows is None else self.rows[indices]
+        return view
 
 
 def _row_indices(indices, n_samples: int) -> np.ndarray:
@@ -214,7 +187,7 @@ class ClientState:
     parameters, the fallback content for lost packets on the uplink.
     """
 
-    shard: Samples
+    shard: Dataset
     local_model: ModelParams = None
     last_upload: ModelParams = None
 
@@ -267,12 +240,12 @@ def _gradients(model: ModelParams, x: np.ndarray, y: np.ndarray, grad: ModelPara
 
 
 def sgd_epoch(
-    model: ModelParams, data: Samples, cfg: TrainConfig, rng: np.random.Generator
+    model: ModelParams, data: Dataset, cfg: TrainConfig, rng: np.random.Generator
 ) -> ModelParams:
-    """One pass over a Dataset or RowView in shuffled minibatches; returns a new model.
+    """One pass over the data in shuffled minibatches; returns a new model.
 
-    Each minibatch is gathered from the data's own rows, so a RowView trains
-    bit for bit like a Dataset of the same samples.
+    Each minibatch is gathered through the data's rows, so a Dataset with
+    rows trains bit for bit like one holding the same samples in order.
     """
     order = rng.permutation(data.n_samples)
     current = model.copy()
@@ -327,8 +300,8 @@ def aggregate(models: list, total_samples: int = None) -> ModelParams:
     return ModelParams(acc.astype(dtype, copy=False), arch)
 
 
-def evaluate(model: ModelParams, test: Samples) -> tuple:
-    """(top-1 accuracy, mean cross-entropy) on a Dataset or RowView.
+def evaluate(model: ModelParams, test: Dataset) -> tuple:
+    """(top-1 accuracy, mean cross-entropy) on a Dataset.
 
     Argmax ties resolve to the lowest class index.
     """
@@ -343,9 +316,9 @@ def evaluate(model: ModelParams, test: Samples) -> tuple:
 
 
 def partition_data(
-    full: Samples, clients: list, samples_per_client: int, rng: np.random.Generator
+    full: Dataset, clients: list, samples_per_client: int, rng: np.random.Generator
 ) -> dict:
-    """Draw one RowView shard per client, sequentially in the given client order.
+    """Draw one shard per client, sequentially in the given client order.
 
     Each shard samples without replacement; different clients may overlap.
     A shard holds row indices into full's features, never a copy of them.

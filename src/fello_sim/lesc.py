@@ -23,8 +23,8 @@ from . import overhead
 from .fl_engine import (
     ClientState,
     CorruptionSpec,
+    Dataset,
     ModelParams,
-    Samples,
     TrainConfig,
     aggregate,
     corrupt_model,
@@ -352,7 +352,7 @@ def parallel_map(fn, items, workers: int) -> list:
 
 
 def initial_model(
-    train_set: Samples, train_cfg: TrainConfig, streams: Substreams
+    train_set: Dataset, train_cfg: TrainConfig, streams: Substreams
 ) -> ModelParams:
     """The run's starting model, drawn from its "init" substream.
 
@@ -368,7 +368,7 @@ def member_rounds(
     schedule: list,
     clients: dict,
     admit,
-    train_set: Samples,
+    train_set: Dataset,
     samples_per_client: int,
     streams: Substreams,
 ):
@@ -420,12 +420,11 @@ def run_fello(
     gsl: OpticalParams,
     train_cfg: TrainConfig,
     corruption: CorruptionSpec,
-    train_set: Samples,
-    test_set: Samples,
+    train_set: Dataset,
+    test_set: Dataset,
     samples_per_client: int,
     streams: Substreams,
     fixed_total: int = None,
-    workers: int = 1,
 ) -> list:
     """Full federated run; one RoundLog per round.
 
@@ -441,37 +440,27 @@ def run_fello(
     for rec in member_rounds(schedule, clients, admit, train_set, samples_per_client, streams):
         snrs = []
         if not rec.coverage_failed:
-            link_by_sat = {sat: rec.links.sample(sat) for sat in rec.members}
-
-            def client_round(sat):
-                # pure function of keyed substreams: safe to run on any worker
+            uploads = []
+            for sat in rec.members:
                 record = clients[sat]
-                link = link_by_sat[sat]
+                link = rec.links.sample(sat)
                 down_rng = streams.derive("down", rec.round_index, sat.plane, sat.slot)
                 received = corrupt_model(
                     global_model, link, corruption, down_rng, prev=record.local_model
                 )
                 train_rng = streams.derive("train", rec.round_index, sat.plane, sat.slot)
-                trained = train_local(record, received, train_cfg, train_rng)
+                record.local_model = train_local(record, received, train_cfg, train_rng)
                 up_rng = streams.derive("up", rec.round_index, sat.plane, sat.slot)
-                uploaded = corrupt_model(
-                    trained, link, corruption, up_rng, prev=record.last_upload
+                record.last_upload = corrupt_model(
+                    record.local_model, link, corruption, up_rng, prev=record.last_upload
                 )
-                return trained, uploaded
-
-            results = parallel_map(client_round, list(rec.members), workers)
-            uploads = []
-            for sat, (trained, uploaded) in zip(rec.members, results):
-                record = clients[sat]
-                record.local_model = trained
-                record.last_upload = uploaded
-                uploads.append((uploaded, record.shard.n_samples))
+                uploads.append((record.last_upload, record.shard.n_samples))
+                snrs.append(link.snr_db)
             if uploads:
                 global_model = aggregate(uploads, total_samples=fixed_total)
             else:
                 logger.warning("round %d: no participants, skipping aggregation",
                                rec.round_index)
-            snrs = [link_by_sat[sat].snr_db for sat in rec.members]
         accuracy, loss = evaluate(global_model, test_set)
         logs.append(round_log(rec, accuracy, loss, mean_or_nan(snrs), delay))
     return logs

@@ -1,6 +1,6 @@
 import math
 import re
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -201,6 +201,53 @@ def test_sweep_parsing_and_validation(tmp_path):
         ))
     with pytest.raises(ConfigError, match="sweep the sweep"):
         load_config(write(tmp_path, "[sweep]\nparameter = sweep.values\nvalues = 1\n"))
+
+
+@pytest.mark.parametrize("key", ["architectures", "output_dir", "workers"])
+def test_sweep_rejects_run_wide_keys(tmp_path, key):
+    # run_scenario reads these once for the whole run, so a sweep of them
+    # would change nothing but the sweep_value column
+    with pytest.raises(ConfigError, match=f"cannot sweep run.{key}"):
+        load_config(write(tmp_path, f"[sweep]\nparameter = run.{key}\nvalues = dl, 2\n"))
+    with pytest.raises(ConfigError, match=f"cannot sweep run.{key}"):
+        validate_config(replace(ScenarioConfig(), sweep_parameter=f"run.{key}",
+                                sweep_values=("2",)))
+
+
+def test_sweep_of_per_point_run_keys(tmp_path):
+    cfg = load_config(write(tmp_path, "[sweep]\nparameter = run.master_seed\nvalues = 1, 2\n"))
+    assert apply_sweep(cfg, 2).master_seed == 2
+    cfg = load_config(write(
+        tmp_path, "[sweep]\nparameter = run.paper_literal\nvalues = false, true\n"
+    ))
+    assert apply_sweep(cfg, True).paper_literal is True
+
+
+def test_sweep_rejects_repeated_values(tmp_path):
+    # 2600 and 2600.0 are one point; run twice they would share their
+    # metrics.csv rows' keys but not their streams
+    with pytest.raises(ConfigError, match="2600.0 repeats an earlier value"):
+        load_config(write(
+            tmp_path, "[sweep]\nparameter = lesc.delta_d_km\nvalues = 2600, 1800, 2600.0\n"
+        ))
+    with pytest.raises(ConfigError, match="repeats an earlier value"):
+        load_config(write(
+            tmp_path, "[sweep]\nparameter = run.paper_literal\nvalues = true, yes\n"
+        ))
+    with pytest.raises(ConfigError, match="'4' repeats an earlier value"):
+        validate_config(replace(ScenarioConfig(), sweep_parameter="train.local_epochs",
+                                sweep_values=(4, "4")))
+
+
+@pytest.mark.parametrize(
+    "builder", ["walker", "isl_optics", "gsl_optics", "lesc", "train", "corruption"]
+)
+def test_domain_defaults_equal_scenario_defaults(builder):
+    # ScenarioConfig and the domain dataclasses each declare a default per key
+    built = getattr(ScenarioConfig(), builder)()
+    for f in fields(built):
+        if f.default is not MISSING:
+            assert getattr(built, f.name) == f.default, f"{builder}: {f.name}"
 
 
 def test_sweep_of_int_field_parses_ints(tmp_path):

@@ -48,6 +48,8 @@ def test_dataset_validation():
         Dataset(np.zeros((3, 2)), np.array([0, 1, 2]), 2)
     with pytest.raises(ValueError):
         Dataset(np.zeros((3, 2)), np.zeros(3, dtype=int), 1)
+    with pytest.raises(ValueError, match="out of range"):
+        Dataset(np.zeros((3, 2)), np.zeros(3, dtype=int), 2, rows=[0, 3])
     # labels of a float or bool dtype are rejected, not truncated
     with pytest.raises(ValueError, match="float64"):
         Dataset(np.zeros((3, 2)), [0.9, 1.7, 2.2], 3)
@@ -70,9 +72,10 @@ def test_dataset_subset():
     assert np.array_equal(features[1], data.features[3])
     assert np.array_equal(labels, data.labels[[1, 3, 5]])
     assert sub.n_features == data.n_features
-    # a subset of a subset indexes the same base
+    # a subset of a subset picks rows of the same feature matrix
     inner = sub.subset([2, 0])
-    assert inner.base is data
+    assert inner.features is data.features
+    assert np.array_equal(inner.rows, [5, 1])
     assert np.array_equal(inner.take()[0], data.features[[5, 1]])
     for bad in ([3], [-1], [[0, 1]], [0.0, 1.0]):
         with pytest.raises(ValueError):
@@ -432,7 +435,8 @@ def test_partition_data():
     for shard in shards.values():
         assert shard.n_samples == 20
         assert shard.n_classes == full.n_classes
-        assert np.shares_memory(shard.base.features, full.features)  # indices, not a copy
+        assert shard.features is full.features  # indices, not a copy
+        assert shard.rows.size == 20
     again = partition_data(full, clients, 20, np.random.default_rng(41))
     for c in clients:
         for got, want in zip(shards[c].take(), again[c].take()):

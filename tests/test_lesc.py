@@ -682,19 +682,6 @@ def test_run_fello_fixed_total_denominator(table1_optics):
     assert logs[0].global_loss == loss
 
 
-def test_run_fello_worker_count_invariance(table1_optics):
-    walker = static_walker(1, 5)
-    train, test, tc, streams = tiny_train_setup(seed=41)
-    cfg = LescConfig(delta_d_km=13000.0, rounds=2, round_time_s=30.0,
-                     gsl_snr_threshold=0.0, snr_units="linear")
-    spec = CorruptionSpec(kind="awgn", awgn_scale=5.0)
-    serial = run_fello(cfg, walker, table1_optics, table1_optics, tc, spec,
-                       train, test, 30, Substreams(41), workers=1)
-    threaded = run_fello(cfg, walker, table1_optics, table1_optics, tc, spec,
-                         train, test, 30, Substreams(41), workers=4)
-    assert serial == threaded
-
-
 def test_run_fello_corruption_is_seeded(table1_optics):
     walker = static_walker(1, 3)
     train, test, tc, _ = tiny_train_setup(seed=51)

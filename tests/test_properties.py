@@ -273,7 +273,7 @@ sweeps = st.one_of(
     st.just((None, ())),
     st.tuples(
         st.just("lesc.delta_d_km"),
-        st.lists(positive(1e5), min_size=1, max_size=3).map(tuple),
+        st.lists(positive(1e5), min_size=1, max_size=3, unique=True).map(tuple),
     ),
 )
 
