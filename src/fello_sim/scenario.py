@@ -47,18 +47,13 @@ def build_datasets(cfg: ScenarioConfig) -> tuple:
     )
 
 
-def run_one(
-    cfg: ScenarioConfig,
-    arch: str,
-    sweep_index: int,
-    train_set=None,
-    test_set=None,
-) -> list:
+def run_one(cfg: ScenarioConfig, arch: str, train_set=None, test_set=None) -> list:
     """One architecture at one sweep point; cfg must already be resolved."""
     if train_set is None or test_set is None:
         train_set, test_set = build_datasets(cfg)
-    # One stream set for every arm; keyed "fello" so FELLO's rows keep their bytes.
-    streams = Substreams(derive_seed(cfg.master_seed, "fello", sweep_index))
+    # One stream set for every arm and sweep point: a point's numbers depend on
+    # its resolved config alone, and a single run keeps the bytes of this key.
+    streams = Substreams(derive_seed(cfg.master_seed, "fello", 0))
     kwargs = dict(
         cfg=cfg.lesc(),
         walker=cfg.walker(),
@@ -159,8 +154,8 @@ def _share_datasets(datasets):
     _worker_datasets = datasets
 
 
-def _pool_task(cfg: ScenarioConfig, arch: str, index: int) -> list:
-    return run_one(cfg, arch, index, *(_worker_datasets or ()))
+def _pool_task(cfg: ScenarioConfig, arch: str) -> list:
+    return run_one(cfg, arch, *(_worker_datasets or ()))
 
 
 def _run_pooled(cfg: ScenarioConfig, resolved: list, arms: list, results: dict, failures: list):
@@ -186,7 +181,7 @@ def _run_pooled(cfg: ScenarioConfig, resolved: list, arms: list, results: dict, 
         initargs=(datasets,),
     ) as pool:
         futures = {
-            (arch, index): pool.submit(_pool_task, resolved[index], arch, index)
+            (arch, index): pool.submit(_pool_task, resolved[index], arch)
             for arch, index in arms
         }
         for arm, future in futures.items():
@@ -225,7 +220,7 @@ def run_scenario(cfg: ScenarioConfig) -> int:
                 continue
             for arch in cfg.architectures:
                 try:
-                    results[(arch, index)] = run_one(cfg_point, arch, index, train_set, test_set)
+                    results[(arch, index)] = run_one(cfg_point, arch, train_set, test_set)
                 except Exception:
                     failures.append((arch, index, traceback.format_exc()))
     with open(os.path.join(cfg.output_dir, "metrics.csv"), "w", newline="") as f:

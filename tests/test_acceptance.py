@@ -171,10 +171,10 @@ def test_criterion_5_fello_beats_baselines():
         cfg = _ordering_cfg(seed, 1.0)
         assert cfg.lesc_rounds == 40 and cfg.train_local_epochs == 2
         train_set, test_set = build_datasets(cfg)
-        finals["fello"].append(run_one(cfg, "fello", 0, train_set, test_set)[-1].accuracy)
+        finals["fello"].append(run_one(cfg, "fello", train_set, test_set)[-1].accuracy)
         norc = replace(cfg, lesc_recluster_period=math.inf)
-        finals["fello_norc"].append(run_one(norc, "fello", 0, train_set, test_set)[-1].accuracy)
-        finals["dl"].append(run_one(cfg, "dl", 0, train_set, test_set)[-1].accuracy)
+        finals["fello_norc"].append(run_one(norc, "fello", train_set, test_set)[-1].accuracy)
+        finals["dl"].append(run_one(cfg, "dl", train_set, test_set)[-1].accuracy)
     mean = {k: float(np.mean(v)) for k, v in finals.items()}
     assert mean["fello"] - mean["dl"] >= 0.05
     assert mean["fello"] >= mean["fello_norc"]
@@ -245,7 +245,7 @@ def test_idle_rounds_add_no_delay():
         idle = [rec.coverage_failed or not rec.members for rec in recs]
         assert any(idle)
         for arch in ("fello", "cl", "dl"):
-            logs = run_one(cfg, arch, 0)
+            logs = run_one(cfg, arch)
             assert [log.round_delay_s == 0.0 for log in logs] == idle, arch
 
 

@@ -94,7 +94,7 @@ def test_architectures_share_the_snr_membership():
     train_set, test_set = build_datasets(cfg)
     membership = {
         arch: [(log.edge, log.cluster_size, log.reclustered, log.handover)
-               for log in run_one(cfg, arch, 0, train_set, test_set)]
+               for log in run_one(cfg, arch, train_set, test_set)]
         for arch in MODES
     }
     assert membership["fello"] == membership["cl"] == membership["dl"]
