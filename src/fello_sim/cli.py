@@ -27,19 +27,26 @@ def _sat_index(text: str) -> SatIndex:
         ) from None
 
 
-def _add_common(sub: argparse.ArgumentParser):
-    sub.add_argument("config", help="scenario config file")
-    sub.add_argument("--seed", type=int, default=None, help="override master seed")
-    sub.add_argument("--out", default=None, help="override output directory")
-    sub.add_argument(
-        "--paper-literal", action="store_true",
+# Each override's flag and its options; dest is the config field it sets.
+_OVERRIDES = {
+    "--seed": dict(dest="master_seed", type=int, help="override master seed"),
+    "--out": dict(dest="output_dir", help="override output directory"),
+    "--paper-literal": dict(
+        dest="paper_literal", action="store_true", default=None,
         help="verbatim-equation fidelity bundle (rotation sign, phasing, "
              "fixed-denominator aggregation); requires snr_mode = paper on both links",
-    )
-    sub.add_argument(
-        "--workers", type=int, default=None,
-        help="forked processes (Linux), at most one per (architecture, sweep point) arm",
-    )
+    ),
+    "--workers": dict(dest="workers", type=int, help="forked processes (Linux), at most one "
+                      "per (architecture, sweep point) arm"),
+}
+
+
+def _add_subcommand(sub, name: str, help: str, overrides) -> argparse.ArgumentParser:
+    parser = sub.add_parser(name, help=help)
+    parser.add_argument("config", help="scenario config file")
+    for flag in overrides:
+        parser.add_argument(flag, **_OVERRIDES[flag])
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -48,32 +55,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Federated learning simulator for optical LEO constellations",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    run = sub.add_parser("run", help="execute the scenario and write metrics")
-    _add_common(run)
-    over = sub.add_parser("overhead", help="write the overhead report only")
-    _add_common(over)
-    link = sub.add_parser("linkbudget", help="evaluate one inter-satellite link")
-    _add_common(link)
+    _add_subcommand(sub, "run", "execute the scenario and write metrics", _OVERRIDES)
+    _add_subcommand(sub, "overhead", "write the overhead report only", ["--out"])
+    link = _add_subcommand(sub, "linkbudget", "evaluate one inter-satellite link",
+                           ["--seed", "--paper-literal"])
     link.add_argument("--from", dest="sat_from", type=_sat_index, required=True,
                       metavar="L,K", help="transmitting satellite plane,slot")
     link.add_argument("--to", dest="sat_to", type=_sat_index, required=True,
                       metavar="L,K", help="receiving satellite plane,slot")
     link.add_argument("--time", type=float, default=0.0, help="simulated seconds")
-    val = sub.add_parser("validate", help="check a config file")
-    _add_common(val)
+    _add_subcommand(sub, "validate", "check a config file", _OVERRIDES)
     return parser
 
 
 def _load(args) -> "ScenarioConfig":
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg = replace(cfg, master_seed=args.seed)
-    if args.out is not None:
-        cfg = replace(cfg, output_dir=args.out)
-    if args.paper_literal:
-        cfg = replace(cfg, paper_literal=True)
-    if args.workers is not None:
-        cfg = replace(cfg, workers=args.workers)
+    fields = (spec["dest"] for spec in _OVERRIDES.values())
+    overrides = {f: getattr(args, f) for f in fields if getattr(args, f, None) is not None}
+    cfg = replace(load_config(args.config), **overrides)
     validate_config(cfg)
     return cfg
 

@@ -294,13 +294,14 @@ def membership_schedule(
     so. A round without coverage keeps the previous edge and members.
 
     Membership depends only on geometry and link draws keyed from streams.
-    run_one gives every architecture the same streams, so every architecture
-    runs on the same schedule, shards and initial model. Each round computes
-    the shell's positions and the ground station's view of them once. The
-    view feeds both the GSL check and edge selection; the positions also
-    feed the round's links. The GSL budget is the optical model at zero
-    pointing error, so it is deterministic, and it reads 0 while the edge
-    is below the elevation mask.
+    run_one keys the streams by a point's config alone, so every architecture
+    at a point, like a single run at the same values, runs on the same
+    schedule, shards and initial model. Each round computes the shell's
+    positions and the ground station's view of them once. The view feeds
+    both the GSL check and edge selection; the positions also feed the
+    round's links. The GSL budget is the optical model at zero pointing
+    error, so it is deterministic, and it reads 0 while the edge is below
+    the elevation mask.
     """
     dt = round_interval(cfg, local_epochs)
     gs = ground_station_position(cfg.gs_lat, cfg.gs_lon, walker.earth_radius_km)

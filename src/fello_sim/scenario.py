@@ -1,14 +1,18 @@
 """Scenario execution: runs, sweeps, metrics and report emission.
 
-All architectures at a sweep point share one set of streams (common random
-numbers): the same schedule, link draws, shards and initial model. The
-dataset depends on the master seed alone. Outputs land in the config's
-output directory: metrics.csv, overhead.txt/overhead.csv, and manifest.cfg,
-plus a FAILED marker when any arm raised. A failed arm does not stop the
-others: metrics.csv keeps every completed arm's rows, and FAILED holds one
-traceback per failed arm, headed by the arm's name.
+Every arm draws from one set of streams keyed by the master seed (common
+random numbers), so a point's schedule, link draws, shards and initial
+model depend on its resolved config alone: the architectures at a point
+share them, and a sweep point writes the rows of a single run at its value,
+wherever the value stands in sweep.values. The dataset depends on the
+master seed alone. Outputs land in the config's output directory:
+metrics.csv, overhead.txt/overhead.csv, and manifest.cfg, plus a FAILED
+marker when any arm raised, which replaces an earlier run's. A failed arm
+does not stop the others: metrics.csv keeps every completed arm's rows,
+and FAILED holds one traceback per failed arm, headed by the arm's name.
 """
 
+import contextlib
 import csv
 import io
 import math
@@ -88,18 +92,18 @@ def _sweep_cell(value) -> str:
     return repr(float(value)) if isinstance(value, float) else str(value)
 
 
-def render_metrics(cfg: ScenarioConfig, points: list, results: dict) -> str:
-    """The metrics CSV: one row per (architecture, sweep point, round)."""
+def render_metrics(cfg: ScenarioConfig, points, results: dict) -> str:
+    """The metrics CSV: one row per (architecture, sweep value, round), in points' order."""
     buf = io.StringIO()
     buf.write(METRICS_VERSION + "\n")
     writer = csv.writer(buf)
     writer.writerow(METRICS_COLUMNS)
     for arch in cfg.architectures:
-        for index, value in enumerate(points):
-            if (arch, index) not in results:
+        for value in points:
+            if (arch, value) not in results:
                 continue
             cumulative = 0.0
-            for log in results[(arch, index)]:
+            for log in results[(arch, value)]:
                 cumulative += log.round_delay_s
                 writer.writerow(
                     [
@@ -158,7 +162,7 @@ def _pool_task(cfg: ScenarioConfig, arch: str) -> list:
     return run_one(cfg, arch, *(_worker_datasets or ()))
 
 
-def _run_pooled(cfg: ScenarioConfig, resolved: list, arms: list, results: dict, failures: list):
+def _run_pooled(cfg: ScenarioConfig, points: dict, arms: list, results: dict, failures: list):
     """Run each (architecture, sweep point) arm as one task on forked processes.
 
     A single point builds its datasets once, here; forked workers inherit
@@ -167,12 +171,12 @@ def _run_pooled(cfg: ScenarioConfig, resolved: list, arms: list, results: dict, 
     arms, because a forked pool starts all of them at the first submit.
     """
     datasets = None
-    if len(resolved) == 1:
+    if len(points) == 1:
         try:
-            datasets = build_datasets(resolved[0])
+            datasets = build_datasets(*points.values())
         except Exception:
             failed = traceback.format_exc()
-            failures.extend((arch, index, failed) for arch, index in arms)
+            failures.extend((*arm, failed) for arm in arms)
             return
     with ProcessPoolExecutor(
         max_workers=min(cfg.workers, len(arms)),
@@ -181,8 +185,8 @@ def _run_pooled(cfg: ScenarioConfig, resolved: list, arms: list, results: dict, 
         initargs=(datasets,),
     ) as pool:
         futures = {
-            (arch, index): pool.submit(_pool_task, resolved[index], arch)
-            for arch, index in arms
+            (arch, value): pool.submit(_pool_task, points[value], arch)
+            for arch, value in arms
         }
         for arm, future in futures.items():
             try:
@@ -197,38 +201,38 @@ def run_scenario(cfg: ScenarioConfig) -> int:
     Returns 0, or 2 when any arm raised; the other arms still run.
     """
     os.makedirs(cfg.output_dir, exist_ok=True)
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(os.path.join(cfg.output_dir, "FAILED"))
     with open(os.path.join(cfg.output_dir, "manifest.cfg"), "w") as f:
         f.write(serialize_config(cfg))
+    # Sweep value -> resolved config; validate_config rejects repeated values.
+    points = {None: cfg}
     if cfg.sweep_parameter is not None:
-        points = list(cfg.sweep_values)
-        resolved = [apply_sweep(cfg, value) for value in points]
-    else:
-        points = [None]
-        resolved = [cfg]
+        points = {value: apply_sweep(cfg, value) for value in cfg.sweep_values}
     results = {}
     failures = []
-    arms = [(arch, index) for arch in cfg.architectures for index in range(len(points))]
+    arms = [(arch, value) for arch in cfg.architectures for value in points]
     if cfg.workers > 1 and len(arms) > 1:
-        _run_pooled(cfg, resolved, arms, results, failures)
+        _run_pooled(cfg, points, arms, results, failures)
     else:
-        for index, cfg_point in enumerate(resolved):
+        for value, cfg_point in points.items():
             try:
                 train_set, test_set = build_datasets(cfg_point)
             except Exception:
                 failed = traceback.format_exc()
-                failures.extend((arch, index, failed) for arch in cfg.architectures)
+                failures.extend((arch, value, failed) for arch in cfg.architectures)
                 continue
             for arch in cfg.architectures:
                 try:
-                    results[(arch, index)] = run_one(cfg_point, arch, train_set, test_set)
+                    results[(arch, value)] = run_one(cfg_point, arch, train_set, test_set)
                 except Exception:
-                    failures.append((arch, index, traceback.format_exc()))
+                    failures.append((arch, value, traceback.format_exc()))
     with open(os.path.join(cfg.output_dir, "metrics.csv"), "w", newline="") as f:
         f.write(render_metrics(cfg, points, results))
     if failures:
         with open(os.path.join(cfg.output_dir, "FAILED"), "w") as f:
-            for arch, index, failed in failures:
-                f.write(f"arm {_arm_name(cfg, arch, points[index])} failed:\n{failed}\n")
+            for arch, value, failed in failures:
+                f.write(f"arm {_arm_name(cfg, arch, value)} failed:\n{failed}\n")
         return 2
     emit_overhead_report(cfg)
     return 0

@@ -144,6 +144,25 @@ def test_overhead_subcommand(tmp_path):
     assert not os.path.exists(os.path.join(out, "metrics.csv"))
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("overhead", "--seed=1"), ("overhead", "--paper-literal"), ("overhead", "--workers=2"),
+    ("linkbudget", "--out=x"), ("linkbudget", "--workers=2"),
+])
+def test_subcommands_reject_overrides_they_do_not_read(tmp_path, capsys, command, flag):
+    path = write(tmp_path, TINY_SCENARIO)
+    link = ["--from", "1,1", "--to", "1,2"] if command == "linkbudget" else []
+    with pytest.raises(SystemExit) as exit_:
+        main([command, path, *link, flag])
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_validate_takes_every_override(tmp_path):
+    path = write(tmp_path, TINY_SCENARIO)
+    args = ["--seed", "3", "--out", str(tmp_path / "o"), "--paper-literal", "--workers", "2"]
+    assert main(["validate", path, *args]) == 0
+
+
 def test_linkbudget_output_and_determinism(tmp_path, capsys):
     path = write(tmp_path, TINY_SCENARIO)
     args = ["linkbudget", path, "--from", "1,1", "--to", "1,2"]
@@ -313,6 +332,20 @@ def test_single_point_pool_builds_datasets_once_in_the_parent(tmp_path, monkeypa
     assert [pid for event, pid in events if event == "build"] == [parent]
     children = [pid for event, pid in events if event == "run_one"]
     assert len(children) == 3 and parent not in children
+
+
+def test_a_clean_rerun_removes_the_failed_marker(tmp_path, monkeypatch):
+    def broken(**kwargs):
+        raise RuntimeError("cl diverged")
+
+    monkeypatch.setattr(baselines, "run_cl", broken)
+    path = write(tmp_path, TINY_SCENARIO)
+    out = str(tmp_path / "out")
+    assert main(["run", path, "--out", out]) == 2
+    assert os.path.exists(os.path.join(out, "FAILED"))
+    monkeypatch.undo()
+    assert main(["run", path, "--out", out]) == 0
+    assert not os.path.exists(os.path.join(out, "FAILED"))
 
 
 def test_a_failed_arm_on_the_pool_spares_the_others(tmp_path, monkeypatch):

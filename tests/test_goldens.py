@@ -7,6 +7,11 @@ DL round loops: handovers, re-clusterings, coverage gaps before and after
 the first cluster forms, AWGN and packet corruption, distance and SNR
 thresholds, the fixed aggregation denominator and a process-pool sweep.
 
+The same files anchor relations between runs (common random numbers):
+an architecture run alone writes its golden rows, reordering the
+architectures or reversing the sweep values only reorders row blocks, and
+every sweep point writes the rows of a single run at its value.
+
 A change that alters numbers on purpose regenerates the files with
 `PYTHONPATH=src python tests/test_goldens.py` and says why in CHANGES.md.
 """
@@ -20,7 +25,7 @@ from dataclasses import replace
 
 import pytest
 
-from fello_sim.config import ScenarioConfig, serialize_config
+from fello_sim.config import ScenarioConfig, apply_sweep, serialize_config
 from fello_sim.overhead import MODES
 from fello_sim.scenario import build_datasets, run_one, run_scenario
 
@@ -64,11 +69,27 @@ SCENARIOS = {
 }
 
 
-def run_metrics(name: str, output_dir: str) -> bytes:
-    cfg = replace(BASE, output_dir=output_dir, **SCENARIOS[name])
+def scenario_config(name: str, output_dir: str, **overrides) -> ScenarioConfig:
+    return replace(BASE, output_dir=output_dir, **{**SCENARIOS[name], **overrides})
+
+
+def run_metrics(cfg: ScenarioConfig) -> bytes:
     assert run_scenario(cfg) == 0
-    with open(os.path.join(output_dir, "metrics.csv"), "rb") as f:
+    with open(os.path.join(cfg.output_dir, "metrics.csv"), "rb") as f:
         return f.read()
+
+
+def row_blocks(metrics: bytes) -> list:
+    """((architecture, sweep value), rows) in file order; a row keeps its other cells."""
+    blocks = {}
+    for line in metrics.decode().splitlines()[2:]:
+        arch, value, rest = line.split(",", 2)
+        blocks.setdefault((arch, value), []).append(rest)
+    return list(blocks.items())
+
+
+def blocks_of(blocks: list, arch: str) -> list:
+    return [block for block in blocks if block[0][0] == arch]
 
 
 def manifest() -> bytes:
@@ -82,7 +103,45 @@ def read_golden(filename: str) -> bytes:
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_metrics_match_golden(name, tmp_path):
-    assert run_metrics(name, str(tmp_path)) == read_golden(f"{name}.csv")
+    assert run_metrics(scenario_config(name, str(tmp_path))) == read_golden(f"{name}.csv")
+
+
+# One arm at a single point runs serially at any worker count, so only
+# sweep_pool's two points reach the process pool at workers 2.
+@pytest.mark.parametrize("name, arch, workers", [
+    (name, arch, workers) for name in sorted(SCENARIOS) for arch in MODES
+    for workers in ((1, 2) if name == "sweep_pool" else (1,))
+])
+def test_an_architecture_run_alone_writes_its_golden_rows(name, arch, workers, tmp_path):
+    cfg = scenario_config(name, str(tmp_path), architectures=(arch,), workers=workers)
+    golden = row_blocks(read_golden(f"{name}.csv"))
+    assert row_blocks(run_metrics(cfg)) == blocks_of(golden, arch)
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_reordering_architectures_reorders_row_blocks(name, tmp_path):
+    order = MODES[::-1]
+    cfg = scenario_config(name, str(tmp_path), architectures=order)
+    golden = row_blocks(read_golden(f"{name}.csv"))
+    assert row_blocks(run_metrics(cfg)) == [b for arch in order for b in blocks_of(golden, arch)]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_every_sweep_point_equals_a_single_run_at_its_value(workers, tmp_path):
+    cfg = scenario_config("sweep_pool", str(tmp_path), workers=workers)
+    golden = dict(row_blocks(read_golden("sweep_pool.csv")))
+    for value in cfg.sweep_values:
+        single = apply_sweep(replace(cfg, output_dir=str(tmp_path / repr(value))), value)
+        expected = [((arch, ""), golden[(arch, repr(value))]) for arch in MODES]
+        assert row_blocks(run_metrics(single)) == expected
+
+
+def test_reversing_sweep_values_reverses_row_blocks(tmp_path):
+    cfg = scenario_config("sweep_pool", str(tmp_path))
+    cfg = replace(cfg, sweep_values=cfg.sweep_values[::-1])
+    golden = row_blocks(read_golden("sweep_pool.csv"))
+    expected = [b for arch in MODES for b in blocks_of(golden, arch)[::-1]]
+    assert row_blocks(run_metrics(cfg)) == expected
 
 
 def test_default_manifest_matches_golden():
@@ -121,7 +180,7 @@ if __name__ == "__main__":
     outputs = {"manifest.cfg": manifest()}
     for scenario in SCENARIOS:
         with tempfile.TemporaryDirectory() as tmp:
-            outputs[f"{scenario}.csv"] = run_metrics(scenario, tmp)
+            outputs[f"{scenario}.csv"] = run_metrics(scenario_config(scenario, tmp))
     for filename, data in outputs.items():
         with open(os.path.join(GOLDENS, filename), "wb") as f:
             f.write(data)
