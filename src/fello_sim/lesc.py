@@ -1,4 +1,4 @@
-"""LEO edge selection and clustering, and the federated round loop.
+"""LEO edge selection and clustering, and the round driver of every architecture.
 
 Each round: the ground station checks the edge's GSL quality and hands the
 role over to the nearest visible satellite when it drops below threshold;
@@ -365,53 +365,55 @@ def initial_model(
     )
 
 
-def member_rounds(
+def run_rounds(
+    arch: str,
     schedule: list,
-    clients: dict,
+    models: list,
     admit,
+    step,
     train_set: Dataset,
+    test_set: Dataset,
     samples_per_client: int,
     streams: Substreams,
-):
-    """Yield each scheduled round once clients holds exactly its members.
+    local_epochs: int,
+) -> list:
+    """Run one architecture over the schedule; one RoundLog per round.
 
-    Before yielding a covered round, members that left are evicted from
-    clients, and each admitted member gets clients[sat] = admit(sat, shard,
-    round_index), with shards drawn in admission order from the round's
-    "shard" substream. Rounds without coverage pass through untouched.
+    Each round evicts members that left and admits new ones as
+    clients[sat] = admit(sat, shard, round_index), with shards drawn in
+    admission order from the round's "shard" substream. A covered round then
+    calls step(rec, clients, models) for the models to score and the dB SNRs
+    of the links it sent over; a coverage gap scores the last models (at
+    first, models) again. The log holds the mean accuracy, loss and SNR (NaN
+    over none) and arch's round delay, without the send component when no
+    link was used, or 0 when nobody trains or sends (a gap or empty cluster).
     """
+    clients = {}
+    logs = []
     for rec in schedule:
+        for sat in set(clients).difference(rec.members):
+            del clients[sat]
+        if rec.admitted:
+            shard_rng = streams.derive("shard", rec.round_index)
+            shards = partition_data(
+                train_set, list(rec.admitted), samples_per_client, shard_rng
+            )
+            for sat in rec.admitted:
+                clients[sat] = admit(sat, shards[sat], rec.round_index)
+        snrs = []
         if not rec.coverage_failed:
-            for sat in set(clients).difference(rec.members):
-                del clients[sat]
-            if rec.admitted:
-                shard_rng = streams.derive("shard", rec.round_index)
-                shards = partition_data(
-                    train_set, list(rec.admitted), samples_per_client, shard_rng
-                )
-                for sat in rec.admitted:
-                    clients[sat] = admit(sat, shards[sat], rec.round_index)
-        yield rec
-
-
-def mean_or_nan(values: list) -> float:
-    """Mean of the values, or NaN when there are none."""
-    return float(np.mean(values)) if values else math.nan
-
-
-def round_log(
-    rec: MembershipRound, accuracy: float, loss: float, mean_snr_db: float, delay_s: float
-) -> RoundLog:
-    """The RoundLog of one scheduled round with its training outcome.
-
-    delay_s is the round's modelled delay. A round in which nobody trains
-    or sends (a coverage gap or an empty cluster) logs 0 instead.
-    """
-    idle = rec.coverage_failed or not rec.members
-    return RoundLog(
-        rec.round_index, rec.edge, len(rec.members), rec.reclustered, rec.handover,
-        accuracy, loss, mean_snr_db, 0.0 if idle else delay_s,
-    )
+            models, snrs = step(rec, clients, models)
+        scores = [evaluate(model, test_set) for model in models]
+        accuracy = loss = math.nan
+        if scores:
+            accuracy, loss = (float(np.mean(column)) for column in zip(*scores))
+        idle = rec.coverage_failed or not rec.members
+        delay = 0.0 if idle else overhead.round_delay(arch, local_epochs, sent=bool(snrs))
+        logs.append(RoundLog(
+            rec.round_index, rec.edge, len(rec.members), rec.reclustered, rec.handover,
+            accuracy, loss, float(np.mean(snrs)) if snrs else math.nan, delay,
+        ))
+    return logs
 
 
 def run_fello(
@@ -433,35 +435,33 @@ def run_fello(
     instead of renormalizing over the round's participants.
     """
     schedule = membership_schedule(cfg, walker, isl, gsl, streams, train_cfg.local_epochs)
-    delay = overhead.round_delay("fello", train_cfg.local_epochs)
-    global_model = initial_model(train_set, train_cfg, streams)
-    clients = {}
-    admit = lambda sat, shard, _: ClientState(shard)
-    logs = []
-    for rec in member_rounds(schedule, clients, admit, train_set, samples_per_client, streams):
-        snrs = []
-        if not rec.coverage_failed:
-            uploads = []
-            for sat in rec.members:
-                record = clients[sat]
-                link = rec.links.sample(sat)
-                down_rng = streams.derive("down", rec.round_index, sat.plane, sat.slot)
-                received = corrupt_model(
-                    global_model, link, corruption, down_rng, prev=record.local_model
-                )
-                train_rng = streams.derive("train", rec.round_index, sat.plane, sat.slot)
-                record.local_model = train_local(record, received, train_cfg, train_rng)
-                up_rng = streams.derive("up", rec.round_index, sat.plane, sat.slot)
-                record.last_upload = corrupt_model(
-                    record.local_model, link, corruption, up_rng, prev=record.last_upload
-                )
-                uploads.append((record.last_upload, record.shard.n_samples))
-                snrs.append(link.snr_db)
-            if uploads:
-                global_model = aggregate(uploads, total_samples=fixed_total)
-            else:
-                logger.warning("round %d: no participants, skipping aggregation",
-                               rec.round_index)
-        accuracy, loss = evaluate(global_model, test_set)
-        logs.append(round_log(rec, accuracy, loss, mean_or_nan(snrs), delay))
-    return logs
+
+    def step(rec, clients, models):
+        global_model, = models
+        uploads, snrs = [], []
+        for sat in rec.members:
+            record = clients[sat]
+            link = rec.links.sample(sat)
+            down_rng = streams.derive("down", rec.round_index, sat.plane, sat.slot)
+            received = corrupt_model(
+                global_model, link, corruption, down_rng, prev=record.local_model
+            )
+            train_rng = streams.derive("train", rec.round_index, sat.plane, sat.slot)
+            record.local_model = train_local(record, received, train_cfg, train_rng)
+            up_rng = streams.derive("up", rec.round_index, sat.plane, sat.slot)
+            record.last_upload = corrupt_model(
+                record.local_model, link, corruption, up_rng, prev=record.last_upload
+            )
+            uploads.append((record.last_upload, record.shard.n_samples))
+            snrs.append(link.snr_db)
+        if uploads:
+            global_model = aggregate(uploads, total_samples=fixed_total)
+        else:
+            logger.warning("round %d: no participants, skipping aggregation", rec.round_index)
+        return [global_model], snrs
+
+    return run_rounds(
+        "fello", schedule, [initial_model(train_set, train_cfg, streams)],
+        lambda sat, shard, _: ClientState(shard), step,
+        train_set, test_set, samples_per_client, streams, train_cfg.local_epochs,
+    )

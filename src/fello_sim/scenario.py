@@ -6,10 +6,11 @@ model depend on its resolved config alone: the architectures at a point
 share them, and a sweep point writes the rows of a single run at its value,
 wherever the value stands in sweep.values. The dataset depends on the
 master seed alone. Outputs land in the config's output directory:
-metrics.csv, overhead.txt/overhead.csv, and manifest.cfg, plus a FAILED
-marker when any arm raised, which replaces an earlier run's. A failed arm
-does not stop the others: metrics.csv keeps every completed arm's rows,
-and FAILED holds one traceback per failed arm, headed by the arm's name.
+manifest.cfg and overhead.txt/overhead.csv, from the config before any arm
+runs, then metrics.csv, plus a FAILED marker when any arm raised, which
+replaces an earlier run's. A failed arm does not stop the others:
+metrics.csv keeps every completed arm's rows, and FAILED holds one
+traceback per failed arm, headed by the arm's name.
 """
 
 import contextlib
@@ -205,6 +206,7 @@ def run_scenario(cfg: ScenarioConfig) -> int:
         os.remove(os.path.join(cfg.output_dir, "FAILED"))
     with open(os.path.join(cfg.output_dir, "manifest.cfg"), "w") as f:
         f.write(serialize_config(cfg))
+    emit_overhead_report(cfg)
     # Sweep value -> resolved config; validate_config rejects repeated values.
     points = {None: cfg}
     if cfg.sweep_parameter is not None:
@@ -234,5 +236,4 @@ def run_scenario(cfg: ScenarioConfig) -> int:
             for arch, value, failed in failures:
                 f.write(f"arm {_arm_name(cfg, arch, value)} failed:\n{failed}\n")
         return 2
-    emit_overhead_report(cfg)
     return 0

@@ -348,6 +348,23 @@ def test_a_clean_rerun_removes_the_failed_marker(tmp_path, monkeypatch):
     assert not os.path.exists(os.path.join(out, "FAILED"))
 
 
+def test_a_failed_rerun_replaces_the_overhead_report(tmp_path, monkeypatch):
+    def broken(**kwargs):
+        raise RuntimeError("cl diverged")
+
+    out = str(tmp_path / "out")
+    assert main(["run", write(tmp_path, TINY_SCENARIO), "--out", out]) == 0
+    stale = read(os.path.join(out, "overhead.csv"))
+    monkeypatch.setattr(baselines, "run_cl", broken)
+    longer = write(tmp_path, TINY_SCENARIO.replace("rounds = 2", "rounds = 3"), "longer.cfg")
+    assert main(["run", longer, "--out", out]) == 2
+    fresh = str(tmp_path / "fresh")
+    assert main(["overhead", longer, "--out", fresh]) == 0
+    for name in ("overhead.txt", "overhead.csv"):
+        assert read(os.path.join(out, name)) == read(os.path.join(fresh, name))
+    assert read(os.path.join(out, "overhead.csv")) != stale
+
+
 def test_a_failed_arm_on_the_pool_spares_the_others(tmp_path, monkeypatch):
     def broken(**kwargs):
         raise RuntimeError("cl diverged")

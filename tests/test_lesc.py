@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fello_sim import lesc
+from fello_sim import lesc, overhead
 from fello_sim.config import ScenarioConfig
 from fello_sim.datasets import synthetic_split
 from fello_sim.fl_engine import (
@@ -708,3 +708,57 @@ def test_run_fello_empty_cluster(table1_optics):
     assert [log.cluster_size for log in logs] == [0, 0, 0]
     assert logs[0].accuracy == logs[1].accuracy == logs[2].accuracy
     assert math.isnan(logs[0].mean_link_snr_db)
+
+
+def test_run_rounds_admits_steps_scores_and_charges_delay(monkeypatch):
+    train, test, _, streams = tiny_train_setup(seed=71)
+    a, b, c = SatIndex(1, 1), SatIndex(1, 2), SatIndex(1, 3)
+
+    def rec(round_index, members, admitted, gap=False):
+        return lesc.MembershipRound(round_index, 60.0 * round_index, SatIndex(2, 1),
+                                    members, admitted, False, False, gap, None)
+
+    schedule = [
+        rec(1, (), (), gap=True),  # a gap before any step scores the initial models
+        rec(2, (a, b), (a, b)),
+        rec(3, (b, c), (c,)),  # evicts a, admits c and sends over no link
+        rec(4, (b, c), (), gap=True),
+        rec(5, (), ()),  # an empty cluster still steps, but nobody trains or sends
+    ]
+    admitted, stepped, scored = {}, [], []
+
+    def admit(sat, shard, round_index):
+        admitted[(sat, round_index)] = shard
+        return shard
+
+    def step(r, clients, models):
+        assert set(clients) == set(r.members)
+        stepped.append(r.round_index)
+        snrs = [1.0, 4.0] if r.round_index == 2 else []
+        return [float(r.round_index), 10.0 * r.round_index], snrs
+
+    def fake_evaluate(model, test_set):
+        scored.append(model)
+        return model, -model
+
+    monkeypatch.setattr(lesc, "evaluate", fake_evaluate)
+    logs = lesc.run_rounds("fello", schedule, [7.0], admit, step,
+                           train, test, 20, streams, local_epochs=2)
+
+    assert stepped == [2, 3, 5]
+    assert scored == [7.0, 2.0, 20.0, 3.0, 30.0, 3.0, 30.0, 5.0, 50.0]
+    assert [log.accuracy for log in logs] == [7.0, 11.0, 16.5, 16.5, 27.5]
+    assert [log.global_loss for log in logs] == [-7.0, -11.0, -16.5, -16.5, -27.5]
+    assert [log.cluster_size for log in logs] == [0, 2, 2, 2, 0]
+    assert logs[1].mean_link_snr_db == 2.5
+    assert all(math.isnan(logs[i].mean_link_snr_db) for i in (0, 2, 3, 4))
+    sent = overhead.round_delay("fello", 2)
+    unsent = overhead.round_delay("fello", 2, sent=False)
+    assert unsent < sent
+    assert [log.round_delay_s for log in logs] == [0.0, sent, unsent, 0.0, 0.0]
+    ref = Substreams(streams.master_seed)
+    for round_index, sats in ((2, [a, b]), (3, [c])):
+        shards = partition_data(train, sats, 20, ref.derive("shard", round_index))
+        for sat in sats:
+            np.testing.assert_array_equal(admitted[(sat, round_index)].rows, shards[sat].rows)
+    assert set(admitted) == {(a, 2), (b, 2), (c, 3)}
