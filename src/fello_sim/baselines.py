@@ -1,12 +1,13 @@
 """Centralized and distributed baseline architectures.
 
-Both baselines run the LESC membership schedule (edge selection, pruning,
-re-clustering, handover) through the same round driver as the federated
-run, so their curves share its time axis. Every architecture runs on the
-same schedule, shards and initial model. The centralized edge trains
-on raw data shipped once per clustering epoch, with the same channel
+Both baselines take the same round plan as the federated run (the LESC
+membership schedule and each admitted member's shard) and run it through
+the same round driver, so their curves share its time axis. Every
+architecture runs on the same plan and initial model. The centralized edge
+trains on raw data shipped once per clustering epoch, with the same channel
 impairment applied to the feature payload that the federated run applies
-to models. Distributed clients train purely locally and never transmit.
+to models. Distributed clients train purely locally, in a plain loop, and
+never transmit.
 """
 
 from dataclasses import dataclass, replace
@@ -20,15 +21,9 @@ from .fl_engine import (
     corrupt_vector,
     sgd_epoch,
 )
-from .lesc import (
-    LescConfig,
-    initial_model,
-    membership_schedule,
-    parallel_map,
-    run_rounds,
-)
-from .optical_link import OpticalParams
-from .orbits import WalkerConfig
+from .lesc import initial_model, run_rounds
+# Unused here; perfbench's tracer tests require baselines to bind both names.
+from .lesc import membership_schedule, parallel_map
 from .seeding import Substreams
 
 
@@ -46,15 +41,11 @@ class _DlClient:
 
 
 def run_cl(
-    cfg: LescConfig,
-    walker: WalkerConfig,
-    isl: OpticalParams,
-    gsl: OpticalParams,
+    plan: list,
     train_cfg: TrainConfig,
     corruption: CorruptionSpec,
     train_set: Dataset,
     test_set: Dataset,
-    samples_per_client: int,
     streams: Substreams,
 ) -> list:
     """Centralized training at the edge on pooled client uploads.
@@ -65,7 +56,6 @@ def run_cl(
     shard's own rows, so under "none" the pool is a Dataset over the train
     set's features with the members' rows; impaired uploads are materialised.
     """
-    schedule = membership_schedule(cfg, walker, isl, gsl, streams, train_cfg.local_epochs)
     edge_rng = streams.derive("cltrain")
 
     def step(rec, clients, models):
@@ -99,24 +89,17 @@ def run_cl(
         return [model], shipped_snrs
 
     return run_rounds(
-        "cl", schedule, [initial_model(train_set, train_cfg, streams)],
-        lambda sat, shard, _: _ClClient(shard), step,
-        train_set, test_set, samples_per_client, streams, train_cfg.local_epochs,
+        "cl", plan, [initial_model(train_set, train_cfg, streams)],
+        lambda sat, shard, _: _ClClient(shard), step, test_set, train_cfg.local_epochs,
     )
 
 
 def run_dl(
-    cfg: LescConfig,
-    walker: WalkerConfig,
-    isl: OpticalParams,
-    gsl: OpticalParams,
+    plan: list,
     train_cfg: TrainConfig,
-    corruption: CorruptionSpec,
     train_set: Dataset,
     test_set: Dataset,
-    samples_per_client: int,
     streams: Substreams,
-    workers: int = 1,
 ) -> list:
     """Distributed training with no exchange at all.
 
@@ -124,7 +107,6 @@ def run_dl(
     loss are means over the current members. No link is ever evaluated, so
     the logs cannot depend on channel parameters.
     """
-    schedule = membership_schedule(cfg, walker, isl, gsl, streams, train_cfg.local_epochs)
     w0 = initial_model(train_set, train_cfg, streams)
 
     def admit(sat, shard, round_index):
@@ -137,9 +119,6 @@ def run_dl(
         return client.model
 
     def step(rec, clients, models):
-        return parallel_map(client_round, [clients[sat] for sat in rec.members], workers), []
+        return [client_round(clients[sat]) for sat in rec.members], []
 
-    return run_rounds(
-        "dl", schedule, [], admit, step,
-        train_set, test_set, samples_per_client, streams, train_cfg.local_epochs,
-    )
+    return run_rounds("dl", plan, [], admit, step, test_set, train_cfg.local_epochs)

@@ -1,10 +1,12 @@
-"""LEO edge selection and clustering, and the round driver of every architecture.
+"""LEO edge selection and clustering, the round plan, and the round driver.
 
 Each round: the ground station checks the edge's GSL quality and hands the
 role over to the nearest visible satellite when it drops below threshold;
 the edge prunes clients whose link no longer meets the clustering
 threshold; when attrition passes the re-cluster fraction on an eligible
-round, the cluster is rebuilt. Surviving clients train locally on their
+round, the cluster is rebuilt. round_plan pairs each round's membership
+with its admitted members' shards, and run_rounds runs any architecture
+over that plan. Under FELLO, surviving clients train locally on their
 shards and the edge aggregates their (possibly channel-impaired) uploads.
 
 Every stochastic draw comes from a substream keyed by round and link
@@ -344,6 +346,7 @@ def membership_schedule(
     return out
 
 
+# No runner calls it; perfbench's tracer tests still patch and call it.
 def parallel_map(fn, items, workers: int) -> list:
     """Map fn over items, optionally on a thread pool, preserving order."""
     if workers <= 1 or len(items) < 2:
@@ -365,41 +368,55 @@ def initial_model(
     )
 
 
-def run_rounds(
-    arch: str,
-    schedule: list,
-    models: list,
-    admit,
-    step,
+def round_plan(
+    cfg: LescConfig,
+    walker: WalkerConfig,
+    isl: OpticalParams,
+    gsl: OpticalParams,
     train_set: Dataset,
-    test_set: Dataset,
     samples_per_client: int,
     streams: Substreams,
     local_epochs: int,
 ) -> list:
-    """Run one architecture over the schedule; one RoundLog per round.
+    """The membership schedule, as one (MembershipRound, shards) pair per round.
 
-    Each round evicts members that left and admits new ones as
-    clients[sat] = admit(sat, shard, round_index), with shards drawn in
-    admission order from the round's "shard" substream. A covered round then
-    calls step(rec, clients, models) for the models to score and the dB SNRs
-    of the links it sent over; a coverage gap scores the last models (at
-    first, models) again. The log holds the mean accuracy, loss and SNR (NaN
-    over none) and arch's round delay, without the send component when no
-    link was used, or 0 when nobody trains or sends (a gap or empty cluster).
+    shards maps each admitted member to its shard, in admission order, drawn
+    from the round's "shard" substream; it is empty when nobody is admitted.
+    Every architecture on the same streams therefore runs on the same plan.
     """
-    clients = {}
-    logs = []
-    for rec in schedule:
-        for sat in set(clients).difference(rec.members):
-            del clients[sat]
+    plan = []
+    for rec in membership_schedule(cfg, walker, isl, gsl, streams, local_epochs):
+        shards = {}
         if rec.admitted:
             shard_rng = streams.derive("shard", rec.round_index)
             shards = partition_data(
                 train_set, list(rec.admitted), samples_per_client, shard_rng
             )
-            for sat in rec.admitted:
-                clients[sat] = admit(sat, shards[sat], rec.round_index)
+        plan.append((rec, shards))
+    return plan
+
+
+def run_rounds(
+    arch: str, plan: list, models: list, admit, step, test_set: Dataset, local_epochs: int
+) -> list:
+    """Run one architecture over a round_plan; one RoundLog per round.
+
+    Each round evicts members that left and admits new ones as
+    clients[sat] = admit(sat, shard, round_index), with the plan's shards. A
+    covered round then calls step(rec, clients, models) for the models to
+    score and the dB SNRs of the links it sent over; a coverage gap scores
+    the last models (at first, models) again. The log holds the mean
+    accuracy, loss and SNR (NaN over none) and arch's round delay, without
+    the send component when no link was used, or 0 when nobody trains or
+    sends (a gap or empty cluster).
+    """
+    clients = {}
+    logs = []
+    for rec, shards in plan:
+        for sat in set(clients).difference(rec.members):
+            del clients[sat]
+        for sat, shard in shards.items():
+            clients[sat] = admit(sat, shard, rec.round_index)
         snrs = []
         if not rec.coverage_failed:
             models, snrs = step(rec, clients, models)
@@ -417,15 +434,11 @@ def run_rounds(
 
 
 def run_fello(
-    cfg: LescConfig,
-    walker: WalkerConfig,
-    isl: OpticalParams,
-    gsl: OpticalParams,
+    plan: list,
     train_cfg: TrainConfig,
     corruption: CorruptionSpec,
     train_set: Dataset,
     test_set: Dataset,
-    samples_per_client: int,
     streams: Substreams,
     fixed_total: int = None,
 ) -> list:
@@ -434,7 +447,6 @@ def run_fello(
     fixed_total pins the aggregation denominator to a fixed population size
     instead of renormalizing over the round's participants.
     """
-    schedule = membership_schedule(cfg, walker, isl, gsl, streams, train_cfg.local_epochs)
 
     def step(rec, clients, models):
         global_model, = models
@@ -461,7 +473,6 @@ def run_fello(
         return [global_model], snrs
 
     return run_rounds(
-        "fello", schedule, [initial_model(train_set, train_cfg, streams)],
-        lambda sat, shard, _: ClientState(shard), step,
-        train_set, test_set, samples_per_client, streams, train_cfg.local_epochs,
+        "fello", plan, [initial_model(train_set, train_cfg, streams)],
+        lambda sat, shard, _: ClientState(shard), step, test_set, train_cfg.local_epochs,
     )

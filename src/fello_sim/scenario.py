@@ -4,13 +4,14 @@ Every arm draws from one set of streams keyed by the master seed (common
 random numbers), so a point's schedule, link draws, shards and initial
 model depend on its resolved config alone: the architectures at a point
 share them, and a sweep point writes the rows of a single run at its value,
-wherever the value stands in sweep.values. The dataset depends on the
-master seed alone. Outputs land in the config's output directory:
-manifest.cfg and overhead.txt/overhead.csv, from the config before any arm
-runs, then metrics.csv, plus a FAILED marker when any arm raised, which
-replaces an earlier run's. A failed arm does not stop the others:
-metrics.csv keeps every completed arm's rows, and FAILED holds one
-traceback per failed arm, headed by the arm's name.
+wherever the value stands in sweep.values. run_one builds an arm's round
+plan (the schedule and shards) and passes it to the arm's runner. The
+dataset depends on the master seed alone. Outputs land in the config's
+output directory: manifest.cfg and overhead.txt/overhead.csv, from the
+config before any arm runs, then metrics.csv, plus a FAILED marker when
+any arm raised, which replaces an earlier run's. A failed arm does not
+stop the others: metrics.csv keeps every completed arm's rows, and FAILED
+holds one traceback per failed arm, headed by the arm's name.
 """
 
 import contextlib
@@ -25,7 +26,7 @@ from concurrent.futures import ProcessPoolExecutor
 from . import baselines, overhead
 from .config import ScenarioConfig, apply_sweep, serialize_config
 from .datasets import load_mnist, synthetic_split
-from .lesc import run_fello
+from .lesc import round_plan, run_fello
 from .seeding import Substreams, derive_seed
 
 METRICS_VERSION = "# fello-sim metrics v1"
@@ -54,31 +55,25 @@ def build_datasets(cfg: ScenarioConfig) -> tuple:
 
 def run_one(cfg: ScenarioConfig, arch: str, train_set=None, test_set=None) -> list:
     """One architecture at one sweep point; cfg must already be resolved."""
+    if arch not in overhead.MODES:
+        raise ValueError(f"unknown architecture {arch!r}")
     if train_set is None or test_set is None:
         train_set, test_set = build_datasets(cfg)
     # One stream set for every arm and sweep point: a point's numbers depend on
     # its resolved config alone, and a single run keeps the bytes of this key.
     streams = Substreams(derive_seed(cfg.master_seed, "fello", 0))
-    kwargs = dict(
-        cfg=cfg.lesc(),
-        walker=cfg.walker(),
-        isl=cfg.isl_optics(),
-        gsl=cfg.gsl_optics(),
-        train_cfg=cfg.train(),
-        corruption=cfg.corruption(),
-        train_set=train_set,
-        test_set=test_set,
-        samples_per_client=cfg.dataset_samples_per_client,
-        streams=streams,
+    train_cfg = cfg.train()
+    plan = round_plan(
+        cfg.lesc(), cfg.walker(), cfg.isl_optics(), cfg.gsl_optics(), train_set,
+        cfg.dataset_samples_per_client, streams, train_cfg.local_epochs,
     )
-    if arch == "fello":
-        fixed = train_set.n_samples if cfg.paper_literal else None
-        return run_fello(fixed_total=fixed, **kwargs)
-    if arch == "cl":
-        return baselines.run_cl(**kwargs)
     if arch == "dl":
-        return baselines.run_dl(**kwargs)
-    raise ValueError(f"unknown architecture {arch!r}")
+        return baselines.run_dl(plan, train_cfg, train_set, test_set, streams)
+    args = (plan, train_cfg, cfg.corruption(), train_set, test_set, streams)
+    if arch == "cl":
+        return baselines.run_cl(*args)
+    fixed = train_set.n_samples if cfg.paper_literal else None
+    return run_fello(*args, fixed_total=fixed)
 
 
 def _csv_float(value) -> str:

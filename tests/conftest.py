@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fello_sim.datasets import synthetic_split
+from fello_sim.lesc import round_plan
 from fello_sim.optical_link import OpticalParams
 from fello_sim.orbits import WalkerConfig
 
@@ -27,6 +28,23 @@ def _logs_equal(a, b):
 @pytest.fixture
 def logs_equal():
     return _logs_equal
+
+
+def _on_plan(runner, cfg, walker, optics, train_cfg, train, test, samples_per_client,
+             streams, *args, **kwargs):
+    """Run one architecture's runner on the round plan run_one would build.
+
+    optics serves both the ISL and the GSL; args and kwargs follow the
+    runner's train_cfg (FELLO's and CL's corruption, FELLO's fixed_total).
+    """
+    plan = round_plan(cfg, walker, optics, optics, train, samples_per_client, streams,
+                      train_cfg.local_epochs)
+    return runner(plan, train_cfg, *args, train, test, streams, **kwargs)
+
+
+@pytest.fixture
+def on_plan():
+    return _on_plan
 
 
 @pytest.fixture

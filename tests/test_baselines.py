@@ -44,11 +44,11 @@ def single_client_lesc(rounds=3):
                       gsl_snr_threshold=0.0, snr_units="linear")
 
 
-def test_cl_single_client_is_composite_local_training(table1_optics):
+def test_cl_single_client_is_composite_local_training(table1_optics, on_plan):
     walker = static_walker(1, 3)
     train, test, tc, streams = setup(71)
-    logs = run_cl(single_client_lesc(), walker, table1_optics, table1_optics,
-                  tc, NONE, train, test, 40, streams)
+    logs = on_plan(run_cl, single_client_lesc(), walker, table1_optics, tc, train, test, 40,
+                   streams, NONE)
     ref = Substreams(71)
     sat = SatIndex(1, 2)
     model = init_model(train.n_features, tc.hidden_size, train.n_classes,
@@ -64,13 +64,12 @@ def test_cl_single_client_is_composite_local_training(table1_optics):
         assert log.cluster_size == 1
 
 
-def test_cl_pools_members_in_order(table1_optics):
+def test_cl_pools_members_in_order(table1_optics, on_plan):
     walker = static_walker(1, 5)
     train, test, tc, streams = setup(72)
     cfg = LescConfig(delta_d_km=9000.0, rounds=2, round_time_s=30.0,
                      gsl_snr_threshold=0.0, snr_units="linear")
-    logs = run_cl(cfg, walker, table1_optics, table1_optics, tc, NONE,
-                  train, test, 30, streams)
+    logs = on_plan(run_cl, cfg, walker, table1_optics, tc, train, test, 30, streams, NONE)
     members = [SatIndex(1, 2), SatIndex(1, 3)]
     ref = Substreams(72)
     model = init_model(train.n_features, tc.hidden_size, train.n_classes,
@@ -94,7 +93,9 @@ def test_cl_pools_members_in_order(table1_optics):
 
 @pytest.mark.parametrize("kind", ["none", "awgn", "packet"])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_cl_pools_shards_in_the_data_dtype(table1_optics, monkeypatch, dtype, kind):
+def test_cl_pools_shards_in_the_data_dtype(
+    table1_optics, monkeypatch, dtype, kind, on_plan
+):
     walker = static_walker(1, 5)
     base, test, tc, streams = setup(79)
     features, labels = base.take()
@@ -111,17 +112,17 @@ def test_cl_pools_shards_in_the_data_dtype(table1_optics, monkeypatch, dtype, ki
 
     monkeypatch.setattr(baselines, "sgd_epoch", recording_sgd_epoch)
     spec = CorruptionSpec(kind=kind, awgn_scale=10.0, packet_bits=64)
-    run_cl(cfg, walker, table1_optics, table1_optics, tc, spec, train, test, 30, streams)
+    on_plan(run_cl, cfg, walker, table1_optics, tc, train, test, 30, streams, spec)
     # two members pool 60 rows for every epoch of both rounds
     want = (60, np.dtype(dtype), np.dtype(dtype), kind == "none")
     assert seen == [want] * (2 * tc.local_epochs)
 
 
-def test_cl_ships_only_on_admission(table1_optics):
+def test_cl_ships_only_on_admission(table1_optics, on_plan):
     walker = static_walker(1, 3)
     train, test, tc, streams = setup(73)
-    logs = run_cl(single_client_lesc(), walker, table1_optics, table1_optics,
-                  tc, NONE, train, test, 40, streams)
+    logs = on_plan(run_cl, single_client_lesc(), walker, table1_optics, tc, train, test, 40,
+                   streams, NONE)
     # Static constellation: the one shard ships at round 1 and never again.
     assert not math.isnan(logs[0].mean_link_snr_db)
     assert math.isnan(logs[1].mean_link_snr_db)
@@ -133,26 +134,24 @@ def test_cl_ships_only_on_admission(table1_optics):
     assert logs[1].round_delay_s == logs[2].round_delay_s == train
 
 
-def test_cl_shipping_applies_corruption(table1_optics, logs_equal):
+def test_cl_shipping_applies_corruption(table1_optics, logs_equal, on_plan):
     walker = static_walker(1, 3)
     train, test, tc, _ = setup(74)
-    noisy = run_cl(single_client_lesc(), walker, table1_optics, table1_optics,
-                   tc, CorruptionSpec(kind="awgn", awgn_scale=100.0),
-                   train, test, 40, Substreams(74))
-    clean = run_cl(single_client_lesc(), walker, table1_optics, table1_optics,
-                   tc, NONE, train, test, 40, Substreams(74))
+    noisy = on_plan(run_cl, single_client_lesc(), walker, table1_optics, tc, train, test,
+                    40, Substreams(74), CorruptionSpec(kind="awgn", awgn_scale=100.0))
+    clean = on_plan(run_cl, single_client_lesc(), walker, table1_optics, tc, train, test,
+                    40, Substreams(74), NONE)
     assert not logs_equal(noisy, clean)
-    again = run_cl(single_client_lesc(), walker, table1_optics, table1_optics,
-                   tc, CorruptionSpec(kind="awgn", awgn_scale=100.0),
-                   train, test, 40, Substreams(74))
+    again = on_plan(run_cl, single_client_lesc(), walker, table1_optics, tc, train, test,
+                    40, Substreams(74), CorruptionSpec(kind="awgn", awgn_scale=100.0))
     assert logs_equal(noisy, again)
 
 
-def test_dl_single_client_is_plain_trajectory(table1_optics):
+def test_dl_single_client_is_plain_trajectory(table1_optics, on_plan):
     walker = static_walker(1, 3)
     train, test, tc, streams = setup(75)
-    logs = run_dl(single_client_lesc(), walker, table1_optics, table1_optics,
-                  tc, NONE, train, test, 40, streams)
+    logs = on_plan(run_dl, single_client_lesc(), walker, table1_optics, tc, train, test, 40,
+                   streams)
     ref = Substreams(75)
     sat = SatIndex(1, 2)
     model = init_model(train.n_features, tc.hidden_size, train.n_classes,
@@ -168,13 +167,12 @@ def test_dl_single_client_is_plain_trajectory(table1_optics):
         assert math.isnan(log.mean_link_snr_db)
 
 
-def test_dl_reports_member_means(table1_optics):
+def test_dl_reports_member_means(table1_optics, on_plan):
     walker = static_walker(1, 5)
     train, test, tc, streams = setup(76)
     cfg = LescConfig(delta_d_km=9000.0, rounds=2, round_time_s=30.0,
                      gsl_snr_threshold=0.0, snr_units="linear")
-    logs = run_dl(cfg, walker, table1_optics, table1_optics, tc, NONE,
-                  train, test, 30, streams)
+    logs = on_plan(run_dl, cfg, walker, table1_optics, tc, train, test, 30, streams)
     members = [SatIndex(1, 2), SatIndex(1, 3)]
     ref = Substreams(76)
     w0 = init_model(train.n_features, tc.hidden_size, train.n_classes,
@@ -192,26 +190,14 @@ def test_dl_reports_member_means(table1_optics):
         assert log.global_loss == float(np.mean([l for _, l in scores]))
 
 
-def test_dl_is_blind_to_the_channel(table1_walker, table1_optics, logs_equal):
+def test_dl_is_blind_to_the_channel(table1_walker, table1_optics, logs_equal, on_plan):
     # Full-shell short run: changing optics must not move a single number.
     train, test, tc, _ = setup(77)
     cfg = LescConfig(delta_d_km=2600.0, rounds=3, round_time_s=60.0)
-    base = run_dl(cfg, table1_walker, table1_optics, table1_optics, tc, NONE,
-                  train, test, 30, Substreams(77))
+    base = on_plan(run_dl, cfg, table1_walker, table1_optics, tc, train, test, 30,
+                   Substreams(77))
     shaky = replace(table1_optics, pointing_sd_rad=5e-6)
-    moved = run_dl(cfg, table1_walker, shaky, shaky, tc, NONE,
-                   train, test, 30, Substreams(77))
+    moved = on_plan(run_dl, cfg, table1_walker, shaky, tc, train, test, 30, Substreams(77))
     assert logs_equal(base, moved)
     assert base[0].cluster_size >= 12
 
-
-def test_dl_worker_count_invariance(table1_optics, logs_equal):
-    walker = static_walker(1, 5)
-    train, test, tc, _ = setup(78)
-    cfg = LescConfig(delta_d_km=13000.0, rounds=2, round_time_s=30.0,
-                     gsl_snr_threshold=0.0, snr_units="linear")
-    serial = run_dl(cfg, walker, table1_optics, table1_optics, tc, NONE,
-                    train, test, 30, Substreams(78), workers=1)
-    threaded = run_dl(cfg, walker, table1_optics, table1_optics, tc, NONE,
-                      train, test, 30, Substreams(78), workers=4)
-    assert logs_equal(serial, threaded)

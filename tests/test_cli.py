@@ -5,6 +5,7 @@ import pytest
 
 from fello_sim import baselines, scenario
 from fello_sim.cli import main
+from fello_sim.config import ScenarioConfig
 
 TINY_SCENARIO = """
 [run]
@@ -335,21 +336,21 @@ def test_single_point_pool_builds_datasets_once_in_the_parent(tmp_path, monkeypa
 
 
 def test_a_clean_rerun_removes_the_failed_marker(tmp_path, monkeypatch):
-    def broken(**kwargs):
+    def broken(*args, **kwargs):
         raise RuntimeError("cl diverged")
 
     monkeypatch.setattr(baselines, "run_cl", broken)
     path = write(tmp_path, TINY_SCENARIO)
     out = str(tmp_path / "out")
     assert main(["run", path, "--out", out]) == 2
-    assert os.path.exists(os.path.join(out, "FAILED"))
+    assert "RuntimeError: cl diverged" in read(os.path.join(out, "FAILED"))
     monkeypatch.undo()
     assert main(["run", path, "--out", out]) == 0
     assert not os.path.exists(os.path.join(out, "FAILED"))
 
 
 def test_a_failed_rerun_replaces_the_overhead_report(tmp_path, monkeypatch):
-    def broken(**kwargs):
+    def broken(*args, **kwargs):
         raise RuntimeError("cl diverged")
 
     out = str(tmp_path / "out")
@@ -358,6 +359,7 @@ def test_a_failed_rerun_replaces_the_overhead_report(tmp_path, monkeypatch):
     monkeypatch.setattr(baselines, "run_cl", broken)
     longer = write(tmp_path, TINY_SCENARIO.replace("rounds = 2", "rounds = 3"), "longer.cfg")
     assert main(["run", longer, "--out", out]) == 2
+    assert "RuntimeError: cl diverged" in read(os.path.join(out, "FAILED"))
     fresh = str(tmp_path / "fresh")
     assert main(["overhead", longer, "--out", fresh]) == 0
     for name in ("overhead.txt", "overhead.csv"):
@@ -366,7 +368,7 @@ def test_a_failed_rerun_replaces_the_overhead_report(tmp_path, monkeypatch):
 
 
 def test_a_failed_arm_on_the_pool_spares_the_others(tmp_path, monkeypatch):
-    def broken(**kwargs):
+    def broken(*args, **kwargs):
         raise RuntimeError("cl diverged")
 
     monkeypatch.setattr(baselines, "run_cl", broken)
@@ -381,3 +383,11 @@ def test_a_failed_arm_on_the_pool_spares_the_others(tmp_path, monkeypatch):
     assert [row.split(",")[:3] for row in rows] == [
         [arch, "", str(r)] for arch in ("fello", "dl") for r in (1, 2)
     ]
+
+
+def test_run_one_rejects_an_unknown_architecture_before_building_data(monkeypatch):
+    built = []
+    monkeypatch.setattr(scenario, "build_datasets", lambda cfg: built.append(cfg) or (None, None))
+    with pytest.raises(ValueError, match="unknown architecture 'xx'"):
+        scenario.run_one(ScenarioConfig(), "xx")
+    assert built == []

@@ -608,14 +608,14 @@ def test_membership_schedule_deterministic(table1_walker, table1_optics):
         )
 
 
-def test_run_fello_single_client_equals_train_local(table1_optics):
+def test_run_fello_single_client_equals_train_local(table1_optics, on_plan):
     walker = static_walker(1, 3)
     train, test, tc, streams = tiny_train_setup()
     # Only the in-plane neighbour (6941 km) clears a 7000 km threshold.
     cfg = LescConfig(delta_d_km=7000.0, rounds=2, round_time_s=30.0,
                      gsl_snr_threshold=0.0, snr_units="linear")
-    logs = run_fello(cfg, walker, table1_optics, table1_optics, tc,
-                     CorruptionSpec(kind="none"), train, test, 40, streams)
+    logs = on_plan(run_fello, cfg, walker, table1_optics, tc, train, test, 40, streams,
+                   CorruptionSpec(kind="none"))
     assert [log.cluster_size for log in logs] == [1, 1]
     assert logs[0].edge == SatIndex(1, 1)
 
@@ -634,13 +634,13 @@ def test_run_fello_single_client_equals_train_local(table1_optics):
         assert not log.reclustered and not log.handover
 
 
-def test_run_fello_matches_reference_fedavg(table1_optics):
+def test_run_fello_matches_reference_fedavg(table1_optics, on_plan):
     walker = static_walker(1, 5)
     train, test, tc, streams = tiny_train_setup(seed=21)
     cfg = LescConfig(delta_d_km=9000.0, rounds=3, round_time_s=30.0,
                      gsl_snr_threshold=0.0, snr_units="linear")
-    logs = run_fello(cfg, walker, table1_optics, table1_optics, tc,
-                     CorruptionSpec(kind="none"), train, test, 30, streams)
+    logs = on_plan(run_fello, cfg, walker, table1_optics, tc, train, test, 30, streams,
+                   CorruptionSpec(kind="none"))
     members = (SatIndex(1, 2), SatIndex(1, 3))
     assert [log.cluster_size for log in logs] == [2, 2, 2]
 
@@ -661,14 +661,13 @@ def test_run_fello_matches_reference_fedavg(table1_optics):
         assert log.global_loss == loss
 
 
-def test_run_fello_fixed_total_denominator(table1_optics):
+def test_run_fello_fixed_total_denominator(table1_optics, on_plan):
     walker = static_walker(1, 3)
     train, test, tc, streams = tiny_train_setup(seed=31)
     cfg = LescConfig(delta_d_km=7000.0, rounds=1, round_time_s=30.0,
                      gsl_snr_threshold=0.0, snr_units="linear")
-    logs = run_fello(cfg, walker, table1_optics, table1_optics, tc,
-                     CorruptionSpec(kind="none"), train, test, 40, streams,
-                     fixed_total=80)
+    logs = on_plan(run_fello, cfg, walker, table1_optics, tc, train, test, 40, streams,
+                   CorruptionSpec(kind="none"), fixed_total=80)
     ref = Substreams(streams.master_seed)
     sat = SatIndex(1, 2)
     w0 = init_model(train.n_features, tc.hidden_size, train.n_classes,
@@ -682,48 +681,89 @@ def test_run_fello_fixed_total_denominator(table1_optics):
     assert logs[0].global_loss == loss
 
 
-def test_run_fello_corruption_is_seeded(table1_optics):
+def test_run_fello_corruption_is_seeded(table1_optics, on_plan):
     walker = static_walker(1, 3)
     train, test, tc, _ = tiny_train_setup(seed=51)
     cfg = LescConfig(delta_d_km=7000.0, rounds=2, round_time_s=30.0,
                      gsl_snr_threshold=0.0, snr_units="linear")
     spec = CorruptionSpec(kind="awgn", awgn_scale=50.0)
-    a = run_fello(cfg, walker, table1_optics, table1_optics, tc, spec,
-                  train, test, 40, Substreams(51))
-    b = run_fello(cfg, walker, table1_optics, table1_optics, tc, spec,
-                  train, test, 40, Substreams(51))
+    a = on_plan(run_fello, cfg, walker, table1_optics, tc, train, test, 40, Substreams(51),
+                spec)
+    b = on_plan(run_fello, cfg, walker, table1_optics, tc, train, test, 40, Substreams(51),
+                spec)
     assert a == b
-    clean = run_fello(cfg, walker, table1_optics, table1_optics, tc,
-                      CorruptionSpec(kind="none"), train, test, 40, Substreams(51))
+    clean = on_plan(run_fello, cfg, walker, table1_optics, tc, train, test, 40,
+                    Substreams(51), CorruptionSpec(kind="none"))
     assert clean != a
 
 
-def test_run_fello_empty_cluster(table1_optics):
+def test_run_fello_empty_cluster(table1_optics, on_plan):
     walker = static_walker(1, 3)
     train, test, tc, streams = tiny_train_setup(seed=61)
     cfg = LescConfig(delta_d_km=1.0, rounds=3, round_time_s=30.0,
                      gsl_snr_threshold=0.0, snr_units="linear")
-    logs = run_fello(cfg, walker, table1_optics, table1_optics, tc,
-                     CorruptionSpec(kind="none"), train, test, 40, streams)
+    logs = on_plan(run_fello, cfg, walker, table1_optics, tc, train, test, 40, streams,
+                   CorruptionSpec(kind="none"))
     assert [log.cluster_size for log in logs] == [0, 0, 0]
     assert logs[0].accuracy == logs[1].accuracy == logs[2].accuracy
     assert math.isnan(logs[0].mean_link_snr_db)
 
 
+def test_round_plan_pairs_the_schedule_with_its_shards(monkeypatch):
+    # The coverage golden's shell: gaps, admissions and rounds that admit nobody.
+    cfg = replace(
+        ScenarioConfig(), n_orbits=5, sats_per_orbit=5, lesc_delta_d_km=8000.0,
+        lesc_round_time_s=300.0, lesc_rounds=16,
+    )
+    train, _, _, streams = tiny_train_setup(seed=71)
+    drawn_for = []
+
+    def counting_partition_data(full, clients, samples_per_client, rng):
+        drawn_for.append(list(clients))
+        return partition_data(full, clients, samples_per_client, rng)
+
+    monkeypatch.setattr(lesc, "partition_data", counting_partition_data)
+    shell = (cfg.lesc(), cfg.walker(), cfg.isl_optics(), cfg.gsl_optics())
+    plan = lesc.round_plan(*shell, train, 20, streams, 2)
+    schedule = membership_schedule(*shell, streams, 2)
+
+    assert len(plan) == len(schedule) == cfg.lesc_rounds
+    ref = Substreams(streams.master_seed)
+    for (rec, shards), want in zip(plan, schedule):
+        assert replace(rec, links=None) == replace(want, links=None)
+        assert (rec.links is None) == (want.links is None)
+        assert list(shards) == list(rec.admitted)
+        if rec.admitted:
+            draw = partition_data(
+                train, list(rec.admitted), 20, ref.derive("shard", rec.round_index)
+            )
+            for sat in rec.admitted:
+                np.testing.assert_array_equal(shards[sat].rows, draw[sat].rows)
+    assert drawn_for == [list(rec.admitted) for rec, _ in plan if rec.admitted]
+    assert any(rec.coverage_failed for rec, _ in plan)
+    assert any(not rec.coverage_failed and not rec.admitted for rec, _ in plan)
+
+
 def test_run_rounds_admits_steps_scores_and_charges_delay(monkeypatch):
     train, test, _, streams = tiny_train_setup(seed=71)
     a, b, c = SatIndex(1, 1), SatIndex(1, 2), SatIndex(1, 3)
+    ref = Substreams(streams.master_seed)
 
-    def rec(round_index, members, admitted, gap=False):
-        return lesc.MembershipRound(round_index, 60.0 * round_index, SatIndex(2, 1),
-                                    members, admitted, False, False, gap, None)
+    def planned(round_index, members, admitted, gap=False):
+        rec = lesc.MembershipRound(round_index, 60.0 * round_index, SatIndex(2, 1),
+                                   members, admitted, False, False, gap, None)
+        shards = {}
+        if admitted:
+            shard_rng = ref.derive("shard", round_index)
+            shards = partition_data(train, list(admitted), 20, shard_rng)
+        return rec, shards
 
-    schedule = [
-        rec(1, (), (), gap=True),  # a gap before any step scores the initial models
-        rec(2, (a, b), (a, b)),
-        rec(3, (b, c), (c,)),  # evicts a, admits c and sends over no link
-        rec(4, (b, c), (), gap=True),
-        rec(5, (), ()),  # an empty cluster still steps, but nobody trains or sends
+    plan = [
+        planned(1, (), (), gap=True),  # a gap before any step scores the initial models
+        planned(2, (a, b), (a, b)),
+        planned(3, (b, c), (c,)),  # evicts a, admits c and sends over no link
+        planned(4, (b, c), (), gap=True),
+        planned(5, (), ()),  # an empty cluster still steps, but nobody trains or sends
     ]
     admitted, stepped, scored = {}, [], []
 
@@ -742,8 +782,7 @@ def test_run_rounds_admits_steps_scores_and_charges_delay(monkeypatch):
         return model, -model
 
     monkeypatch.setattr(lesc, "evaluate", fake_evaluate)
-    logs = lesc.run_rounds("fello", schedule, [7.0], admit, step,
-                           train, test, 20, streams, local_epochs=2)
+    logs = lesc.run_rounds("fello", plan, [7.0], admit, step, test, local_epochs=2)
 
     assert stepped == [2, 3, 5]
     assert scored == [7.0, 2.0, 20.0, 3.0, 30.0, 3.0, 30.0, 5.0, 50.0]
@@ -756,7 +795,6 @@ def test_run_rounds_admits_steps_scores_and_charges_delay(monkeypatch):
     unsent = overhead.round_delay("fello", 2, sent=False)
     assert unsent < sent
     assert [log.round_delay_s for log in logs] == [0.0, sent, unsent, 0.0, 0.0]
-    ref = Substreams(streams.master_seed)
     for round_index, sats in ((2, [a, b]), (3, [c])):
         shards = partition_data(train, sats, 20, ref.derive("shard", round_index))
         for sat in sats:
