@@ -213,8 +213,9 @@ def _format_value(tag: str, value) -> str:
     if tag == "bool":
         return "true" if value else "false"
     if tag == "str_list":
-        return ",".join(_format_value("float", v) if isinstance(v, float)
-                        else str(v) for v in value)
+        # a sweep's None is an auto lesc.round_time_s
+        return ",".join("auto" if v is None else _format_value("float", v)
+                        if isinstance(v, float) else str(v) for v in value)
     raise ConfigError(f"unknown schema tag {tag}")
 
 

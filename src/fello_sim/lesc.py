@@ -98,6 +98,11 @@ class LescConfig:
             )
         if self.snr_units not in ("db", "linear"):
             raise ValueError(f"unknown snr_units {self.snr_units!r}")
+        if self.snr_units == "linear":
+            for name in ("delta_gamma", "gsl_snr_threshold"):
+                value = getattr(self, name)
+                if value < 0.0:
+                    raise ValueError(f"{name} must be >= 0 in linear units, got {value}")
         if self.round_time_s is not None and self.round_time_s <= 0.0:
             raise ValueError(f"round_time_s must be > 0, got {self.round_time_s}")
 

@@ -5,13 +5,17 @@ random numbers), so a point's schedule, link draws, shards and initial
 model depend on its resolved config alone: the architectures at a point
 share them, and a sweep point writes the rows of a single run at its value,
 wherever the value stands in sweep.values. run_one builds an arm's round
-plan (the schedule and shards) and passes it to the arm's runner. The
-dataset depends on the master seed alone. Outputs land in the config's
-output directory: manifest.cfg and overhead.txt/overhead.csv, from the
-config before any arm runs, then metrics.csv, plus a FAILED marker when
-any arm raised, which replaces an earlier run's. A failed arm does not
-stop the others: metrics.csv keeps every completed arm's rows, and FAILED
-holds one traceback per failed arm, headed by the arm's name.
+plan (the schedule and shards) and passes it to the arm's runner.
+
+run_scenario runs the arms point by point, inline or, with workers > 1, on
+forked processes. The parent builds a point's datasets, which depend on the
+master seed alone, before its arms start, and workers inherit them, as the
+pool forks at its first submit. A pooled sweep forks before its later
+points exist, so its arms build their own; perfbench pins that count until
+ROADMAP item 4. Outputs: manifest.cfg and overhead.txt/overhead.csv before
+any arm runs, then metrics.csv with every completed arm's rows, plus a
+FAILED marker, replacing an earlier run's, with one traceback per failed
+arm, in arm order (architecture first, as in metrics.csv).
 """
 
 import contextlib
@@ -21,7 +25,7 @@ import math
 import multiprocessing
 import os
 import traceback
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 
 from . import baselines, overhead
 from .config import ScenarioConfig, apply_sweep, serialize_config
@@ -82,9 +86,12 @@ def _csv_float(value) -> str:
     return repr(float(value))
 
 
-def _sweep_cell(value) -> str:
-    if value is None:
+def _sweep_cell(cfg: ScenarioConfig, value) -> str:
+    """A point's sweep value as metrics.csv and FAILED print it; empty without a sweep."""
+    if cfg.sweep_parameter is None:
         return ""
+    if value is None:  # an auto lesc.round_time_s
+        return "auto"
     return repr(float(value)) if isinstance(value, float) else str(value)
 
 
@@ -101,20 +108,12 @@ def render_metrics(cfg: ScenarioConfig, points, results: dict) -> str:
             cumulative = 0.0
             for log in results[(arch, value)]:
                 cumulative += log.round_delay_s
-                writer.writerow(
-                    [
-                        arch,
-                        _sweep_cell(value),
-                        log.round_index,
-                        _csv_float(log.accuracy),
-                        _csv_float(log.global_loss),
-                        log.cluster_size,
-                        int(log.reclustered),
-                        int(log.handover),
-                        _csv_float(log.mean_link_snr_db),
-                        _csv_float(cumulative),
-                    ]
-                )
+                writer.writerow([
+                    arch, _sweep_cell(cfg, value), log.round_index,
+                    _csv_float(log.accuracy), _csv_float(log.global_loss), log.cluster_size,
+                    int(log.reclustered), int(log.handover),
+                    _csv_float(log.mean_link_snr_db), _csv_float(cumulative),
+                ])
     return buf.getvalue()
 
 
@@ -138,57 +137,23 @@ def emit_overhead_report(cfg: ScenarioConfig) -> list:
     return reports
 
 
-def _arm_name(cfg: ScenarioConfig, arch: str, value) -> str:
-    if cfg.sweep_parameter is None:
-        return arch
-    return f"{arch} at {cfg.sweep_parameter} = {_sweep_cell(value)}"
+# The current point's (train, test) datasets, or None when each arm builds
+# its own. Forked pool workers inherit what it holds at the first submit.
+_datasets = None
 
 
-# The datasets a pool worker was started with: a single point's (train, test)
-# pair, or None when each task builds its own.
-_worker_datasets = None
+def _run_arm(cfg: ScenarioConfig, arch: str) -> list:
+    return run_one(cfg, arch, *(_datasets or ()))
 
 
-def _share_datasets(datasets):
-    global _worker_datasets
-    _worker_datasets = datasets
-
-
-def _pool_task(cfg: ScenarioConfig, arch: str) -> list:
-    return run_one(cfg, arch, *(_worker_datasets or ()))
-
-
-def _run_pooled(cfg: ScenarioConfig, points: dict, arms: list, results: dict, failures: list):
-    """Run each (architecture, sweep point) arm as one task on forked processes.
-
-    A single point builds its datasets once, here; forked workers inherit
-    them through the initializer's arguments, which fork does not pickle.
-    Sweep tasks build their own. The pool never holds more processes than
-    arms, because a forked pool starts all of them at the first submit.
-    """
-    datasets = None
-    if len(points) == 1:
-        try:
-            datasets = build_datasets(*points.values())
-        except Exception:
-            failed = traceback.format_exc()
-            failures.extend((*arm, failed) for arm in arms)
-            return
-    with ProcessPoolExecutor(
-        max_workers=min(cfg.workers, len(arms)),
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_share_datasets,
-        initargs=(datasets,),
-    ) as pool:
-        futures = {
-            (arch, value): pool.submit(_pool_task, points[value], arch)
-            for arch, value in arms
-        }
-        for arm, future in futures.items():
-            try:
-                results[arm] = future.result()
-            except Exception:
-                failures.append((*arm, traceback.format_exc()))
+def _settle(fn, *args) -> Future:
+    """A done future holding fn(*args)'s result or exception, run here."""
+    future = Future()
+    try:
+        future.set_result(fn(*args))
+    except Exception as exc:
+        future.set_exception(exc)
+    return future
 
 
 def run_scenario(cfg: ScenarioConfig) -> int:
@@ -196,6 +161,7 @@ def run_scenario(cfg: ScenarioConfig) -> int:
 
     Returns 0, or 2 when any arm raised; the other arms still run.
     """
+    global _datasets
     os.makedirs(cfg.output_dir, exist_ok=True)
     with contextlib.suppress(FileNotFoundError):
         os.remove(os.path.join(cfg.output_dir, "FAILED"))
@@ -206,29 +172,43 @@ def run_scenario(cfg: ScenarioConfig) -> int:
     points = {None: cfg}
     if cfg.sweep_parameter is not None:
         points = {value: apply_sweep(cfg, value) for value in cfg.sweep_values}
+    arms = [(arch, value) for arch in cfg.architectures for value in points]
+    pool = None
+    if cfg.workers > 1 and len(arms) > 1:
+        # A forked pool starts all of its processes at the first submit.
+        pool = ProcessPoolExecutor(
+            max_workers=min(cfg.workers, len(arms)),
+            mp_context=multiprocessing.get_context("fork"),
+        )
+    outcomes = {}
+    with pool or contextlib.nullcontext():
+        submit = pool.submit if pool else _settle
+        for value, cfg_point in points.items():
+            # Workers fork before a later point could be built here, so a
+            # pooled sweep's arms build their own datasets.
+            built = None if pool and len(points) > 1 else _settle(build_datasets, cfg_point)
+            if built is not None and built.exception():
+                outcomes.update(((arch, value), built) for arch in cfg.architectures)
+                continue
+            _datasets = built and built.result()
+            for arch in cfg.architectures:
+                outcomes[(arch, value)] = submit(_run_arm, cfg_point, arch)
+    _datasets = None
     results = {}
     failures = []
-    arms = [(arch, value) for arch in cfg.architectures for value in points]
-    if cfg.workers > 1 and len(arms) > 1:
-        _run_pooled(cfg, points, arms, results, failures)
-    else:
-        for value, cfg_point in points.items():
-            try:
-                train_set, test_set = build_datasets(cfg_point)
-            except Exception:
-                failed = traceback.format_exc()
-                failures.extend((arch, value, failed) for arch in cfg.architectures)
-                continue
-            for arch in cfg.architectures:
-                try:
-                    results[(arch, value)] = run_one(cfg_point, arch, train_set, test_set)
-                except Exception:
-                    failures.append((arch, value, traceback.format_exc()))
+    for arch, value in arms:
+        failed = outcomes[(arch, value)].exception()
+        if failed is None:
+            results[(arch, value)] = outcomes[(arch, value)].result()
+        else:
+            name = arch if cfg.sweep_parameter is None else (
+                f"{arch} at {cfg.sweep_parameter} = {_sweep_cell(cfg, value)}")
+            failed = "".join(traceback.format_exception(failed))
+            failures.append(f"arm {name} failed:\n{failed}\n")
     with open(os.path.join(cfg.output_dir, "metrics.csv"), "w", newline="") as f:
         f.write(render_metrics(cfg, points, results))
     if failures:
         with open(os.path.join(cfg.output_dir, "FAILED"), "w") as f:
-            for arch, value, failed in failures:
-                f.write(f"arm {_arm_name(cfg, arch, value)} failed:\n{failed}\n")
+            f.write("".join(failures))
         return 2
     return 0

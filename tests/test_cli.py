@@ -1,5 +1,4 @@
 import os
-from concurrent.futures import Future
 
 import pytest
 
@@ -282,10 +281,8 @@ class InlinePool:
 
     made = []
 
-    def __init__(self, max_workers, mp_context=None, initializer=None, initargs=()):
+    def __init__(self, max_workers, mp_context=None):
         self.made.append((max_workers, mp_context and mp_context.get_start_method()))
-        if initializer is not None:
-            initializer(*initargs)
 
     def __enter__(self):
         return self
@@ -294,12 +291,7 @@ class InlinePool:
         return False
 
     def submit(self, fn, *args):
-        future = Future()
-        try:
-            future.set_result(fn(*args))
-        except Exception as exc:
-            future.set_exception(exc)
-        return future
+        return scenario._settle(fn, *args)
 
 
 @pytest.mark.parametrize("text, arms", [(TINY_SCENARIO, 3), (TINY_SCENARIO + SWEEP, 6)],
@@ -308,7 +300,6 @@ def test_pool_holds_no_more_processes_than_arms(tmp_path, monkeypatch, text, arm
     # A forked pool starts all of its processes at the first submit.
     monkeypatch.setattr(scenario, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(InlinePool, "made", [])
-    monkeypatch.setattr(scenario, "_worker_datasets", None)
     path = write(tmp_path, text)
     assert main(["run", path, "--out", str(tmp_path / "out"), "--workers", "64"]) == 0
     assert InlinePool.made == [(arms, "fork")]
@@ -383,6 +374,41 @@ def test_a_failed_arm_on_the_pool_spares_the_others(tmp_path, monkeypatch):
     assert [row.split(",")[:3] for row in rows] == [
         [arch, "", str(r)] for arch in ("fello", "dl") for r in (1, 2)
     ]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failed_lists_arms_in_arm_order(tmp_path, monkeypatch, workers):
+    def broken(*args, **kwargs):
+        raise RuntimeError("diverged")
+
+    monkeypatch.setattr(baselines, "run_cl", broken)
+    monkeypatch.setattr(baselines, "run_dl", broken)
+    path = write(tmp_path, TINY_SCENARIO + SWEEP)
+    out = str(tmp_path / "out")
+    assert main(["run", path, "--out", out, "--workers", str(workers)]) == 2
+    heads = [line for line in read(os.path.join(out, "FAILED")).splitlines()
+             if line.startswith("arm ")]
+    assert heads == [f"arm {arch} at lesc.delta_d_km = {value} failed:"
+                     for arch in ("cl", "dl") for value in ("1500.0", "1800.0")]
+
+
+def test_an_auto_round_time_point_prints_auto_and_its_manifest_loads(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("cl diverged")
+
+    monkeypatch.setattr(baselines, "run_cl", broken)
+    text = TINY_SCENARIO + "\n[sweep]\nparameter = lesc.round_time_s\nvalues = auto, 60\n"
+    out = str(tmp_path / "out")
+    assert main(["run", write(tmp_path, text), "--out", out]) == 2
+    failed = read(os.path.join(out, "FAILED"))
+    assert "arm cl at lesc.round_time_s = auto failed:\n" in failed
+    rows = read(os.path.join(out, "metrics.csv")).strip().splitlines()[2:]
+    assert [row.split(",")[:2] for row in rows] == [
+        [arch, value] for arch in ("fello", "dl") for value in ("auto", "auto", "60.0", "60.0")
+    ]
+    manifest = os.path.join(out, "manifest.cfg")
+    assert "values = auto,60.0\n" in read(manifest)
+    assert main(["validate", manifest]) == 0
 
 
 def test_run_one_rejects_an_unknown_architecture_before_building_data(monkeypatch):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fello_sim import lesc, overhead
-from fello_sim.config import ScenarioConfig
+from fello_sim.config import ConfigError, ScenarioConfig, validate_config
 from fello_sim.datasets import synthetic_split
 from fello_sim.fl_engine import (
     ClientState,
@@ -81,6 +81,16 @@ def test_lesc_config_validation():
         LescConfig(snr_units="dBm")
     with pytest.raises(ValueError):
         LescConfig(round_time_s=0.0)
+    # A negative linear threshold lets every satellite clear it.
+    with pytest.raises(ValueError, match="delta_gamma must be >= 0"):
+        LescConfig(snr_units="linear", delta_gamma=-1.0)
+    with pytest.raises(ValueError, match="gsl_snr_threshold must be >= 0"):
+        LescConfig(snr_units="linear", gsl_snr_threshold=-3.0)
+    with pytest.raises(ConfigError, match=r"^\[lesc\] gsl_snr_threshold must be >= 0"):
+        validate_config(replace(ScenarioConfig(), lesc_snr_units="linear",
+                                lesc_gsl_snr_threshold=-3.0))
+    LescConfig(snr_units="linear", delta_gamma=0.0, gsl_snr_threshold=0.0)
+    LescConfig(delta_gamma=-1.0, gsl_snr_threshold=-3.0)  # dB below 0 is a linear ratio below 1
     assert math.isinf(LescConfig(recluster_period=math.inf).recluster_period)
 
 

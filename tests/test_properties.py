@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fello_sim.config import ScenarioConfig, load_config, serialize_config, validate_config
@@ -315,6 +315,8 @@ configs = st.builds(
 
 @settings(max_examples=40, deadline=None)
 @given(cfg=configs)
+@example(cfg=replace(ScenarioConfig(), sweep_parameter="lesc.round_time_s",
+                     sweep_values=(None, 60.0)))
 def test_config_round_trips_through_its_manifest(cfg):
     validate_config(cfg)
     text = serialize_config(cfg)
