@@ -47,6 +47,37 @@ def on_plan():
     return _on_plan
 
 
+# Scalar oracle: the Walker formulas for one satellite, angles wrapped to
+# [0, 2*pi), coded apart from the vectorized kernel under test.
+def _oracle_angles(cfg, sat, t):
+    c, n_s, n_o = cfg.phase_constant, cfg.sats_per_orbit, cfg.n_orbits
+    raan = (sat.plane - 1) * c / n_o + cfg.earth_rotation_rate * t
+    anomaly = (sat.slot - 1) * c / n_s + (sat.plane - 1) * c / (n_s * n_o) + cfg.orbit_rate * t
+    return raan % math.tau, anomaly % math.tau
+
+
+def _oracle_position(cfg, raan, anomaly):
+    r = cfg.orbit_radius_km
+    cos_i = math.cos(cfg.inclination)
+    return np.array([
+        r * (math.cos(raan) * math.cos(anomaly)
+             - math.sin(raan) * math.sin(anomaly) * cos_i),
+        r * (math.sin(raan) * math.cos(anomaly)
+             + cfg.y_sign * math.cos(raan) * math.sin(anomaly) * cos_i),
+        r * math.sin(anomaly) * math.sin(cfg.inclination),
+    ])
+
+
+@pytest.fixture
+def oracle_angles():
+    return _oracle_angles
+
+
+@pytest.fixture
+def oracle_position():
+    return _oracle_position
+
+
 @pytest.fixture
 def table1_walker():
     return WalkerConfig(

@@ -4,12 +4,13 @@ Each test pins a headline number or ordering the package is expected to
 reproduce: the overhead table, the link-budget anchor values, orbit
 invariants, FedAvg algebra, the architecture comparison at desk scale,
 channel blindness of the decentralized baseline, run determinism, and
-cluster sizing. Oracles are coded inline from first principles so a
+cluster sizing. Oracles are coded in the tests from first principles so a
 regression in the library cannot hide behind its own helpers.
 """
 
 import csv
 import math
+import os
 import time
 from dataclasses import replace
 
@@ -22,12 +23,9 @@ from fello_sim.fl_engine import (
 from fello_sim.lesc import membership_schedule
 from fello_sim.optical_link import antenna_gain, noise_power, pointing_loss, received_power
 from fello_sim.orbits import SatIndex, positions_at, row_of
-from fello_sim.scenario import build_datasets, run_one, run_scenario
+from fello_sim.scenario import run_one, run_scenario
 from fello_sim.seeding import Substreams, derive_seed
 from fello_sim.overhead import preset_inputs, total_delay
-
-TWO_PI = 2.0 * math.pi
-
 
 def test_criterion_1_overhead_reproduction():
     t0 = time.perf_counter()
@@ -64,32 +62,7 @@ def test_criterion_2_link_budget_oracles():
     assert abs(loss / 0.8675 - 1.0) < 1e-3
 
 
-def _walker_angles(walker, sat, t):
-    """(RAAN, anomaly) of one satellite from the Walker formulas, wrapped."""
-    c = walker.phase_constant
-    raan = (sat.plane - 1) * c / walker.n_orbits + walker.earth_rotation_rate * t
-    anomaly = (
-        (sat.slot - 1) * c / walker.sats_per_orbit
-        + (sat.plane - 1) * c / (walker.sats_per_orbit * walker.n_orbits)
-        + walker.orbit_rate * t
-    )
-    return raan % TWO_PI, anomaly % TWO_PI
-
-
-def _walker_position(walker, raan, anomaly):
-    """The inclined circular orbit's rotation of (raan, anomaly) onto the shell."""
-    r = walker.orbit_radius_km
-    cos_i, sin_i = math.cos(walker.inclination), math.sin(walker.inclination)
-    return np.array([
-        r * (math.cos(raan) * math.cos(anomaly)
-             - math.sin(raan) * math.sin(anomaly) * cos_i),
-        r * (math.sin(raan) * math.cos(anomaly)
-             + math.cos(raan) * math.sin(anomaly) * cos_i),
-        r * math.sin(anomaly) * sin_i,
-    ])
-
-
-def test_criterion_3_orbit_invariants():
+def test_criterion_3_orbit_invariants(oracle_angles, oracle_position):
     t0 = time.perf_counter()
     walker = ScenarioConfig().walker()
     shell = walker.orbit_radius_km
@@ -101,12 +74,12 @@ def test_criterion_3_orbit_invariants():
         t = float(rng.uniform(0.0, 86_400.0))
         pos = positions_at(walker, t)[row_of(walker, sat)]
         assert abs(math.hypot(*pos) / shell - 1.0) < 1e-9
-        raan, omega_now = _walker_angles(walker, sat, t)
-        want = _walker_position(walker, raan, omega_now)
+        raan, omega_now = oracle_angles(walker, sat, t)
+        want = oracle_position(walker, raan, omega_now)
         assert (np.abs(pos - want) <= 1e-9 + 1e-12 * np.abs(want)).all()
-        _, omega_later = _walker_angles(walker, sat, t + period)
-        wrap = (omega_later - omega_now) % TWO_PI
-        assert min(wrap, TWO_PI - wrap) < 1e-9
+        _, omega_later = oracle_angles(walker, sat, t + period)
+        wrap = (omega_later - omega_now) % math.tau
+        assert min(wrap, math.tau - wrap) < 1e-9
     assert time.perf_counter() - t0 < 5.0
 
 
@@ -145,10 +118,15 @@ def test_criterion_4_fedavg_correctness():
     assert np.allclose(grad, fd, rtol=1e-4, atol=1e-8)
 
 
-def _ordering_cfg(seed: int, recluster_period: float) -> ScenarioConfig:
+def _ordering_sweep(out_dir: str, architectures: tuple, recluster_period: float):
+    """Seeds 0-4 as one run.master_seed sweep on a 2-process pool."""
     return replace(
         ScenarioConfig(),
-        master_seed=seed,
+        architectures=architectures,
+        output_dir=out_dir,
+        sweep_parameter="run.master_seed",
+        sweep_values=tuple(range(5)),
+        workers=2,
         dataset_n_classes=10,
         dataset_n_features=32,
         dataset_train_per_class=600,
@@ -164,17 +142,21 @@ def _ordering_cfg(seed: int, recluster_period: float) -> ScenarioConfig:
     )
 
 
-def test_criterion_5_fello_beats_baselines():
+def _metrics_rows(out_dir) -> list:
+    with open(os.path.join(out_dir, "metrics.csv"), newline="") as f:
+        return list(csv.DictReader(f.readlines()[1:]))
+
+
+def test_criterion_5_fello_beats_baselines(tmp_path):
     t0 = time.perf_counter()
-    finals = {"fello": [], "fello_norc": [], "dl": []}
-    for seed in range(5):
-        cfg = _ordering_cfg(seed, 1.0)
+    finals = {}
+    for suffix, archs, period in (("", ("fello", "dl"), 1.0), ("_norc", ("fello",), math.inf)):
+        cfg = _ordering_sweep(str(tmp_path / suffix), archs, period)
         assert cfg.lesc_rounds == 40 and cfg.train_local_epochs == 2
-        train_set, test_set = build_datasets(cfg)
-        finals["fello"].append(run_one(cfg, "fello", train_set, test_set)[-1].accuracy)
-        norc = replace(cfg, lesc_recluster_period=math.inf)
-        finals["fello_norc"].append(run_one(norc, "fello", train_set, test_set)[-1].accuracy)
-        finals["dl"].append(run_one(cfg, "dl", train_set, test_set)[-1].accuracy)
+        assert run_scenario(cfg) == 0
+        for row in _metrics_rows(cfg.output_dir):
+            if int(row["round"]) == cfg.lesc_rounds:
+                finals.setdefault(row["architecture"] + suffix, []).append(float(row["accuracy"]))
     mean = {k: float(np.mean(v)) for k, v in finals.items()}
     assert mean["fello"] - mean["dl"] >= 0.05
     assert mean["fello"] >= mean["fello_norc"]
@@ -207,8 +189,7 @@ def test_criterion_6_dl_channel_invariance(tmp_path):
     for i, sigma in enumerate((2e-6, 3e-6, 4e-6, 5e-6)):
         out = str(tmp_path / f"sigma_{i}")
         assert run_scenario(_small_dl_cfg(out, sigma)) == 0
-        with open(tmp_path / f"sigma_{i}" / "metrics.csv", "rb") as f:
-            blobs.append(f.read())
+        blobs.append((tmp_path / f"sigma_{i}" / "metrics.csv").read_bytes())
     assert all(blob == blobs[0] for blob in blobs)
 
 
@@ -221,8 +202,7 @@ def test_cumulative_delay_is_the_modelled_delay(tmp_path):
     )
     assert cfg.lesc_round_time_s == 60.0
     assert run_scenario(cfg) == 0
-    with open(tmp_path / "metrics.csv", newline="") as f:
-        rows = list(csv.DictReader(f.readlines()[1:]))
+    rows = _metrics_rows(tmp_path)
     for mode in ("fello", "dl"):
         last = [r for r in rows if r["architecture"] == mode][-1]
         assert int(last["round"]) == rounds
@@ -250,23 +230,11 @@ def test_idle_rounds_add_no_delay():
 
 
 def test_criterion_7_scenario_determinism(tmp_path):
+    # the small DL scenario at Table 1's pointing jitter, all three arms and a sweep
     base = replace(
-        ScenarioConfig(),
-        master_seed=11,
-        output_dir=str(tmp_path / "a"),
-        lesc_rounds=2,
-        lesc_round_time_s=60.0,
-        train_hidden_size=8,
-        dataset_n_classes=3,
-        dataset_n_features=8,
-        dataset_train_per_class=60,
-        dataset_test_per_class=15,
-        dataset_spread=0.12,
-        dataset_samples_per_client=40,
-        corruption_kind="awgn",
-        corruption_awgn_scale=5.0,
-        sweep_parameter="lesc.delta_d_km",
-        sweep_values=(1800.0, 2600.0),
+        _small_dl_cfg(str(tmp_path / "a"), 3e-6), architectures=("fello", "cl", "dl"),
+        master_seed=11, lesc_rounds=2, corruption_awgn_scale=5.0,
+        sweep_parameter="lesc.delta_d_km", sweep_values=(1800.0, 2600.0),
     )
     assert run_scenario(base) == 0
     manifest = load_config(str(tmp_path / "a" / "manifest.cfg"))
@@ -277,10 +245,7 @@ def test_criterion_7_scenario_determinism(tmp_path):
     pooled = replace(manifest, output_dir=str(tmp_path / "c"), workers=3)
     assert run_scenario(pooled) == 0
 
-    blobs = []
-    for name in ("a", "b", "c"):
-        with open(tmp_path / name / "metrics.csv", "rb") as f:
-            blobs.append(f.read())
+    blobs = [(tmp_path / name / "metrics.csv").read_bytes() for name in ("a", "b", "c")]
     assert blobs[0] == blobs[1] == blobs[2]
 
 

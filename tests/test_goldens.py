@@ -7,29 +7,39 @@ DL round loops: handovers, re-clusterings, coverage gaps before and after
 the first cluster forms, AWGN and packet corruption, distance and SNR
 thresholds, the fixed aggregation denominator and a process-pool sweep.
 
-The same files anchor relations between runs (common random numbers):
-an architecture run alone writes its golden rows, reordering the
-architectures or reversing the sweep values only reorders row blocks, and
-every sweep point writes the rows of a single run at its value.
+OpenBLAS kernels may sum a matrix product in another order, moving the
+last digits of `loss` cells, so the files pin bytes under one kernel:
+pinned_metrics runs `fello-sim run` in a subprocess on KERNEL with one BLAS
+thread, built as OPENBLAS_VERSION. Relations between runs (common random
+numbers) hold on any kernel and compare runs with whole_run, each scenario
+run once in this process: an architecture run alone writes its rows,
+reordering architectures or reversing sweep values reorders row blocks,
+and every sweep point writes a single run's rows.
 
-A change that alters numbers on purpose regenerates the files with
-`PYTHONPATH=src python tests/test_goldens.py` and says why in CHANGES.md.
+A change that alters numbers on purpose, or another OpenBLAS build, runs
+REGENERATE and says why in CHANGES.md.
 """
 
-import csv
-import io
-import logging
+import functools
 import os
+import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
+import fello_sim
 from fello_sim.config import ScenarioConfig, apply_sweep, serialize_config
 from fello_sim.overhead import MODES
 from fello_sim.scenario import build_datasets, run_one, run_scenario
 
 GOLDENS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "goldens")
+# Haswell runs on every AVX2 x86-64 CPU, Intel or AMD.
+KERNEL = "Haswell"
+OPENBLAS_VERSION = "0.3.31.188.0"
+REGENERATE = "PYTHONPATH=src python tests/test_goldens.py"
 
 BASE = replace(
     ScenarioConfig(),
@@ -73,10 +83,42 @@ def scenario_config(name: str, output_dir: str, **overrides) -> ScenarioConfig:
     return replace(BASE, output_dir=output_dir, **{**SCENARIOS[name], **overrides})
 
 
+def read(*path: str) -> bytes:
+    with open(os.path.join(*path), "rb") as f:
+        return f.read()
+
+
 def run_metrics(cfg: ScenarioConfig) -> bytes:
     assert run_scenario(cfg) == 0
-    with open(os.path.join(cfg.output_dir, "metrics.csv"), "rb") as f:
-        return f.read()
+    return read(cfg.output_dir, "metrics.csv")
+
+
+def pinned_metrics(name: str, output_dir: str) -> bytes:
+    """name's metrics.csv from `fello-sim run` in a subprocess on KERNEL, one BLAS thread."""
+    path = os.path.join(output_dir, "scenario.cfg")
+    with open(path, "w") as f:
+        f.write(serialize_config(scenario_config(name, output_dir)))
+    # -m puts the working directory, the one that holds fello_sim, on sys.path
+    done = subprocess.run([sys.executable, "-m", "fello_sim.cli", "run", path],
+                          cwd=os.path.dirname(os.path.dirname(fello_sim.__file__)),
+                          env=dict(os.environ, OPENBLAS_CORETYPE=KERNEL, OPENBLAS_NUM_THREADS="1"),
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return read(output_dir, "metrics.csv")
+
+
+def openblas_version() -> str:
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["version"]
+    except Exception:  # numpy before 1.26 only prints its config
+        return "unknown"
+
+
+@functools.cache
+def whole_run(name: str) -> list:
+    """Row blocks of the scenario run once as a whole, in this process."""
+    with tempfile.TemporaryDirectory() as tmp:
+        return row_blocks(run_metrics(scenario_config(name, tmp)))
 
 
 def row_blocks(metrics: bytes) -> list:
@@ -92,18 +134,11 @@ def blocks_of(blocks: list, arch: str) -> list:
     return [block for block in blocks if block[0][0] == arch]
 
 
-def manifest() -> bytes:
-    return serialize_config(ScenarioConfig()).encode()
-
-
-def read_golden(filename: str) -> bytes:
-    with open(os.path.join(GOLDENS, filename), "rb") as f:
-        return f.read()
-
-
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_metrics_match_golden(name, tmp_path):
-    assert run_metrics(scenario_config(name, str(tmp_path))) == read_golden(f"{name}.csv")
+    assert pinned_metrics(name, str(tmp_path)) == read(GOLDENS, f"{name}.csv"), (
+        f"the goldens were made with OpenBLAS {OPENBLAS_VERSION}, this is "
+        f"{openblas_version()}; if the numbers moved on purpose, run {REGENERATE}")
 
 
 # One arm at a single point runs serially at any worker count, so only
@@ -114,38 +149,36 @@ def test_metrics_match_golden(name, tmp_path):
 ])
 def test_an_architecture_run_alone_writes_its_golden_rows(name, arch, workers, tmp_path):
     cfg = scenario_config(name, str(tmp_path), architectures=(arch,), workers=workers)
-    golden = row_blocks(read_golden(f"{name}.csv"))
-    assert row_blocks(run_metrics(cfg)) == blocks_of(golden, arch)
+    assert row_blocks(run_metrics(cfg)) == blocks_of(whole_run(name), arch)
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_reordering_architectures_reorders_row_blocks(name, tmp_path):
     order = MODES[::-1]
     cfg = scenario_config(name, str(tmp_path), architectures=order)
-    golden = row_blocks(read_golden(f"{name}.csv"))
-    assert row_blocks(run_metrics(cfg)) == [b for arch in order for b in blocks_of(golden, arch)]
+    whole = whole_run(name)
+    assert row_blocks(run_metrics(cfg)) == [b for arch in order for b in blocks_of(whole, arch)]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_every_sweep_point_equals_a_single_run_at_its_value(workers, tmp_path):
     cfg = scenario_config("sweep_pool", str(tmp_path), workers=workers)
-    golden = dict(row_blocks(read_golden("sweep_pool.csv")))
+    whole = dict(whole_run("sweep_pool"))
     for value in cfg.sweep_values:
         single = apply_sweep(replace(cfg, output_dir=str(tmp_path / repr(value))), value)
-        expected = [((arch, ""), golden[(arch, repr(value))]) for arch in MODES]
+        expected = [((arch, ""), whole[(arch, repr(value))]) for arch in MODES]
         assert row_blocks(run_metrics(single)) == expected
 
 
 def test_reversing_sweep_values_reverses_row_blocks(tmp_path):
     cfg = scenario_config("sweep_pool", str(tmp_path))
     cfg = replace(cfg, sweep_values=cfg.sweep_values[::-1])
-    golden = row_blocks(read_golden("sweep_pool.csv"))
-    expected = [b for arch in MODES for b in blocks_of(golden, arch)[::-1]]
+    expected = [b for arch in MODES for b in blocks_of(whole_run("sweep_pool"), arch)[::-1]]
     assert row_blocks(run_metrics(cfg)) == expected
 
 
 def test_default_manifest_matches_golden():
-    assert manifest() == read_golden("manifest.cfg")
+    assert serialize_config(ScenarioConfig()).encode() == read(GOLDENS, "manifest.cfg")
 
 
 def test_architectures_share_the_snr_membership():
@@ -161,27 +194,22 @@ def test_architectures_share_the_snr_membership():
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_golden_membership_agrees_across_architectures(name):
-    text = read_golden(f"{name}.csv").decode()
-    rows = list(csv.DictReader(io.StringIO(text.split("\n", 1)[1])))
     membership = {}
-    for row in rows:
-        key = (row["sweep_value"], row["round"])
-        value = (row["cluster_size"], row["reclustered"], row["handover"])
-        membership.setdefault(key, set()).add(value)
-    assert all(len(values) == 1 for values in membership.values())
-    assert len(rows) == len(MODES) * len(membership)
+    for (_, value), rows in whole_run(name):
+        # round, then cluster_size, reclustered and handover past accuracy and loss
+        cells = [row.split(",") for row in rows]
+        membership.setdefault(value, []).append([c[:1] + c[3:6] for c in cells])
+    assert all(blocks == [blocks[0]] * len(MODES) for blocks in membership.values())
 
 
 if __name__ == "__main__":
-    import tempfile
-
-    logging.disable(logging.WARNING)
     os.makedirs(GOLDENS, exist_ok=True)
-    outputs = {"manifest.cfg": manifest()}
+    outputs = {"manifest.cfg": serialize_config(ScenarioConfig()).encode()}
     for scenario in SCENARIOS:
         with tempfile.TemporaryDirectory() as tmp:
-            outputs[f"{scenario}.csv"] = run_metrics(scenario_config(scenario, tmp))
+            outputs[f"{scenario}.csv"] = pinned_metrics(scenario, tmp)
     for filename, data in outputs.items():
         with open(os.path.join(GOLDENS, filename), "wb") as f:
             f.write(data)
         print(f"wrote {filename} ({len(data)} bytes)", file=sys.stderr)
+    print(f"OPENBLAS_VERSION = {openblas_version()!r}", file=sys.stderr)

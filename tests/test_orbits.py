@@ -17,33 +17,6 @@ from fello_sim.orbits import (
 )
 
 R_SHELL_KM = 6371.0 + 570.0
-TWO_PI = 2.0 * math.pi
-
-
-# Scalar oracle: the Walker formulas for one satellite, angles wrapped to
-# [0, 2*pi), coded apart from the vectorized kernel under test.
-def oracle_angles(cfg, sat, t):
-    c = cfg.phase_constant
-    raan0 = (sat.plane - 1) * c / cfg.n_orbits
-    anomaly0 = (sat.slot - 1) * c / cfg.sats_per_orbit + (sat.plane - 1) * c / (
-        cfg.sats_per_orbit * cfg.n_orbits
-    )
-    return (
-        (raan0 + cfg.earth_rotation_rate * t) % TWO_PI,
-        (anomaly0 + cfg.orbit_rate * t) % TWO_PI,
-    )
-
-
-def oracle_position(cfg, raan, anomaly):
-    r = cfg.orbit_radius_km
-    cos_i = math.cos(cfg.inclination)
-    return np.array([
-        r * (math.cos(raan) * math.cos(anomaly)
-             - math.sin(raan) * math.sin(anomaly) * cos_i),
-        r * (math.sin(raan) * math.cos(anomaly)
-             + cfg.y_sign * math.cos(raan) * math.sin(anomaly) * cos_i),
-        r * math.sin(anomaly) * math.sin(cfg.inclination),
-    ])
 
 
 def kernel_position(cfg, sat, t):
@@ -98,7 +71,7 @@ def test_index_validation(table1_walker):
     assert row_of(table1_walker, SatIndex(36, 20)) == 719
 
 
-def test_initial_anomaly_examples(table1_walker):
+def test_initial_anomaly_examples(table1_walker, oracle_position):
     # Plane 1 starts at RAAN 0, so these rows differ only in anomaly.
     # Half-ring phasing: slot step pi/N_S, so (l=1, k=2) sits at pi/20.
     paper = paper_walker()
@@ -118,7 +91,7 @@ def test_initial_anomaly_examples(table1_walker):
     ]
 
 
-def test_initial_raan_examples(table1_walker):
+def test_initial_raan_examples(table1_walker, oracle_position):
     # Slot 1 of plane l starts at anomaly (l-1) c / (N_S N_O).
     assert close(
         kernel_position(table1_walker, SatIndex(19, 1), 0.0),
@@ -152,7 +125,7 @@ def test_orbit_rate_override():
     assert (p0 == p1).all()
 
 
-def test_angular_state_advances_linearly(table1_walker):
+def test_angular_state_advances_linearly(table1_walker, oracle_position):
     sat = SatIndex(5, 9)
     t = 321.5
     raan0 = 4 * 2.0 * math.pi / 36.0
@@ -199,7 +172,7 @@ def test_norm_invariant_random(table1_walker):
         assert abs(math.hypot(*p) / R_SHELL_KM - 1.0) < 1e-9
 
 
-def test_y_sign_variant_leaves_the_shell():
+def test_y_sign_variant_leaves_the_shell(oracle_angles):
     # The printed-variant rotation does not preserve |P| = R_S; the deviation
     # factor is sqrt(1 - sin(2*raan) sin(2*anomaly) cos(i)).
     cfg = paper_walker(y_sign=-1.0)
@@ -218,7 +191,7 @@ def test_y_sign_variant_leaves_the_shell():
     assert worst > 1e-3
 
 
-def test_positions_at_matches_scalar_path(table1_walker):
+def test_positions_at_matches_scalar_path(table1_walker, oracle_angles, oracle_position):
     for t in (0.0, 777.7, 5000.0):
         block = positions_at(table1_walker, t)
         assert block.shape == (720, 3)
