@@ -27,6 +27,7 @@ from fello_sim.scenario import run_one, run_scenario
 from fello_sim.seeding import Substreams, derive_seed
 from fello_sim.overhead import preset_inputs, total_delay
 
+
 def test_criterion_1_overhead_reproduction():
     t0 = time.perf_counter()
     totals = {mode: total_delay(preset_inputs(mode)) for mode in ("fello", "cl", "dl")}

@@ -36,8 +36,7 @@ from fello_sim.overhead import MODES
 from fello_sim.scenario import build_datasets, run_one, run_scenario
 
 GOLDENS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "goldens")
-# Haswell runs on every AVX2 x86-64 CPU, Intel or AMD.
-KERNEL = "Haswell"
+KERNEL = "Haswell"  # runs on every AVX2 x86-64 CPU, Intel or AMD
 OPENBLAS_VERSION = "0.3.31.188.0"
 REGENERATE = "PYTHONPATH=src python tests/test_goldens.py"
 
@@ -110,7 +109,7 @@ def pinned_metrics(name: str, output_dir: str) -> bytes:
 def openblas_version() -> str:
     try:
         return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["version"]
-    except Exception:  # numpy before 1.26 only prints its config
+    except (TypeError, KeyError):  # numpy before 1.26 only prints its config
         return "unknown"
 
 
