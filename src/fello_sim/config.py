@@ -5,7 +5,8 @@ degrees, SI units otherwise). Each field is the only declaration of its
 key's name, section and type: SCHEMA is derived from the field list, and
 builder methods pass each section's keys to its domain object by name. The
 domain objects declare the same defaults again, and a test holds the two
-equal. Serialization echoes every field at full precision via repr, so a
+equal. Each builder owns its section's rules, and validation calls them all.
+Serialization echoes every field at full precision via repr, so a
 serialized config loads back equal to the original.
 """
 
@@ -19,7 +20,7 @@ from .fl_engine import CorruptionSpec, TrainConfig
 from .lesc import LescConfig
 from .optical_link import OpticalParams
 from .orbits import WalkerConfig
-from .overhead import MODES
+from .overhead import MODES, build_reports
 
 
 class ConfigError(Exception):
@@ -112,15 +113,21 @@ class ScenarioConfig:
     sweep_parameter: str = None
     sweep_values: tuple = ()
 
-    def _build(self, cls, section: str, **overrides):
-        """cls from one section's keys, then overrides; *_deg keys pass as radians."""
+    def _build(self, make, section: str, **overrides):
+        """make(...) from one section's keys, then overrides; *_deg keys pass as radians.
+
+        A value make rejects raises ConfigError naming the section.
+        """
         kwargs = {}
         for key, (field, _) in SCHEMA[section].items():
             value = getattr(self, field)
             if key.endswith("_deg"):
                 key, value = key[: -len("_deg")], math.radians(value)
             kwargs[key] = value
-        return cls(**{**kwargs, **overrides})
+        try:
+            return make(**{**kwargs, **overrides})
+        except ValueError as e:
+            raise ConfigError(f"[{section}] {e}") from None
 
     def walker(self) -> WalkerConfig:
         if self.paper_literal:
@@ -142,6 +149,15 @@ class ScenarioConfig:
 
     def corruption(self) -> CorruptionSpec:
         return self._build(CorruptionSpec, "corruption")
+
+    def overhead(self) -> list:
+        """One OverheadReport per architecture, under the [overhead] accounting."""
+        return self._build(
+            build_reports, "overhead", rounds=self.lesc_rounds,
+            local_epochs=self.train_local_epochs,
+            arch=(self.dataset_n_features, self.train_hidden_size, self.dataset_n_classes),
+            samples_per_client=self.dataset_samples_per_client,
+        )
 
 
 # field-name prefix -> section; unprefixed fields are [run] or [constellation]
@@ -213,10 +229,15 @@ def _format_value(tag: str, value) -> str:
     if tag == "bool":
         return "true" if value else "false"
     if tag == "str_list":
-        # a sweep's None is an auto lesc.round_time_s
-        return ",".join("auto" if v is None else _format_value("float", v)
-                        if isinstance(v, float) else str(v) for v in value)
+        return ",".join(format_sweep_value(v) for v in value)
     raise ConfigError(f"unknown schema tag {tag}")
+
+
+def format_sweep_value(value) -> str:
+    """A sweep value's token: auto for None (an auto lesc.round_time_s), repr of a float."""
+    if value is None:
+        return "auto"
+    return repr(float(value)) if isinstance(value, float) else str(value)
 
 
 def _sweep_target(parameter: str) -> tuple:
@@ -287,18 +308,9 @@ def validate_config(cfg: ScenarioConfig) -> None:
         raise ConfigError(f"run.workers: must be >= 1, got {cfg.workers}")
     if cfg.master_seed < 0:
         raise ConfigError(f"run.master_seed: must be >= 0, got {cfg.master_seed}")
-    for builder, section in (
-        (cfg.walker, "constellation"),
-        (cfg.isl_optics, "isl_optics"),
-        (cfg.gsl_optics, "gsl_optics"),
-        (cfg.lesc, "lesc"),
-        (cfg.train, "train"),
-        (cfg.corruption, "corruption"),
-    ):
-        try:
-            builder()
-        except ValueError as e:
-            raise ConfigError(f"[{section}] {e}") from None
+    for builder in (cfg.walker, cfg.isl_optics, cfg.gsl_optics, cfg.lesc, cfg.train,
+                    cfg.corruption):
+        builder()
     for section, mode in (("isl_optics", cfg.isl_snr_mode), ("gsl_optics", cfg.gsl_snr_mode)):
         if cfg.paper_literal and mode != "paper":
             raise ConfigError(f"{section}.snr_mode: paper_literal requires paper, got {mode!r}")
@@ -326,18 +338,9 @@ def validate_config(cfg: ScenarioConfig) -> None:
             p = getattr(cfg, "dataset_" + key)
             if not p:
                 raise ConfigError(f"dataset.{key}: required for mnist")
-            if not os.path.exists(p):
+            if not os.path.isfile(p):
                 raise ConfigError(f"dataset.{key}: no such file {p!r}")
-    if cfg.overhead_accounting not in ("preset", "analytic"):
-        raise ConfigError(
-            f"overhead.accounting: unknown mode {cfg.overhead_accounting!r}"
-        )
-    if cfg.overhead_cluster_size < 1:
-        raise ConfigError("overhead.cluster_size: must be >= 1")
-    if cfg.overhead_device_flops <= 0.0:
-        raise ConfigError("overhead.device_flops: must be > 0")
-    if cfg.overhead_link_rate_bps <= 0.0:
-        raise ConfigError("overhead.link_rate_bps: must be > 0")
+    cfg.overhead()
     if cfg.sweep_parameter is not None:
         field, _ = _sweep_target(cfg.sweep_parameter)
         if not cfg.sweep_values:

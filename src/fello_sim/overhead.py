@@ -172,16 +172,22 @@ def build_reports(
 
     'preset' injects the pinned component times and compute/memory figures;
     'analytic' derives everything from the model architecture, shard size,
-    and cluster size (4 bytes per parameter and per feature value).
+    and cluster size (4 bytes per parameter and per feature value). Both
+    check cluster_size, device_flops and link_rate_bps.
     """
+    if accounting not in ("preset", "analytic"):
+        raise ValueError(f"unknown overhead accounting {accounting!r}")
+    if cluster_size < 1:
+        raise ValueError(f"cluster_size must be >= 1, got {cluster_size}")
+    for name, value in (("device_flops", device_flops), ("link_rate_bps", link_rate_bps)):
+        if value <= 0.0:
+            raise ValueError(f"{name} must be > 0, got {value}")
     if accounting == "preset":
         inputs = {mode: preset_inputs(mode, rounds, local_epochs) for mode in MODES}
         figures = PRESET_FIGURES
-    elif accounting == "analytic":
+    else:
         if arch is None or samples_per_client is None:
             raise ValueError("analytic accounting needs arch and samples_per_client")
-        if cluster_size < 1:
-            raise ValueError(f"cluster size must be >= 1, got {cluster_size}")
         n_params = param_count(arch)
         epoch_flops = analytic_flops_per_sample(arch) * samples_per_client
         model_bytes = 4.0 * n_params
@@ -200,8 +206,6 @@ def build_reports(
             "cl": (compute, model_bytes + cluster_size * data_bytes, client),
             "dl": (compute, math.nan, client),
         }
-    else:
-        raise ValueError(f"unknown overhead accounting {accounting!r}")
     return [
         OverheadReport(
             mode, total_delay(inputs[mode]), *figures[mode],

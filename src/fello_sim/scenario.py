@@ -28,7 +28,7 @@ import traceback
 from concurrent.futures import Future, ProcessPoolExecutor
 
 from . import baselines, overhead
-from .config import ScenarioConfig, apply_sweep, serialize_config
+from .config import ScenarioConfig, apply_sweep, format_sweep_value, serialize_config
 from .datasets import load_mnist, synthetic_split
 from .lesc import round_plan, run_fello
 from .seeding import Substreams, derive_seed
@@ -86,15 +86,6 @@ def _csv_float(value) -> str:
     return repr(float(value))
 
 
-def _sweep_cell(cfg: ScenarioConfig, value) -> str:
-    """A point's sweep value as metrics.csv and FAILED print it; empty without a sweep."""
-    if cfg.sweep_parameter is None:
-        return ""
-    if value is None:  # an auto lesc.round_time_s
-        return "auto"
-    return repr(float(value)) if isinstance(value, float) else str(value)
-
-
 def render_metrics(cfg: ScenarioConfig, points, results: dict) -> str:
     """The metrics CSV: one row per (architecture, sweep value, round), in points' order."""
     buf = io.StringIO()
@@ -105,11 +96,12 @@ def render_metrics(cfg: ScenarioConfig, points, results: dict) -> str:
         for value in points:
             if (arch, value) not in results:
                 continue
+            cell = "" if cfg.sweep_parameter is None else format_sweep_value(value)
             cumulative = 0.0
             for log in results[(arch, value)]:
                 cumulative += log.round_delay_s
                 writer.writerow([
-                    arch, _sweep_cell(cfg, value), log.round_index,
+                    arch, cell, log.round_index,
                     _csv_float(log.accuracy), _csv_float(log.global_loss), log.cluster_size,
                     int(log.reclustered), int(log.handover),
                     _csv_float(log.mean_link_snr_db), _csv_float(cumulative),
@@ -119,16 +111,7 @@ def render_metrics(cfg: ScenarioConfig, points, results: dict) -> str:
 
 def emit_overhead_report(cfg: ScenarioConfig) -> list:
     """Write overhead.txt and overhead.csv; returns the reports."""
-    reports = overhead.build_reports(
-        rounds=cfg.lesc_rounds,
-        local_epochs=cfg.train_local_epochs,
-        accounting=cfg.overhead_accounting,
-        arch=(cfg.dataset_n_features, cfg.train_hidden_size, cfg.dataset_n_classes),
-        samples_per_client=cfg.dataset_samples_per_client,
-        cluster_size=cfg.overhead_cluster_size,
-        device_flops=cfg.overhead_device_flops,
-        link_rate_bps=cfg.overhead_link_rate_bps,
-    )
+    reports = cfg.overhead()
     os.makedirs(cfg.output_dir, exist_ok=True)
     with open(os.path.join(cfg.output_dir, "overhead.txt"), "w") as f:
         f.write(overhead.render_text(reports))
@@ -202,7 +185,7 @@ def run_scenario(cfg: ScenarioConfig) -> int:
             results[(arch, value)] = outcomes[(arch, value)].result()
         else:
             name = arch if cfg.sweep_parameter is None else (
-                f"{arch} at {cfg.sweep_parameter} = {_sweep_cell(cfg, value)}")
+                f"{arch} at {cfg.sweep_parameter} = {format_sweep_value(value)}")
             failed = "".join(traceback.format_exception(failed))
             failures.append(f"arm {name} failed:\n{failed}\n")
     with open(os.path.join(cfg.output_dir, "metrics.csv"), "w", newline="") as f:

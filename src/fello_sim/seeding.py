@@ -26,7 +26,7 @@ def derive_seed(master_seed: int, *keys) -> int:
 
 def substream(master_seed: int, *keys) -> np.random.Generator:
     """Return an independent PCG64 generator for the given key tuple."""
-    return np.random.Generator(np.random.PCG64(derive_seed(master_seed, *keys)))
+    return np.random.default_rng(derive_seed(master_seed, *keys))
 
 
 def _key_token(key) -> str:

@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from fello_sim.config import ScenarioConfig
 from fello_sim.datasets import synthetic_split
+from fello_sim.fl_engine import TrainConfig
 from fello_sim.lesc import round_plan
-from fello_sim.optical_link import OpticalParams
-from fello_sim.orbits import WalkerConfig
+from fello_sim.optical_link import LinkSample
+from fello_sim.seeding import Substreams
 
 
 def _logs_equal(a, b):
@@ -78,29 +80,64 @@ def oracle_position():
     return _oracle_position
 
 
-@pytest.fixture
+# The stock scenario's shell and ISL optics: Table 1 of the paper.
+@pytest.fixture(scope="session")
 def table1_walker():
-    return WalkerConfig(
-        n_orbits=36, sats_per_orbit=20, inclination=math.radians(70.0),
-        altitude_km=570.0,
+    return ScenarioConfig().walker()
+
+
+@pytest.fixture(scope="session")
+def table1_optics():
+    return ScenarioConfig().isl_optics()
+
+
+def _static_walker(n_orbits=1, sats_per_orbit=3):
+    """The Table-1 shell cut to n_orbits x sats_per_orbit and frozen in place."""
+    return dataclasses.replace(
+        ScenarioConfig().walker(), n_orbits=n_orbits, sats_per_orbit=sats_per_orbit,
+        phasing_factor="paper_literal", orbit_rate_override=0.0, earth_rotation_rate=0.0,
     )
 
 
 @pytest.fixture
-def table1_optics():
-    return OpticalParams(
-        wavelength_m=1.5e-6,
-        bandwidth_hz=1.25e9,
-        tx_power_w=0.03,
-        tx_efficiency=0.8,
-        rx_efficiency=0.8,
-        telescope_diameter_m=0.06,
-        pointing_sd_rad=3e-6,
-        responsivity_a_per_w=0.6007,
-        dark_current_a=1e-9,
-        noise_temp_k=500.0,
-        load_resistance_ohm=1000.0,
+def static_walker():
+    return _static_walker
+
+
+def _tiny_train_setup(seed=7):
+    """(train, test, TrainConfig, Substreams(seed)) small enough to train in milliseconds."""
+    train, test = synthetic_split(3, 6, 60, 20, np.random.default_rng(99), spread=0.1)
+    cfg = TrainConfig(learning_rate=0.1, local_epochs=2, batch_size=16, hidden_size=6)
+    return train, test, cfg, Substreams(seed)
+
+
+@pytest.fixture
+def tiny_train_setup():
+    return _tiny_train_setup
+
+
+def _make_link(snr_linear=1e6, ber_prob=0.0):
+    return LinkSample(
+        distance_km=1000.0, theta_t_rad=0.0, theta_r_rad=0.0,
+        received_power_w=1e-8, noise_power=1e-14, snr_linear=snr_linear,
+        ber=ber_prob, rate_bps=1e9,
     )
+
+
+@pytest.fixture(scope="session")
+def make_link():
+    return _make_link
+
+
+def _write(tmp_path, text, name="scenario.cfg"):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.fixture
+def write():
+    return _write
 
 
 @pytest.fixture

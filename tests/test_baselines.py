@@ -6,37 +6,20 @@ import pytest
 
 from fello_sim import baselines
 from fello_sim.baselines import run_cl, run_dl
-from fello_sim.datasets import synthetic_split
 from fello_sim.fl_engine import (
     CorruptionSpec,
     Dataset,
-    TrainConfig,
     evaluate,
     init_model,
     partition_data,
     sgd_epoch,
 )
 from fello_sim.lesc import LescConfig
-from fello_sim.orbits import SatIndex, WalkerConfig
+from fello_sim.orbits import SatIndex
 from fello_sim.overhead import PRESET_TIMES
 from fello_sim.seeding import Substreams
 
 NONE = CorruptionSpec(kind="none")
-
-
-def static_walker(n_orbits=1, sats_per_orbit=3):
-    return WalkerConfig(
-        n_orbits=n_orbits, sats_per_orbit=sats_per_orbit,
-        inclination=math.radians(70.0), altitude_km=570.0,
-        phasing_factor="paper_literal", orbit_rate_override=0.0,
-        earth_rotation_rate=0.0,
-    )
-
-
-def setup(seed):
-    train, test = synthetic_split(3, 6, 60, 20, np.random.default_rng(99), spread=0.1)
-    cfg = TrainConfig(learning_rate=0.1, local_epochs=2, batch_size=16, hidden_size=6)
-    return train, test, cfg, Substreams(seed)
 
 
 def single_client_lesc(rounds=3):
@@ -44,9 +27,11 @@ def single_client_lesc(rounds=3):
                       gsl_snr_threshold=0.0, snr_units="linear")
 
 
-def test_cl_single_client_is_composite_local_training(table1_optics, on_plan):
+def test_cl_single_client_is_composite_local_training(
+    table1_optics, on_plan, static_walker, tiny_train_setup
+):
     walker = static_walker(1, 3)
-    train, test, tc, streams = setup(71)
+    train, test, tc, streams = tiny_train_setup(71)
     logs = on_plan(run_cl, single_client_lesc(), walker, table1_optics, tc, train, test, 40,
                    streams, NONE)
     ref = Substreams(71)
@@ -64,9 +49,9 @@ def test_cl_single_client_is_composite_local_training(table1_optics, on_plan):
         assert log.cluster_size == 1
 
 
-def test_cl_pools_members_in_order(table1_optics, on_plan):
+def test_cl_pools_members_in_order(table1_optics, on_plan, static_walker, tiny_train_setup):
     walker = static_walker(1, 5)
-    train, test, tc, streams = setup(72)
+    train, test, tc, streams = tiny_train_setup(72)
     cfg = LescConfig(delta_d_km=9000.0, rounds=2, round_time_s=30.0,
                      gsl_snr_threshold=0.0, snr_units="linear")
     logs = on_plan(run_cl, cfg, walker, table1_optics, tc, train, test, 30, streams, NONE)
@@ -94,10 +79,10 @@ def test_cl_pools_members_in_order(table1_optics, on_plan):
 @pytest.mark.parametrize("kind", ["none", "awgn", "packet"])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_cl_pools_shards_in_the_data_dtype(
-    table1_optics, monkeypatch, dtype, kind, on_plan
+    table1_optics, monkeypatch, dtype, kind, on_plan, static_walker, tiny_train_setup
 ):
     walker = static_walker(1, 5)
-    base, test, tc, streams = setup(79)
+    base, test, tc, streams = tiny_train_setup(79)
     features, labels = base.take()
     train = Dataset(features.astype(dtype), labels, base.n_classes)
     cfg = LescConfig(delta_d_km=9000.0, rounds=2, round_time_s=30.0,
@@ -118,9 +103,9 @@ def test_cl_pools_shards_in_the_data_dtype(
     assert seen == [want] * (2 * tc.local_epochs)
 
 
-def test_cl_ships_only_on_admission(table1_optics, on_plan):
+def test_cl_ships_only_on_admission(table1_optics, on_plan, static_walker, tiny_train_setup):
     walker = static_walker(1, 3)
-    train, test, tc, streams = setup(73)
+    train, test, tc, streams = tiny_train_setup(73)
     logs = on_plan(run_cl, single_client_lesc(), walker, table1_optics, tc, train, test, 40,
                    streams, NONE)
     # Static constellation: the one shard ships at round 1 and never again.
@@ -134,9 +119,11 @@ def test_cl_ships_only_on_admission(table1_optics, on_plan):
     assert logs[1].round_delay_s == logs[2].round_delay_s == train
 
 
-def test_cl_shipping_applies_corruption(table1_optics, logs_equal, on_plan):
+def test_cl_shipping_applies_corruption(
+    table1_optics, logs_equal, on_plan, static_walker, tiny_train_setup
+):
     walker = static_walker(1, 3)
-    train, test, tc, _ = setup(74)
+    train, test, tc, _ = tiny_train_setup(74)
     noisy = on_plan(run_cl, single_client_lesc(), walker, table1_optics, tc, train, test,
                     40, Substreams(74), CorruptionSpec(kind="awgn", awgn_scale=100.0))
     clean = on_plan(run_cl, single_client_lesc(), walker, table1_optics, tc, train, test,
@@ -147,9 +134,11 @@ def test_cl_shipping_applies_corruption(table1_optics, logs_equal, on_plan):
     assert logs_equal(noisy, again)
 
 
-def test_dl_single_client_is_plain_trajectory(table1_optics, on_plan):
+def test_dl_single_client_is_plain_trajectory(
+    table1_optics, on_plan, static_walker, tiny_train_setup
+):
     walker = static_walker(1, 3)
-    train, test, tc, streams = setup(75)
+    train, test, tc, streams = tiny_train_setup(75)
     logs = on_plan(run_dl, single_client_lesc(), walker, table1_optics, tc, train, test, 40,
                    streams)
     ref = Substreams(75)
@@ -167,9 +156,9 @@ def test_dl_single_client_is_plain_trajectory(table1_optics, on_plan):
         assert math.isnan(log.mean_link_snr_db)
 
 
-def test_dl_reports_member_means(table1_optics, on_plan):
+def test_dl_reports_member_means(table1_optics, on_plan, static_walker, tiny_train_setup):
     walker = static_walker(1, 5)
-    train, test, tc, streams = setup(76)
+    train, test, tc, streams = tiny_train_setup(76)
     cfg = LescConfig(delta_d_km=9000.0, rounds=2, round_time_s=30.0,
                      gsl_snr_threshold=0.0, snr_units="linear")
     logs = on_plan(run_dl, cfg, walker, table1_optics, tc, train, test, 30, streams)
@@ -190,9 +179,11 @@ def test_dl_reports_member_means(table1_optics, on_plan):
         assert log.global_loss == float(np.mean([l for _, l in scores]))
 
 
-def test_dl_is_blind_to_the_channel(table1_walker, table1_optics, logs_equal, on_plan):
+def test_dl_is_blind_to_the_channel(
+    table1_walker, table1_optics, logs_equal, on_plan, tiny_train_setup
+):
     # Full-shell short run: changing optics must not move a single number.
-    train, test, tc, _ = setup(77)
+    train, test, tc, _ = tiny_train_setup(77)
     cfg = LescConfig(delta_d_km=2600.0, rounds=3, round_time_s=60.0)
     base = on_plan(run_dl, cfg, table1_walker, table1_optics, tc, train, test, 30,
                    Substreams(77))

@@ -35,18 +35,12 @@ samples_per_client = 30
 SWEEP = "\n[sweep]\nparameter = lesc.delta_d_km\nvalues = 1500,1800\n"
 
 
-def write(tmp_path, text, name="scenario.cfg"):
-    path = tmp_path / name
-    path.write_text(text)
-    return str(path)
-
-
 def read(path):
     with open(path) as f:
         return f.read()
 
 
-def test_validate_ok(tmp_path, capsys):
+def test_validate_ok(tmp_path, capsys, write):
     path = write(tmp_path, TINY_SCENARIO)
     assert main(["validate", path]) == 0
     out = capsys.readouterr().out
@@ -54,26 +48,39 @@ def test_validate_ok(tmp_path, capsys):
     assert "rounds=2" in out
 
 
-def test_validate_rejects_bad_config(tmp_path, capsys):
+def test_validate_rejects_bad_config(tmp_path, capsys, write):
     path = write(tmp_path, "[constellation]\ninclination_deg = 200\n")
     assert main(["validate", path]) == 1
     assert "config error" in capsys.readouterr().err
 
 
-def test_validate_rejects_nan_and_names_the_key(tmp_path, capsys):
+def test_validate_rejects_nan_and_names_the_key(tmp_path, capsys, write):
     path = write(tmp_path, "[overhead]\ndevice_flops = nan\n")
     assert main(["validate", path]) == 1
     assert "overhead.device_flops: must be a number" in capsys.readouterr().err
 
 
-def test_validate_rejects_inf_and_names_the_key(tmp_path, capsys):
+@pytest.mark.parametrize("key, value", [
+    ("cluster_size", "0"), ("device_flops", "0"), ("link_rate_bps", "0"), ("accounting", "guess"),
+])
+def test_validate_rejects_bad_overhead_keys_under_preset_accounting(
+    tmp_path, capsys, write, key, value
+):
+    # The preset report reads none of these, yet a bad one is still a config error.
+    path = write(tmp_path, f"[overhead]\n{key} = {value}\n")
+    assert main(["validate", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [overhead] ") and key in err
+
+
+def test_validate_rejects_inf_and_names_the_key(tmp_path, capsys, write):
     path = write(tmp_path, "[train]\nlearning_rate = inf\n")
     assert main(["validate", path]) == 1
     assert "train.learning_rate: must be finite, got inf" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key", ["pointing_sd_rad", "ber_scheme", "ber_fixed"])
-def test_validate_rejects_keys_the_ground_link_does_not_read(tmp_path, capsys, key):
+def test_validate_rejects_keys_the_ground_link_does_not_read(tmp_path, capsys, key, write):
     path = write(tmp_path, f"[gsl_optics]\n{key} = 0\n")
     assert main(["validate", path]) == 1
     assert f"unknown key {key!r} in [gsl_optics]" in capsys.readouterr().err
@@ -89,7 +96,7 @@ def test_validate_rejects_a_file_that_is_not_utf8(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("section", ["isl_optics", "gsl_optics"])
-def test_paper_literal_flag_rejects_an_electrical_snr_mode(tmp_path, capsys, section):
+def test_paper_literal_flag_rejects_an_electrical_snr_mode(tmp_path, capsys, section, write):
     path = write(tmp_path, f"[{section}]\nsnr_mode = electrical\n")
     assert main(["validate", path]) == 0
     capsys.readouterr()
@@ -97,7 +104,7 @@ def test_paper_literal_flag_rejects_an_electrical_snr_mode(tmp_path, capsys, sec
     assert f"{section}.snr_mode: paper_literal requires" in capsys.readouterr().err
 
 
-def test_run_writes_outputs(tmp_path):
+def test_run_writes_outputs(tmp_path, write):
     path = write(tmp_path, TINY_SCENARIO)
     out = str(tmp_path / "out")
     assert main(["run", path, "--out", out]) == 0
@@ -112,7 +119,7 @@ def test_run_writes_outputs(tmp_path):
     assert not os.path.exists(os.path.join(out, "FAILED"))
 
 
-def test_rerun_from_manifest_is_byte_identical(tmp_path):
+def test_rerun_from_manifest_is_byte_identical(tmp_path, write):
     path = write(tmp_path, TINY_SCENARIO)
     out1 = str(tmp_path / "a")
     out2 = str(tmp_path / "b")
@@ -124,7 +131,7 @@ def test_rerun_from_manifest_is_byte_identical(tmp_path):
     )
 
 
-def test_seed_override_changes_results(tmp_path):
+def test_seed_override_changes_results(tmp_path, write):
     path = write(tmp_path, TINY_SCENARIO)
     out1 = str(tmp_path / "a")
     out2 = str(tmp_path / "b")
@@ -135,7 +142,7 @@ def test_seed_override_changes_results(tmp_path):
     )
 
 
-def test_overhead_subcommand(tmp_path):
+def test_overhead_subcommand(tmp_path, write):
     path = write(tmp_path, TINY_SCENARIO)
     out = str(tmp_path / "oh")
     assert main(["overhead", path, "--out", out]) == 0
@@ -148,7 +155,7 @@ def test_overhead_subcommand(tmp_path):
     ("overhead", "--seed=1"), ("overhead", "--paper-literal"), ("overhead", "--workers=2"),
     ("linkbudget", "--out=x"), ("linkbudget", "--workers=2"),
 ])
-def test_subcommands_reject_overrides_they_do_not_read(tmp_path, capsys, command, flag):
+def test_subcommands_reject_overrides_they_do_not_read(tmp_path, capsys, command, flag, write):
     path = write(tmp_path, TINY_SCENARIO)
     link = ["--from", "1,1", "--to", "1,2"] if command == "linkbudget" else []
     with pytest.raises(SystemExit) as exit_:
@@ -157,13 +164,13 @@ def test_subcommands_reject_overrides_they_do_not_read(tmp_path, capsys, command
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
-def test_validate_takes_every_override(tmp_path):
+def test_validate_takes_every_override(tmp_path, write):
     path = write(tmp_path, TINY_SCENARIO)
     args = ["--seed", "3", "--out", str(tmp_path / "o"), "--paper-literal", "--workers", "2"]
     assert main(["validate", path, *args]) == 0
 
 
-def test_linkbudget_output_and_determinism(tmp_path, capsys):
+def test_linkbudget_output_and_determinism(tmp_path, capsys, write):
     path = write(tmp_path, TINY_SCENARIO)
     args = ["linkbudget", path, "--from", "1,1", "--to", "1,2"]
     assert main(args) == 0
@@ -177,13 +184,13 @@ def test_linkbudget_output_and_determinism(tmp_path, capsys):
     assert capsys.readouterr().out != first
 
 
-def test_linkbudget_rejects_out_of_range_satellite(tmp_path, capsys):
+def test_linkbudget_rejects_out_of_range_satellite(tmp_path, capsys, write):
     path = write(tmp_path, TINY_SCENARIO)
     assert main(["linkbudget", path, "--from", "1,1", "--to", "40,1"]) == 1
     assert "config error" in capsys.readouterr().err
 
 
-def test_linkbudget_rejects_same_satellite(tmp_path, capsys):
+def test_linkbudget_rejects_same_satellite(tmp_path, capsys, write):
     path = write(tmp_path, TINY_SCENARIO)
     assert main(["linkbudget", path, "--from", "1,1", "--to", "1,1"]) == 1
     err = capsys.readouterr().err
@@ -192,7 +199,7 @@ def test_linkbudget_rejects_same_satellite(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("time", ["nan", "inf", "-inf"])
-def test_linkbudget_rejects_non_finite_time(tmp_path, capsys, time):
+def test_linkbudget_rejects_non_finite_time(tmp_path, capsys, time, write):
     path = write(tmp_path, TINY_SCENARIO)
     args = ["linkbudget", path, "--from", "1,1", "--to", "1,2", f"--time={time}"]
     assert main(args) == 1
@@ -201,14 +208,14 @@ def test_linkbudget_rejects_non_finite_time(tmp_path, capsys, time):
     assert len(err.splitlines()) == 1
 
 
-def test_linkbudget_malformed_index(tmp_path, capsys):
+def test_linkbudget_malformed_index(tmp_path, capsys, write):
     path = write(tmp_path, TINY_SCENARIO)
     with pytest.raises(SystemExit):
         main(["linkbudget", path, "--from", "11", "--to", "1,2"])
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_run_failure_writes_marker(tmp_path, workers):
+def test_run_failure_writes_marker(tmp_path, workers, write):
     # Valid config whose dataset files corrupt after validation.
     bogus = tmp_path / "img.idx"
     bogus.write_bytes(b"\x00\x00\x00\x00bad")
@@ -232,7 +239,7 @@ def test_run_failure_writes_marker(tmp_path, workers):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("workers", [1, 2])
-def test_failed_arms_do_not_stop_the_others(tmp_path, workers):
+def test_failed_arms_do_not_stop_the_others(tmp_path, workers, write):
     # A learning rate of 1e300 makes SGD diverge with a FloatingPointError
     # in every architecture; the first sweep point fails, the second runs.
     text = TINY_SCENARIO + (
@@ -252,7 +259,7 @@ def test_failed_arms_do_not_stop_the_others(tmp_path, workers):
     ]
 
 
-def test_sweep_run_row_layout(tmp_path):
+def test_sweep_run_row_layout(tmp_path, write):
     path = write(tmp_path, TINY_SCENARIO + SWEEP)
     out = str(tmp_path / "sweep")
     assert main(["run", path, "--out", out]) == 0
@@ -265,7 +272,7 @@ def test_sweep_run_row_layout(tmp_path):
 
 
 @pytest.mark.parametrize("text", [TINY_SCENARIO, TINY_SCENARIO + SWEEP], ids=["single", "sweep"])
-def test_worker_count_does_not_change_metrics(tmp_path, text):
+def test_worker_count_does_not_change_metrics(tmp_path, text, write):
     path = write(tmp_path, text)
     out1 = str(tmp_path / "w1")
     out2 = str(tmp_path / "w2")
@@ -296,7 +303,7 @@ class InlinePool:
 
 @pytest.mark.parametrize("text, arms", [(TINY_SCENARIO, 3), (TINY_SCENARIO + SWEEP, 6)],
                          ids=["single", "sweep"])
-def test_pool_holds_no_more_processes_than_arms(tmp_path, monkeypatch, text, arms):
+def test_pool_holds_no_more_processes_than_arms(tmp_path, monkeypatch, text, arms, write):
     # A forked pool starts all of its processes at the first submit.
     monkeypatch.setattr(scenario, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(InlinePool, "made", [])
@@ -305,7 +312,7 @@ def test_pool_holds_no_more_processes_than_arms(tmp_path, monkeypatch, text, arm
     assert InlinePool.made == [(arms, "fork")]
 
 
-def test_single_point_pool_builds_datasets_once_in_the_parent(tmp_path, monkeypatch):
+def test_single_point_pool_builds_datasets_once_in_the_parent(tmp_path, monkeypatch, write):
     log = tmp_path / "pids.log"
 
     def recorded(event, fn):
@@ -326,7 +333,7 @@ def test_single_point_pool_builds_datasets_once_in_the_parent(tmp_path, monkeypa
     assert len(children) == 3 and parent not in children
 
 
-def test_a_clean_rerun_removes_the_failed_marker(tmp_path, monkeypatch):
+def test_a_clean_rerun_removes_the_failed_marker(tmp_path, monkeypatch, write):
     def broken(*args, **kwargs):
         raise RuntimeError("cl diverged")
 
@@ -340,7 +347,7 @@ def test_a_clean_rerun_removes_the_failed_marker(tmp_path, monkeypatch):
     assert not os.path.exists(os.path.join(out, "FAILED"))
 
 
-def test_a_failed_rerun_replaces_the_overhead_report(tmp_path, monkeypatch):
+def test_a_failed_rerun_replaces_the_overhead_report(tmp_path, monkeypatch, write):
     def broken(*args, **kwargs):
         raise RuntimeError("cl diverged")
 
@@ -358,7 +365,7 @@ def test_a_failed_rerun_replaces_the_overhead_report(tmp_path, monkeypatch):
     assert read(os.path.join(out, "overhead.csv")) != stale
 
 
-def test_a_failed_arm_on_the_pool_spares_the_others(tmp_path, monkeypatch):
+def test_a_failed_arm_on_the_pool_spares_the_others(tmp_path, monkeypatch, write):
     def broken(*args, **kwargs):
         raise RuntimeError("cl diverged")
 
@@ -377,7 +384,7 @@ def test_a_failed_arm_on_the_pool_spares_the_others(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_failed_lists_arms_in_arm_order(tmp_path, monkeypatch, workers):
+def test_failed_lists_arms_in_arm_order(tmp_path, monkeypatch, workers, write):
     def broken(*args, **kwargs):
         raise RuntimeError("diverged")
 
@@ -392,23 +399,29 @@ def test_failed_lists_arms_in_arm_order(tmp_path, monkeypatch, workers):
                      for arch in ("cl", "dl") for value in ("1500.0", "1800.0")]
 
 
-def test_an_auto_round_time_point_prints_auto_and_its_manifest_loads(tmp_path, monkeypatch):
+def test_an_auto_round_time_point_prints_auto_and_its_manifest_loads(tmp_path, monkeypatch, write):
     def broken(*args, **kwargs):
         raise RuntimeError("cl diverged")
 
     monkeypatch.setattr(baselines, "run_cl", broken)
-    text = TINY_SCENARIO + "\n[sweep]\nparameter = lesc.round_time_s\nvalues = auto, 60\n"
-    out = str(tmp_path / "out")
-    assert main(["run", write(tmp_path, text), "--out", out]) == 2
-    failed = read(os.path.join(out, "FAILED"))
-    assert "arm cl at lesc.round_time_s = auto failed:\n" in failed
-    rows = read(os.path.join(out, "metrics.csv")).strip().splitlines()[2:]
-    assert [row.split(",")[:2] for row in rows] == [
-        [arch, value] for arch in ("fello", "dl") for value in ("auto", "auto", "60.0", "60.0")
-    ]
-    manifest = os.path.join(out, "manifest.cfg")
-    assert "values = auto,60.0\n" in read(manifest)
-    assert main(["validate", manifest]) == 0
+    # One formatter writes FAILED, the sweep_value cells and the manifest:
+    # auto and a float here, and ints through an int-valued key.
+    for parameter, values, tokens in (
+        ("lesc.round_time_s", "auto, 60", ("auto", "60.0")),
+        ("train.local_epochs", "2, 1", ("2", "1")),
+    ):
+        text = TINY_SCENARIO + f"\n[sweep]\nparameter = {parameter}\nvalues = {values}\n"
+        out = str(tmp_path / parameter)
+        assert main(["run", write(tmp_path, text), "--out", out]) == 2
+        failed = read(os.path.join(out, "FAILED"))
+        assert f"arm cl at {parameter} = {tokens[0]} failed:\n" in failed
+        rows = read(os.path.join(out, "metrics.csv")).strip().splitlines()[2:]
+        assert [row.split(",")[:2] for row in rows] == [
+            [arch, value] for arch in ("fello", "dl") for value in tokens for _ in (1, 2)
+        ]
+        manifest = os.path.join(out, "manifest.cfg")
+        assert f"values = {','.join(tokens)}\n" in read(manifest)
+        assert main(["validate", manifest]) == 0
 
 
 def test_run_one_rejects_an_unknown_architecture_before_building_data(monkeypatch):

@@ -18,13 +18,7 @@ from fello_sim.config import (
 from fello_sim.optical_link import evaluate_link, peak_snr
 
 
-def write(tmp_path, text, name="scenario.cfg"):
-    path = tmp_path / name
-    path.write_text(text)
-    return str(path)
-
-
-def test_empty_file_yields_defaults(tmp_path):
+def test_empty_file_yields_defaults(tmp_path, write):
     cfg = load_config(write(tmp_path, ""))
     assert cfg == ScenarioConfig()
     assert cfg.architectures == ("fello", "cl", "dl")
@@ -34,7 +28,7 @@ def test_empty_file_yields_defaults(tmp_path):
     assert cfg.lesc_round_time_s is None
 
 
-def test_parse_and_round_trip(tmp_path):
+def test_parse_and_round_trip(tmp_path, write):
     text = """
 [run]
 architectures = fello,dl
@@ -79,7 +73,7 @@ awgn_scale = 2.5
     assert echoed == cfg
 
 
-def test_round_trip_preserves_full_float_precision(tmp_path):
+def test_round_trip_preserves_full_float_precision(tmp_path, write):
     cfg = replace(ScenarioConfig(), isl_pointing_sd_rad=math.pi * 1e-6,
                   lesc_delta_d_km=2600.000000001)
     echoed = load_config(write(tmp_path, serialize_config(cfg)))
@@ -87,7 +81,7 @@ def test_round_trip_preserves_full_float_precision(tmp_path):
     assert echoed.lesc_delta_d_km == cfg.lesc_delta_d_km
 
 
-def test_unknown_section_and_key(tmp_path):
+def test_unknown_section_and_key(tmp_path, write):
     with pytest.raises(ConfigError, match="unknown section"):
         load_config(write(tmp_path, "[telemetry]\nfoo = 1\n"))
     with pytest.raises(ConfigError, match="unknown key"):
@@ -98,7 +92,7 @@ def test_unknown_section_and_key(tmp_path):
         load_config(write(tmp_path, "no section header\n"))
 
 
-def test_bad_values_name_the_field(tmp_path):
+def test_bad_values_name_the_field(tmp_path, write):
     with pytest.raises(ConfigError, match="inclination"):
         load_config(write(tmp_path, "[constellation]\ninclination_deg = 200\n"))
     with pytest.raises(ConfigError, match="recluster_fraction"):
@@ -119,7 +113,7 @@ def test_bad_values_name_the_field(tmp_path):
         ))
 
 
-def test_nan_is_rejected_in_every_float_key(tmp_path):
+def test_nan_is_rejected_in_every_float_key(tmp_path, write):
     with pytest.raises(ConfigError, match=r"isl_optics\.tx_power_w: must be a number"):
         load_config(write(tmp_path, "[isl_optics]\ntx_power_w = nan\n"))
     with pytest.raises(ConfigError, match=r"sweep value nan: lesc\.delta_d_km"):
@@ -140,7 +134,7 @@ def test_nan_is_rejected_in_every_float_key(tmp_path):
     validate_config(replace(ScenarioConfig(), lesc_recluster_period=math.inf))
 
 
-def test_inf_is_rejected_except_in_recluster_period(tmp_path):
+def test_inf_is_rejected_except_in_recluster_period(tmp_path, write):
     with pytest.raises(ConfigError, match=r"train\.learning_rate: must be finite, got inf$"):
         load_config(write(tmp_path, "[train]\nlearning_rate = inf\n"))
     with pytest.raises(ConfigError,
@@ -165,7 +159,7 @@ def test_inf_is_rejected_except_in_recluster_period(tmp_path):
     assert math.isinf(load_config(path).lesc_recluster_period)
 
 
-def test_mnist_requires_existing_files(tmp_path):
+def test_mnist_requires_existing_files(tmp_path, write):
     with pytest.raises(ConfigError, match="train_images"):
         load_config(write(tmp_path, "[dataset]\nkind = mnist\n"))
     text = (
@@ -175,9 +169,12 @@ def test_mnist_requires_existing_files(tmp_path):
     )
     with pytest.raises(ConfigError, match="no such file"):
         load_config(write(tmp_path, text))
+    # a directory exists but is no IDX file: every arm would fail at run time
+    with pytest.raises(ConfigError, match="no such file"):
+        load_config(write(tmp_path, text.replace(f"{tmp_path}/none.idx", str(tmp_path))))
 
 
-def test_sweep_parsing_and_validation(tmp_path):
+def test_sweep_parsing_and_validation(tmp_path, write):
     cfg = load_config(write(
         tmp_path, "[sweep]\nparameter = lesc.delta_d_km\nvalues = 1500, 2200, 2600\n"
     ))
@@ -204,7 +201,7 @@ def test_sweep_parsing_and_validation(tmp_path):
 
 
 @pytest.mark.parametrize("key", ["architectures", "output_dir", "workers"])
-def test_sweep_rejects_run_wide_keys(tmp_path, key):
+def test_sweep_rejects_run_wide_keys(tmp_path, key, write):
     # run_scenario reads these once for the whole run, so a sweep of them
     # would change nothing but the sweep_value column
     with pytest.raises(ConfigError, match=f"cannot sweep run.{key}"):
@@ -214,7 +211,7 @@ def test_sweep_rejects_run_wide_keys(tmp_path, key):
                                 sweep_values=("2",)))
 
 
-def test_sweep_of_per_point_run_keys(tmp_path):
+def test_sweep_of_per_point_run_keys(tmp_path, write):
     cfg = load_config(write(tmp_path, "[sweep]\nparameter = run.master_seed\nvalues = 1, 2\n"))
     assert apply_sweep(cfg, 2).master_seed == 2
     cfg = load_config(write(
@@ -223,7 +220,7 @@ def test_sweep_of_per_point_run_keys(tmp_path):
     assert apply_sweep(cfg, True).paper_literal is True
 
 
-def test_sweep_rejects_repeated_values(tmp_path):
+def test_sweep_rejects_repeated_values(tmp_path, write):
     # 2600 and 2600.0 are one point; run twice they would share their
     # metrics.csv rows' keys but not their streams
     with pytest.raises(ConfigError, match="2600.0 repeats an earlier value"):
@@ -250,7 +247,7 @@ def test_domain_defaults_equal_scenario_defaults(builder):
             assert getattr(built, f.name) == f.default, f"{builder}: {f.name}"
 
 
-def test_sweep_of_int_field_parses_ints(tmp_path):
+def test_sweep_of_int_field_parses_ints(tmp_path, write):
     cfg = load_config(write(
         tmp_path, "[sweep]\nparameter = train.local_epochs\nvalues = 1,2,4\n"
     ))
@@ -302,7 +299,7 @@ def test_paper_literal_switches_the_bundle():
     assert electrical.isl_optics().snr_mode == "electrical"
 
 
-def test_readme_quick_start_is_a_valid_config(tmp_path):
+def test_readme_quick_start_is_a_valid_config(tmp_path, write):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = re.search(r"```ini\n(.*?)```", readme, re.DOTALL)
     assert block is not None, "README.md has no ini block"

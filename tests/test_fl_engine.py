@@ -19,16 +19,7 @@ from fello_sim.fl_engine import (
     train_local,
 )
 from fello_sim.lesc import initial_model
-from fello_sim.optical_link import LinkSample
 from fello_sim.seeding import Substreams
-
-
-def make_link(snr_linear=1e6, ber_prob=0.0):
-    return LinkSample(
-        distance_km=1000.0, theta_t_rad=0.0, theta_r_rad=0.0,
-        received_power_w=1e-8, noise_power=1e-14, snr_linear=snr_linear,
-        ber=ber_prob, rate_bps=1e9,
-    )
 
 
 def toy_dataset(n=30, n_features=4, n_classes=3, seed=0):
@@ -297,7 +288,7 @@ def test_sgd_epoch_matches_per_layer_reference_bitwise():
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_precision_follows_the_data(dtype):
+def test_precision_follows_the_data(dtype, make_link):
     base = toy_dataset()
     data = Dataset(base.features.astype(dtype), base.labels, base.n_classes)
     assert data.features.dtype == dtype
@@ -455,19 +446,12 @@ def test_partition_full_size_is_permutation():
     )
 
 
-def test_corrupt_none_is_identity():
-    vec = np.random.default_rng(0).normal(size=100)
-    out = corrupt_vector(vec, make_link(), CorruptionSpec(kind="none"),
-                         np.random.default_rng(1))
-    assert out is vec
-
-
 @pytest.mark.parametrize("spec", [
     CorruptionSpec(kind="awgn", awgn_scale=3.0),
     CorruptionSpec(kind="packet", packet_bits=160),  # 5 values per packet
 ])
 @pytest.mark.parametrize("with_prev", [False, True])
-def test_corrupt_array_equals_its_flattening(spec, with_prev):
+def test_corrupt_array_equals_its_flattening(spec, with_prev, make_link):
     # A (rows, cols) payload crosses the channel as its row-major flattening,
     # so packets run across row boundaries (23 columns, 5 values a packet).
     features = np.random.default_rng(9).normal(size=(7, 23))
@@ -481,7 +465,7 @@ def test_corrupt_array_equals_its_flattening(spec, with_prev):
     assert not np.array_equal(got, features)
 
 
-def test_corrupt_awgn_scales_with_snr():
+def test_corrupt_awgn_scales_with_snr(make_link):
     vec = np.zeros(20000)
     spec = CorruptionSpec(kind="awgn", awgn_scale=2.0)
     noisy_low = corrupt_vector(vec, make_link(snr_linear=100.0), spec,
@@ -494,7 +478,7 @@ def test_corrupt_awgn_scales_with_snr():
         corrupt_vector(vec, make_link(snr_linear=0.0), spec, np.random.default_rng(0))
 
 
-def test_corrupt_packet_loss_rate():
+def test_corrupt_packet_loss_rate(make_link):
     # One parameter per packet; ber 0.5 on single-bit packets loses half.
     vec = np.ones(10000)
     spec = CorruptionSpec(kind="packet", packet_bits=1)
@@ -513,7 +497,7 @@ class _ZeroDraws:
         return np.zeros(n)
 
 
-def test_corrupt_packet_tiny_ber_still_loses_packets():
+def test_corrupt_packet_tiny_ber_still_loses_packets(make_link):
     # At ber 1e-17 an 8192-bit packet is lost with probability 8.19e-14;
     # 1 - (1 - ber)**bits rounds that to exactly 0, so a 0.0 draw kept it.
     vec = np.ones(1000)
@@ -523,7 +507,7 @@ def test_corrupt_packet_tiny_ber_still_loses_packets():
     assert np.array_equal(out, prev)
 
 
-def test_corrupt_packet_prev_slices():
+def test_corrupt_packet_prev_slices(make_link):
     vec = np.ones(23)
     prev = np.full(23, 7.0)
     spec = CorruptionSpec(kind="packet", packet_bits=128)  # 4 params per packet
@@ -543,7 +527,7 @@ def test_corrupt_packet_prev_slices():
                        prev=prev.astype(np.float32))
 
 
-def test_corrupt_model_matches_vector_path():
+def test_corrupt_model_matches_vector_path(make_link):
     model = init_model(3, 4, 2, np.random.default_rng(6))
     prev = init_model(3, 4, 2, np.random.default_rng(7))
     spec = CorruptionSpec(kind="packet", packet_bits=64)

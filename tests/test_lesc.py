@@ -6,11 +6,9 @@ import pytest
 
 from fello_sim import lesc, overhead
 from fello_sim.config import ConfigError, ScenarioConfig, validate_config
-from fello_sim.datasets import synthetic_split
 from fello_sim.fl_engine import (
     ClientState,
     CorruptionSpec,
-    TrainConfig,
     aggregate,
     evaluate,
     init_model,
@@ -41,23 +39,6 @@ from fello_sim.orbits import (
 from fello_sim.seeding import Substreams
 
 GS_EQUATOR = ground_station_position(0.0, 0.0)
-
-
-def static_walker(n_orbits=1, sats_per_orbit=3, **overrides):
-    kwargs = dict(
-        n_orbits=n_orbits, sats_per_orbit=sats_per_orbit,
-        inclination=math.radians(70.0), altitude_km=570.0,
-        phasing_factor="paper_literal", orbit_rate_override=0.0,
-        earth_rotation_rate=0.0,
-    )
-    kwargs.update(overrides)
-    return WalkerConfig(**kwargs)
-
-
-def tiny_train_setup(seed=7):
-    train, test = synthetic_split(3, 6, 60, 20, np.random.default_rng(99), spread=0.1)
-    cfg = TrainConfig(learning_rate=0.1, local_epochs=2, batch_size=16, hidden_size=6)
-    return train, test, cfg, Substreams(seed)
 
 
 def test_lesc_config_validation():
@@ -131,26 +112,6 @@ def test_gsl_below_horizon(table1_walker, table1_optics):
     )
     assert gamma == 0.0
     assert elevation == pytest.approx(-math.pi / 2, abs=1e-6)
-
-
-def test_gsl_elevation_against_scalar_geometry(table1_walker):
-    rng = np.random.default_rng(5)
-    for _ in range(100):
-        sat = SatIndex(int(rng.integers(1, 37)), int(rng.integers(1, 21)))
-        t = float(rng.uniform(0.0, 6000.0))
-        lat = float(rng.uniform(-math.pi / 3, math.pi / 3))
-        lon = float(rng.uniform(-math.pi, math.pi))
-        gs = ground_station_position(lat, lon)
-        block = positions_at(table1_walker, t)
-        dists, elevations = ground_view(gs, block)
-        row = row_of(table1_walker, sat)
-        rel = block[row] - gs
-        assert dists[row] == pytest.approx(math.dist(block[row], gs), rel=1e-12)
-        want = math.pi / 2 - math.acos(
-            float(np.dot(gs, rel))
-            / (np.linalg.norm(gs) * np.linalg.norm(rel))
-        )
-        assert elevations[row] == pytest.approx(want, abs=1e-9)
 
 
 @pytest.mark.parametrize("sat, t", [(SatIndex(33, 19), 300.0), (SatIndex(5, 19), 0.0)])
@@ -618,7 +579,9 @@ def test_membership_schedule_deterministic(table1_walker, table1_optics):
         )
 
 
-def test_run_fello_single_client_equals_train_local(table1_optics, on_plan):
+def test_run_fello_single_client_equals_train_local(
+    table1_optics, on_plan, static_walker, tiny_train_setup
+):
     walker = static_walker(1, 3)
     train, test, tc, streams = tiny_train_setup()
     # Only the in-plane neighbour (6941 km) clears a 7000 km threshold.
@@ -644,7 +607,9 @@ def test_run_fello_single_client_equals_train_local(table1_optics, on_plan):
         assert not log.reclustered and not log.handover
 
 
-def test_run_fello_matches_reference_fedavg(table1_optics, on_plan):
+def test_run_fello_matches_reference_fedavg(
+    table1_optics, on_plan, static_walker, tiny_train_setup
+):
     walker = static_walker(1, 5)
     train, test, tc, streams = tiny_train_setup(seed=21)
     cfg = LescConfig(delta_d_km=9000.0, rounds=3, round_time_s=30.0,
@@ -671,7 +636,9 @@ def test_run_fello_matches_reference_fedavg(table1_optics, on_plan):
         assert log.global_loss == loss
 
 
-def test_run_fello_fixed_total_denominator(table1_optics, on_plan):
+def test_run_fello_fixed_total_denominator(
+    table1_optics, on_plan, static_walker, tiny_train_setup
+):
     walker = static_walker(1, 3)
     train, test, tc, streams = tiny_train_setup(seed=31)
     cfg = LescConfig(delta_d_km=7000.0, rounds=1, round_time_s=30.0,
@@ -691,7 +658,7 @@ def test_run_fello_fixed_total_denominator(table1_optics, on_plan):
     assert logs[0].global_loss == loss
 
 
-def test_run_fello_corruption_is_seeded(table1_optics, on_plan):
+def test_run_fello_corruption_is_seeded(table1_optics, on_plan, static_walker, tiny_train_setup):
     walker = static_walker(1, 3)
     train, test, tc, _ = tiny_train_setup(seed=51)
     cfg = LescConfig(delta_d_km=7000.0, rounds=2, round_time_s=30.0,
@@ -707,7 +674,7 @@ def test_run_fello_corruption_is_seeded(table1_optics, on_plan):
     assert clean != a
 
 
-def test_run_fello_empty_cluster(table1_optics, on_plan):
+def test_run_fello_empty_cluster(table1_optics, on_plan, static_walker, tiny_train_setup):
     walker = static_walker(1, 3)
     train, test, tc, streams = tiny_train_setup(seed=61)
     cfg = LescConfig(delta_d_km=1.0, rounds=3, round_time_s=30.0,
@@ -719,7 +686,7 @@ def test_run_fello_empty_cluster(table1_optics, on_plan):
     assert math.isnan(logs[0].mean_link_snr_db)
 
 
-def test_round_plan_pairs_the_schedule_with_its_shards(monkeypatch):
+def test_round_plan_pairs_the_schedule_with_its_shards(monkeypatch, tiny_train_setup):
     # The coverage golden's shell: gaps, admissions and rounds that admit nobody.
     cfg = replace(
         ScenarioConfig(), n_orbits=5, sats_per_orbit=5, lesc_delta_d_km=8000.0,
@@ -754,7 +721,7 @@ def test_round_plan_pairs_the_schedule_with_its_shards(monkeypatch):
     assert any(not rec.coverage_failed and not rec.admitted for rec, _ in plan)
 
 
-def test_run_rounds_admits_steps_scores_and_charges_delay(monkeypatch):
+def test_run_rounds_admits_steps_scores_and_charges_delay(monkeypatch, tiny_train_setup):
     train, test, _, streams = tiny_train_setup(seed=71)
     a, b, c = SatIndex(1, 1), SatIndex(1, 2), SatIndex(1, 3)
     ref = Substreams(streams.master_seed)

@@ -6,7 +6,6 @@ import pytest
 
 from fello_sim.optical_link import (
     LinkSample,
-    OpticalParams,
     achievable_rate,
     antenna_gain,
     ber,

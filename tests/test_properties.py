@@ -32,7 +32,7 @@ from fello_sim.fl_engine import (
     train_local,
 )
 from fello_sim.lesc import ground_view, select_edge
-from fello_sim.optical_link import LinkSample, OpticalParams, evaluate_link, peak_snr
+from fello_sim.optical_link import evaluate_link, peak_snr
 from fello_sim.orbits import (
     SatIndex,
     WalkerConfig,
@@ -62,24 +62,9 @@ shells = st.builds(
 )
 
 
-TABLE1_OPTICS = OpticalParams(
-    wavelength_m=1.5e-6, bandwidth_hz=1.25e9, tx_power_w=0.03, tx_efficiency=0.8,
-    rx_efficiency=0.8, telescope_diameter_m=0.06, pointing_sd_rad=3e-6,
-    responsivity_a_per_w=0.6007, dark_current_a=1e-9, noise_temp_k=500.0,
-    load_resistance_ohm=1000.0,
-)
-
-
-def make_link(ber):
-    return LinkSample(
-        distance_km=1000.0, theta_t_rad=0.0, theta_r_rad=0.0,
-        received_power_w=1e-8, noise_power=1e-14, snr_linear=1e6,
-        ber=ber, rate_bps=1e9,
-    )
-
-
 @PROPERTY
 @given(cfg=shells, t=st.floats(0.0, 1e6))
+@example(cfg=ScenarioConfig().walker(), t=1e5)  # the Table-1 shell a day and more on
 def test_positions_stay_on_the_shell(cfg, t):
     radii = np.linalg.norm(positions_at(cfg, t), axis=1)
     assert np.all(np.abs(radii / cfg.orbit_radius_km - 1.0) < 1e-9)
@@ -93,9 +78,6 @@ def test_row_of_inverts_all_indices(cfg, data):
         data.draw(st.integers(1, cfg.sats_per_orbit)),
     )
     assert all_indices(cfg)[row_of(cfg, sat)] == sat
-
-
-DEFAULT_SHELL = ScenarioConfig().walker()
 
 
 def scalar_elevation(gs, p):
@@ -112,9 +94,9 @@ def scalar_elevation(gs, p):
     t=st.floats(0.0, 1e5),
     data=st.data(),
 )
-def test_ground_view_elevations(lat, lon, t, data):
-    block = positions_at(DEFAULT_SHELL, t)
-    gs = ground_station_position(lat, lon, DEFAULT_SHELL.earth_radius_km)
+def test_ground_view_elevations(lat, lon, t, data, table1_walker):
+    block = positions_at(table1_walker, t)
+    gs = ground_station_position(lat, lon, table1_walker.earth_radius_km)
     dists, elevations = ground_view(gs, block)
     assert np.all((-math.pi / 2 <= elevations) & (elevations <= math.pi / 2))
     row = data.draw(st.integers(0, len(block) - 1))
@@ -125,12 +107,12 @@ def test_ground_view_elevations(lat, lon, t, data):
     p = block[row]
     under = ground_station_position(
         math.asin(p[2] / np.linalg.norm(p)), math.atan2(p[1], p[0]),
-        DEFAULT_SHELL.earth_radius_km,
+        table1_walker.earth_radius_km,
     )
     dists, elevations = ground_view(under, block)
     assert elevations[row] == pytest.approx(math.pi / 2, abs=1e-6)
-    assert select_edge(DEFAULT_SHELL, dists, elevations >= math.radians(10.0)) == \
-        all_indices(DEFAULT_SHELL)[row]
+    assert select_edge(table1_walker, dists, elevations >= math.radians(10.0)) == \
+        all_indices(table1_walker)[row]
 
 
 @settings(max_examples=200, deadline=None)
@@ -142,11 +124,11 @@ def test_ground_view_elevations(lat, lon, t, data):
     seed=st.integers(0, 2**32),
 )
 def test_no_pointing_draw_beats_the_peak_snr(
-    distance_km, pointing_sd_rad, tx_power_w, snr_mode, seed
+    distance_km, pointing_sd_rad, tx_power_w, snr_mode, seed, table1_optics
 ):
     # The bound SNR clustering prunes with: the array budget at zero
     # pointing error caps the scalar budget of every draw.
-    p = replace(TABLE1_OPTICS, pointing_sd_rad=pointing_sd_rad,
+    p = replace(table1_optics, pointing_sd_rad=pointing_sd_rad,
                 tx_power_w=tx_power_w, snr_mode=snr_mode)
     link = evaluate_link(p, distance_km, np.random.default_rng(seed))
     assert link.snr_linear <= peak_snr(p, np.array([distance_km]))[0]
@@ -159,9 +141,10 @@ def test_no_pointing_draw_beats_the_peak_snr(
     ber=st.floats(0.0, 0.5),
     seed=st.integers(0, 2**32),
 )
-def test_no_corruption_returns_the_input(vec, ber, seed):
+@example(vec=np.random.default_rng(0).normal(size=100), ber=0.0, seed=1)  # longer than drawn
+def test_no_corruption_returns_the_input(vec, ber, seed, make_link):
     # Model vectors and (rows, cols) shards alike pass through uncopied.
-    out = corrupt_vector(vec, make_link(ber), CorruptionSpec(kind="none"),
+    out = corrupt_vector(vec, make_link(ber_prob=ber), CorruptionSpec(kind="none"),
                          np.random.default_rng(seed))
     assert out is vec
 
@@ -172,13 +155,13 @@ def test_no_corruption_returns_the_input(vec, ber, seed):
     packet_bits=st.integers(1, 4096),
     seed=st.integers(0, 2**32),
 )
-def test_packet_loss_is_monotone_in_ber(bers, packet_bits, seed):
+def test_packet_loss_is_monotone_in_ber(bers, packet_bits, seed, make_link):
     # Same uniform draws per packet: a higher loss probability can only
     # add lost packets, never save one.
     vec = np.arange(1.0, 257.0)
     spec = CorruptionSpec(kind="packet", packet_bits=packet_bits)
     lost = [
-        corrupt_vector(vec, make_link(ber), spec, np.random.default_rng(seed)) == 0.0
+        corrupt_vector(vec, make_link(ber_prob=ber), spec, np.random.default_rng(seed)) == 0.0
         for ber in bers
     ]
     assert not np.any(lost[0] & ~lost[1])
