@@ -8,9 +8,8 @@ error, 2 runtime error.
 import argparse
 import math
 import sys
-from dataclasses import replace
 
-from .config import ConfigError, load_config, validate_config
+from .config import ConfigError, load_config
 from .optical_link import db, evaluate_link
 from .orbits import SatIndex, distance
 from .scenario import emit_overhead_report, run_scenario
@@ -71,9 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load(args) -> "ScenarioConfig":
     fields = (spec["dest"] for spec in _OVERRIDES.values())
     overrides = {f: getattr(args, f) for f in fields if getattr(args, f, None) is not None}
-    cfg = replace(load_config(args.config), **overrides)
-    validate_config(cfg)
-    return cfg
+    return load_config(args.config, **overrides)
 
 
 def _linkbudget(cfg, sat_from: SatIndex, sat_to: SatIndex, t: float) -> int:

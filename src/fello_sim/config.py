@@ -5,7 +5,8 @@ degrees, SI units otherwise). Each field is the only declaration of its
 key's name, section and type: SCHEMA is derived from the field list, and
 builder methods pass each section's keys to its domain object by name. The
 domain objects declare the same defaults again, and a test holds the two
-equal. Each builder owns its section's rules, and validation calls them all.
+equal. Each builder owns its section's rules, and validation calls them all;
+points() is the one sweep expansion, which validation and the run both read.
 Serialization echoes every field at full precision via repr, so a
 serialized config loads back equal to the original.
 """
@@ -159,6 +160,21 @@ class ScenarioConfig:
             samples_per_client=self.dataset_samples_per_client,
         )
 
+    def points(self) -> dict:
+        """Sweep value -> resolved config, in sweep.values order; {None: self} unswept."""
+        if self.sweep_parameter is None:
+            if self.sweep_values:
+                raise ConfigError("[sweep] values set without a parameter")
+            return {None: self}
+        if not self.sweep_values:
+            raise ConfigError("[sweep] parameter set without values")
+        points = {}
+        for value in self.sweep_values:
+            if value in points:
+                raise ConfigError(f"[sweep] values entry {value!r} repeats an earlier value")
+            points[value] = apply_sweep(self, value)
+        return points
+
 
 # field-name prefix -> section; unprefixed fields are [run] or [constellation]
 _PREFIX_SECTIONS = {
@@ -167,7 +183,8 @@ _PREFIX_SECTIONS = {
     "sweep": "sweep",
 }
 _RUN_KEYS = ("architectures", "master_seed", "output_dir", "paper_literal", "workers")
-# keys read once per run, never per sweep point
+# keys read once per run, never per sweep point; so are all of [overhead]'s,
+# since the overhead report is written from the unswept config
 _RUN_WIDE = ("run.architectures", "run.output_dir", "run.workers")
 # fields whose INI form is not named by their annotation
 _TAGS = {
@@ -243,19 +260,21 @@ def format_sweep_value(value) -> str:
 def _sweep_target(parameter: str) -> tuple:
     """(flat field, tag) addressed by a section.key sweep path."""
     if "." not in parameter:
-        raise ConfigError(f"sweep parameter {parameter!r} must look like section.key")
+        raise ConfigError(f"[sweep] parameter {parameter!r} must look like section.key")
     section, key = parameter.split(".", 1)
     if section not in SCHEMA or key not in SCHEMA[section]:
-        raise ConfigError(f"sweep parameter {parameter!r} addresses no config field")
+        raise ConfigError(f"[sweep] parameter {parameter!r} addresses no config field")
     if section == "sweep":
-        raise ConfigError("cannot sweep the sweep section itself")
-    if parameter in _RUN_WIDE:
-        raise ConfigError(f"cannot sweep {parameter}: it holds for the whole run")
+        raise ConfigError("[sweep] parameter cannot sweep the sweep section itself")
+    if parameter in _RUN_WIDE or section == "overhead":
+        raise ConfigError(
+            f"[sweep] parameter cannot sweep {parameter}: it holds for the whole run"
+        )
     return SCHEMA[section][key]
 
 
-def load_config(path: str) -> ScenarioConfig:
-    """Parse and validate one INI scenario file; defaults fill gaps."""
+def load_config(path: str, **overrides) -> ScenarioConfig:
+    """Parse one INI scenario file, set overrides (field=value), validate; defaults fill gaps."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path) as f:
@@ -273,7 +292,7 @@ def load_config(path: str) -> ScenarioConfig:
                 raise ConfigError(f"{path}: unknown key {key!r} in [{section}]")
             field, tag = SCHEMA[section][key]
             values[field] = _parse_value(tag, text, f"{path}: [{section}] {key}")
-    cfg = ScenarioConfig(**values)
+    cfg = ScenarioConfig(**{**values, **overrides})
     if cfg.sweep_parameter is not None:
         _, tag = _sweep_target(cfg.sweep_parameter)
         typed = tuple(
@@ -294,76 +313,66 @@ def validate_config(cfg: ScenarioConfig) -> None:
             if not tag.startswith("float") or value is None:
                 continue
             if math.isnan(value):
-                raise ConfigError(f"{section}.{key}: must be a number, got nan")
+                raise ConfigError(f"[{section}] {key} must be a number, got nan")
             if math.isinf(value) and field != "lesc_recluster_period":
-                raise ConfigError(f"{section}.{key}: must be finite, got {value}")
+                raise ConfigError(f"[{section}] {key} must be finite, got {value}")
     if not cfg.architectures:
-        raise ConfigError("run.architectures: need at least one architecture")
+        raise ConfigError("[run] architectures must name at least one architecture")
     for arch in cfg.architectures:
         if arch not in MODES:
-            raise ConfigError(f"run.architectures: unknown architecture {arch!r}")
+            raise ConfigError(f"[run] architectures names unknown architecture {arch!r}")
     if len(set(cfg.architectures)) != len(cfg.architectures):
-        raise ConfigError("run.architectures: duplicate architecture")
+        raise ConfigError("[run] architectures names a duplicate architecture")
     if cfg.workers < 1:
-        raise ConfigError(f"run.workers: must be >= 1, got {cfg.workers}")
+        raise ConfigError(f"[run] workers must be >= 1, got {cfg.workers}")
     if cfg.master_seed < 0:
-        raise ConfigError(f"run.master_seed: must be >= 0, got {cfg.master_seed}")
+        raise ConfigError(f"[run] master_seed must be >= 0, got {cfg.master_seed}")
     for builder in (cfg.walker, cfg.isl_optics, cfg.gsl_optics, cfg.lesc, cfg.train,
                     cfg.corruption):
         builder()
     for section, mode in (("isl_optics", cfg.isl_snr_mode), ("gsl_optics", cfg.gsl_snr_mode)):
         if cfg.paper_literal and mode != "paper":
-            raise ConfigError(f"{section}.snr_mode: paper_literal requires paper, got {mode!r}")
+            raise ConfigError(f"[{section}] snr_mode must be paper under paper_literal, "
+                              f"got {mode!r}")
     if cfg.dataset_kind not in ("synthetic", "mnist"):
-        raise ConfigError(f"dataset.kind: unknown kind {cfg.dataset_kind!r}")
+        raise ConfigError(f"[dataset] kind must be synthetic or mnist, got {cfg.dataset_kind!r}")
     if cfg.dataset_samples_per_client < 1:
-        raise ConfigError("dataset.samples_per_client: must be >= 1")
+        raise ConfigError("[dataset] samples_per_client must be >= 1")
     if cfg.dataset_kind == "synthetic":
         if cfg.dataset_n_classes < 2:
-            raise ConfigError("dataset.n_classes: must be >= 2")
+            raise ConfigError("[dataset] n_classes must be >= 2")
         if cfg.dataset_n_features < 1:
-            raise ConfigError("dataset.n_features: must be >= 1")
+            raise ConfigError("[dataset] n_features must be >= 1")
         if cfg.dataset_train_per_class < 1 or cfg.dataset_test_per_class < 1:
-            raise ConfigError("dataset.train_per_class/test_per_class: must be >= 1")
+            raise ConfigError("[dataset] train_per_class and test_per_class must be >= 1")
         if cfg.dataset_spread <= 0.0:
-            raise ConfigError("dataset.spread: must be > 0")
+            raise ConfigError("[dataset] spread must be > 0")
         total = cfg.dataset_n_classes * cfg.dataset_train_per_class
         if cfg.dataset_samples_per_client > total:
             raise ConfigError(
-                f"dataset.samples_per_client: {cfg.dataset_samples_per_client} exceeds "
+                f"[dataset] samples_per_client {cfg.dataset_samples_per_client} exceeds "
                 f"the {total} training samples"
             )
     else:
         for key in ("train_images", "train_labels", "test_images", "test_labels"):
             p = getattr(cfg, "dataset_" + key)
             if not p:
-                raise ConfigError(f"dataset.{key}: required for mnist")
+                raise ConfigError(f"[dataset] {key} is required for mnist")
             if not os.path.isfile(p):
-                raise ConfigError(f"dataset.{key}: no such file {p!r}")
+                raise ConfigError(f"[dataset] {key} names no such file {p!r}")
     cfg.overhead()
+    points = cfg.points()
     if cfg.sweep_parameter is not None:
-        field, _ = _sweep_target(cfg.sweep_parameter)
-        if not cfg.sweep_values:
-            raise ConfigError("sweep.values: sweep declared without values")
-        seen = []
-        for value in cfg.sweep_values:
+        for value, point in points.items():
             try:
-                point = apply_sweep(cfg, value)
                 validate_config(point)
             except ConfigError as e:
                 raise ConfigError(f"sweep value {value!r}: {e}") from None
-            if getattr(point, field) in seen:
-                raise ConfigError(f"sweep.values: {value!r} repeats an earlier value")
-            seen.append(getattr(point, field))
-    elif cfg.sweep_values:
-        raise ConfigError("sweep.values: set without sweep.parameter")
 
 
 def apply_sweep(cfg: ScenarioConfig, value) -> ScenarioConfig:
-    """The config with one sweep value substituted and the sweep cleared."""
-    field, tag = _sweep_target(cfg.sweep_parameter)
-    if isinstance(value, str):
-        value = _parse_value(tag, value, f"sweep value for {cfg.sweep_parameter}")
+    """The config with one typed sweep value substituted and the sweep cleared."""
+    field, _ = _sweep_target(cfg.sweep_parameter)
     return replace(cfg, **{field: value, "sweep_parameter": None, "sweep_values": ()})
 
 

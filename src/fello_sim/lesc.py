@@ -16,7 +16,6 @@ and which architectures share the run.
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -351,13 +350,10 @@ def membership_schedule(
     return out
 
 
-# No runner calls it; perfbench's tracer tests still patch and call it.
+# No runner calls it; perfbench patches this name and its binding in baselines.
 def parallel_map(fn, items, workers: int) -> list:
-    """Map fn over items, optionally on a thread pool, preserving order."""
-    if workers <= 1 or len(items) < 2:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    """Map fn over items in order, serially; workers is ignored."""
+    return [fn(item) for item in items]
 
 
 def initial_model(

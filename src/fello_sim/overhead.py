@@ -112,44 +112,6 @@ def preset_inputs(mode: str, rounds: int = 40, local_epochs: int = 2) -> Overhea
     return OverheadInputs(rounds=rounds, local_epochs=local_epochs, mode=mode, **times)
 
 
-def derive_times(
-    model_bytes: float,
-    data_bytes: float,
-    link_rate_bps: float,
-    flops_per_epoch: float,
-    device_flops: float,
-    rounds: int,
-    local_epochs: int,
-    mode: str,
-    agg_flops: float = 0.0,
-) -> OverheadInputs:
-    """Component times from payload sizes, link rate and device throughput.
-
-    Model transfers pace fello sends, the raw shard paces the one-off cl
-    upload, and dl transmits nothing; OverheadInputs rejects other modes.
-    """
-    for name, value in (
-        ("model_bytes", model_bytes),
-        ("data_bytes", data_bytes),
-        ("link_rate_bps", link_rate_bps),
-        ("flops_per_epoch", flops_per_epoch),
-        ("device_flops", device_flops),
-    ):
-        if value <= 0.0:
-            raise ValueError(f"{name} must be > 0, got {value}")
-    if agg_flops < 0.0:
-        raise ValueError(f"agg_flops must be >= 0, got {agg_flops}")
-    payload_bytes = {"fello": model_bytes, "cl": data_bytes}.get(mode, 0.0)
-    return OverheadInputs(
-        rounds=rounds,
-        local_epochs=local_epochs,
-        t_send_s=8.0 * payload_bytes / link_rate_bps,
-        t_epoch_s=flops_per_epoch / device_flops,
-        t_agg_s=agg_flops / device_flops if mode == "fello" else 0.0,
-        mode=mode,
-    )
-
-
 def analytic_flops_per_sample(arch: tuple) -> float:
     """Forward+backward cost per sample: 3x the forward multiply-adds."""
     if len(arch) < 2:
@@ -188,16 +150,26 @@ def build_reports(
     else:
         if arch is None or samples_per_client is None:
             raise ValueError("analytic accounting needs arch and samples_per_client")
+        if min(arch) < 1 or samples_per_client < 1:
+            raise ValueError(
+                f"analytic accounting needs layer widths and samples_per_client >= 1, "
+                f"got {arch} and {samples_per_client}"
+            )
         n_params = param_count(arch)
         epoch_flops = analytic_flops_per_sample(arch) * samples_per_client
         model_bytes = 4.0 * n_params
         data_bytes = 4.0 * samples_per_client * arch[0]
         compute = rounds * local_epochs * epoch_flops * cluster_size
         client = model_bytes + data_bytes
+        # Model transfers pace fello sends, the raw shard paces the one-off
+        # cl upload, and dl transmits nothing.
+        sent_bytes = {"fello": model_bytes, "cl": data_bytes, "dl": 0.0}
+        agg_s = 2.0 * cluster_size * n_params / device_flops
         inputs = {
-            mode: derive_times(
-                model_bytes, data_bytes, link_rate_bps, epoch_flops, device_flops,
-                rounds, local_epochs, mode, agg_flops=2.0 * cluster_size * n_params,
+            mode: OverheadInputs(
+                rounds, local_epochs, t_send_s=8.0 * sent_bytes[mode] / link_rate_bps,
+                t_epoch_s=epoch_flops / device_flops,
+                t_agg_s=agg_s if mode == "fello" else 0.0, mode=mode,
             )
             for mode in MODES
         }

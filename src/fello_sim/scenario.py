@@ -28,7 +28,7 @@ import traceback
 from concurrent.futures import Future, ProcessPoolExecutor
 
 from . import baselines, overhead
-from .config import ScenarioConfig, apply_sweep, format_sweep_value, serialize_config
+from .config import ScenarioConfig, format_sweep_value, serialize_config
 from .datasets import load_mnist, synthetic_split
 from .lesc import round_plan, run_fello
 from .seeding import Substreams, derive_seed
@@ -151,10 +151,7 @@ def run_scenario(cfg: ScenarioConfig) -> int:
     with open(os.path.join(cfg.output_dir, "manifest.cfg"), "w") as f:
         f.write(serialize_config(cfg))
     emit_overhead_report(cfg)
-    # Sweep value -> resolved config; validate_config rejects repeated values.
-    points = {None: cfg}
-    if cfg.sweep_parameter is not None:
-        points = {value: apply_sweep(cfg, value) for value in cfg.sweep_values}
+    points = cfg.points()
     arms = [(arch, value) for arch in cfg.architectures for value in points]
     pool = None
     if cfg.workers > 1 and len(arms) > 1:

@@ -57,7 +57,7 @@ def test_validate_rejects_bad_config(tmp_path, capsys, write):
 def test_validate_rejects_nan_and_names_the_key(tmp_path, capsys, write):
     path = write(tmp_path, "[overhead]\ndevice_flops = nan\n")
     assert main(["validate", path]) == 1
-    assert "overhead.device_flops: must be a number" in capsys.readouterr().err
+    assert "[overhead] device_flops must be a number" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key, value", [
@@ -76,7 +76,7 @@ def test_validate_rejects_bad_overhead_keys_under_preset_accounting(
 def test_validate_rejects_inf_and_names_the_key(tmp_path, capsys, write):
     path = write(tmp_path, "[train]\nlearning_rate = inf\n")
     assert main(["validate", path]) == 1
-    assert "train.learning_rate: must be finite, got inf" in capsys.readouterr().err
+    assert "[train] learning_rate must be finite, got inf" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key", ["pointing_sd_rad", "ber_scheme", "ber_fixed"])
@@ -101,7 +101,7 @@ def test_paper_literal_flag_rejects_an_electrical_snr_mode(tmp_path, capsys, sec
     assert main(["validate", path]) == 0
     capsys.readouterr()
     assert main(["validate", path, "--paper-literal"]) == 1
-    assert f"{section}.snr_mode: paper_literal requires" in capsys.readouterr().err
+    assert f"[{section}] snr_mode must be paper under paper_literal" in capsys.readouterr().err
 
 
 def test_run_writes_outputs(tmp_path, write):
@@ -168,6 +168,16 @@ def test_validate_takes_every_override(tmp_path, write):
     path = write(tmp_path, TINY_SCENARIO)
     args = ["--seed", "3", "--out", str(tmp_path / "o"), "--paper-literal", "--workers", "2"]
     assert main(["validate", path, *args]) == 0
+
+
+def test_an_override_replaces_the_file_value_before_validation(tmp_path, capsys, write):
+    # the file's workers = 0 is never the value run, so it is not an error
+    bad = write(tmp_path, TINY_SCENARIO.replace("[run]\n", "[run]\nworkers = 0\n"), "bad.cfg")
+    assert main(["validate", bad]) == 1
+    assert main(["validate", bad, "--workers", "2"]) == 0
+    capsys.readouterr()
+    assert main(["validate", write(tmp_path, TINY_SCENARIO), "--workers", "0"]) == 1
+    assert "config error: [run] workers must be >= 1, got 0" in capsys.readouterr().err
 
 
 def test_linkbudget_output_and_determinism(tmp_path, capsys, write):

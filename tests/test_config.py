@@ -10,7 +10,6 @@ from fello_sim.config import (
     SCHEMA,
     ConfigError,
     ScenarioConfig,
-    apply_sweep,
     load_config,
     serialize_config,
     validate_config,
@@ -114,9 +113,9 @@ def test_bad_values_name_the_field(tmp_path, write):
 
 
 def test_nan_is_rejected_in_every_float_key(tmp_path, write):
-    with pytest.raises(ConfigError, match=r"isl_optics\.tx_power_w: must be a number"):
+    with pytest.raises(ConfigError, match=r"\[isl_optics\] tx_power_w must be a number"):
         load_config(write(tmp_path, "[isl_optics]\ntx_power_w = nan\n"))
-    with pytest.raises(ConfigError, match=r"sweep value nan: lesc\.delta_d_km"):
+    with pytest.raises(ConfigError, match=r"sweep value nan: \[lesc\] delta_d_km"):
         load_config(write(
             tmp_path, "[sweep]\nparameter = lesc.delta_d_km\nvalues = 2600, nan\n"
         ))
@@ -128,17 +127,17 @@ def test_nan_is_rejected_in_every_float_key(tmp_path, write):
     assert {"isl_tx_power_w", "lesc_delta_d_km", "train_learning_rate", "dataset_spread",
             "overhead_device_flops"} <= {field for _, _, field in floats}
     for section, key, field in floats:
-        with pytest.raises(ConfigError, match=rf"^{section}\.{key}: must be a number"):
+        with pytest.raises(ConfigError, match=rf"^\[{section}\] {key} must be a number"):
             validate_config(replace(ScenarioConfig(), **{field: math.nan}))
     # inf stays legal where a range allows it.
     validate_config(replace(ScenarioConfig(), lesc_recluster_period=math.inf))
 
 
 def test_inf_is_rejected_except_in_recluster_period(tmp_path, write):
-    with pytest.raises(ConfigError, match=r"train\.learning_rate: must be finite, got inf$"):
+    with pytest.raises(ConfigError, match=r"\[train\] learning_rate must be finite, got inf$"):
         load_config(write(tmp_path, "[train]\nlearning_rate = inf\n"))
     with pytest.raises(ConfigError,
-                       match=r"^sweep value inf: isl_optics\.tx_power_w: must be finite"):
+                       match=r"^sweep value inf: \[isl_optics\] tx_power_w must be finite"):
         load_config(write(
             tmp_path, "[sweep]\nparameter = isl_optics.tx_power_w\nvalues = 0.03, inf\n"
         ))
@@ -153,7 +152,7 @@ def test_inf_is_rejected_except_in_recluster_period(tmp_path, write):
     for section, key, field in floats:
         for value, text in ((math.inf, "inf"), (-math.inf, "-inf")):
             with pytest.raises(ConfigError,
-                               match=rf"^{section}\.{key}: must be finite, got {text}$"):
+                               match=rf"^\[{section}\] {key} must be finite, got {text}$"):
                 validate_config(replace(ScenarioConfig(), **{field: value}))
     path = write(tmp_path, "[lesc]\nrecluster_period = inf\n")
     assert math.isinf(load_config(path).lesc_recluster_period)
@@ -172,6 +171,12 @@ def test_mnist_requires_existing_files(tmp_path, write):
     # a directory exists but is no IDX file: every arm would fail at run time
     with pytest.raises(ConfigError, match="no such file"):
         load_config(write(tmp_path, text.replace(f"{tmp_path}/none.idx", str(tmp_path))))
+    # the mnist path leaves n_features unchecked; only the analytic report reads it
+    (tmp_path / "none.idx").touch()
+    text += "n_features = 0\n"
+    assert load_config(write(tmp_path, text)).dataset_n_features == 0
+    with pytest.raises(ConfigError, match=r"^\[overhead\] analytic accounting needs layer widths"):
+        load_config(write(tmp_path, text + "[overhead]\naccounting = analytic\n"))
 
 
 def test_sweep_parsing_and_validation(tmp_path, write):
@@ -180,7 +185,7 @@ def test_sweep_parsing_and_validation(tmp_path, write):
     ))
     assert cfg.sweep_parameter == "lesc.delta_d_km"
     assert cfg.sweep_values == (1500.0, 2200.0, 2600.0)
-    point = apply_sweep(cfg, cfg.sweep_values[1])
+    point = cfg.points()[2200.0]
     assert point.lesc_delta_d_km == 2200.0
     assert point.sweep_parameter is None and point.sweep_values == ()
     with pytest.raises(ConfigError, match="addresses no config field"):
@@ -189,7 +194,7 @@ def test_sweep_parsing_and_validation(tmp_path, write):
         load_config(write(tmp_path, "[sweep]\nparameter = rounds\nvalues = 1\n"))
     with pytest.raises(ConfigError, match="without values"):
         load_config(write(tmp_path, "[sweep]\nparameter = lesc.delta_d_km\n"))
-    with pytest.raises(ConfigError, match="without sweep.parameter"):
+    with pytest.raises(ConfigError, match=r"^\[sweep\] values set without a parameter"):
         load_config(write(tmp_path, "[sweep]\nvalues = 1,2\n"))
     # Every sweep point is validated up front.
     with pytest.raises(ConfigError, match="sweep value"):
@@ -200,24 +205,29 @@ def test_sweep_parsing_and_validation(tmp_path, write):
         load_config(write(tmp_path, "[sweep]\nparameter = sweep.values\nvalues = 1\n"))
 
 
-@pytest.mark.parametrize("key", ["architectures", "output_dir", "workers"])
-def test_sweep_rejects_run_wide_keys(tmp_path, key, write):
-    # run_scenario reads these once for the whole run, so a sweep of them
-    # would change nothing but the sweep_value column
-    with pytest.raises(ConfigError, match=f"cannot sweep run.{key}"):
-        load_config(write(tmp_path, f"[sweep]\nparameter = run.{key}\nvalues = dl, 2\n"))
-    with pytest.raises(ConfigError, match=f"cannot sweep run.{key}"):
-        validate_config(replace(ScenarioConfig(), sweep_parameter=f"run.{key}",
-                                sweep_values=("2",)))
+@pytest.mark.parametrize("parameter", [
+    "run.architectures", "run.output_dir", "run.workers", "overhead.accounting",
+    "overhead.cluster_size", "overhead.device_flops", "overhead.link_rate_bps",
+], ids=lambda parameter: parameter.removeprefix("run."))
+def test_sweep_rejects_run_wide_keys(tmp_path, parameter, write):
+    # run_scenario reads these once for the whole run (the overhead report
+    # from the unswept config), so a sweep of them would change nothing but
+    # the sweep_value column
+    match = rf"^\[sweep\] parameter cannot sweep {re.escape(parameter)}: "
+    with pytest.raises(ConfigError, match=match):
+        load_config(write(tmp_path, f"[sweep]\nparameter = {parameter}\nvalues = 5, 50\n"))
+    with pytest.raises(ConfigError, match=match):
+        validate_config(replace(ScenarioConfig(), sweep_parameter=parameter,
+                                sweep_values=(5, 50)))
 
 
 def test_sweep_of_per_point_run_keys(tmp_path, write):
     cfg = load_config(write(tmp_path, "[sweep]\nparameter = run.master_seed\nvalues = 1, 2\n"))
-    assert apply_sweep(cfg, 2).master_seed == 2
+    assert cfg.points()[2].master_seed == 2
     cfg = load_config(write(
         tmp_path, "[sweep]\nparameter = run.paper_literal\nvalues = false, true\n"
     ))
-    assert apply_sweep(cfg, True).paper_literal is True
+    assert cfg.points()[True].paper_literal is True
 
 
 def test_sweep_rejects_repeated_values(tmp_path, write):
@@ -231,9 +241,9 @@ def test_sweep_rejects_repeated_values(tmp_path, write):
         load_config(write(
             tmp_path, "[sweep]\nparameter = run.paper_literal\nvalues = true, yes\n"
         ))
-    with pytest.raises(ConfigError, match="'4' repeats an earlier value"):
+    with pytest.raises(ConfigError, match=r"^\[sweep\] values entry 4 repeats an earlier value"):
         validate_config(replace(ScenarioConfig(), sweep_parameter="train.local_epochs",
-                                sweep_values=(4, "4")))
+                                sweep_values=(4, 4)))
 
 
 @pytest.mark.parametrize(
@@ -252,7 +262,7 @@ def test_sweep_of_int_field_parses_ints(tmp_path, write):
         tmp_path, "[sweep]\nparameter = train.local_epochs\nvalues = 1,2,4\n"
     ))
     assert cfg.sweep_values == (1, 2, 4)
-    assert apply_sweep(cfg, 4).train_local_epochs == 4
+    assert cfg.points()[4].train_local_epochs == 4
 
 
 def test_validate_config_on_constructed_instances():
@@ -292,7 +302,8 @@ def test_paper_literal_switches_the_bundle():
     # Verbatim-equation mode uses the optical-power SNR form, so an explicit
     # electrical SNR on either link would have no effect: it is rejected.
     for field, key in (("isl_snr_mode", "isl_optics"), ("gsl_snr_mode", "gsl_optics")):
-        with pytest.raises(ConfigError, match=rf"{key}\.snr_mode: paper_literal requires"):
+        with pytest.raises(ConfigError,
+                           match=rf"^\[{key}\] snr_mode must be paper under paper_literal"):
             validate_config(replace(cfg, **{field: "electrical"}))
     electrical = replace(ScenarioConfig(), isl_snr_mode="electrical")
     validate_config(electrical)

@@ -31,7 +31,7 @@ import numpy as np
 import pytest
 
 import fello_sim
-from fello_sim.config import ScenarioConfig, apply_sweep, serialize_config
+from fello_sim.config import ScenarioConfig, serialize_config
 from fello_sim.overhead import MODES
 from fello_sim.scenario import build_datasets, run_one, run_scenario
 
@@ -164,7 +164,7 @@ def test_every_sweep_point_equals_a_single_run_at_its_value(workers, tmp_path):
     cfg = scenario_config("sweep_pool", str(tmp_path), workers=workers)
     whole = dict(whole_run("sweep_pool"))
     for value in cfg.sweep_values:
-        single = apply_sweep(replace(cfg, output_dir=str(tmp_path / repr(value))), value)
+        single = replace(cfg, output_dir=str(tmp_path / repr(value))).points()[value]
         expected = [((arch, ""), whole[(arch, repr(value))]) for arch in MODES]
         assert row_blocks(run_metrics(single)) == expected
 

@@ -11,7 +11,6 @@ from fello_sim.overhead import (
     OverheadInputs,
     analytic_flops_per_sample,
     build_reports,
-    derive_times,
     render_csv,
     render_text,
     preset_inputs,
@@ -87,42 +86,6 @@ def test_round_delay_is_one_preset_round():
     )
 
 
-def test_derive_times_arithmetic():
-    # 1 MB over 80 Gbps is exactly 0.1 ms.
-    inputs = derive_times(
-        model_bytes=1e6, data_bytes=5e6, link_rate_bps=80e9,
-        flops_per_epoch=2.938e10, device_flops=1e12, rounds=40, local_epochs=2,
-        mode="fello", agg_flops=8.9e7,
-    )
-    assert inputs.t_send_s == pytest.approx(1e-4, rel=1e-12)
-    assert inputs.t_epoch_s == pytest.approx(2.938e-2, rel=1e-12)
-    assert inputs.t_agg_s == pytest.approx(8.9e-5, rel=1e-12)
-    # cl paces its one send by the raw shard instead.
-    cl = derive_times(
-        model_bytes=1e6, data_bytes=5e6, link_rate_bps=80e9,
-        flops_per_epoch=2.938e10, device_flops=1e12, rounds=40, local_epochs=2,
-        mode="cl",
-    )
-    assert cl.t_send_s == pytest.approx(5e-4, rel=1e-12)
-    assert cl.t_agg_s == 0.0
-    dl = derive_times(
-        model_bytes=1e6, data_bytes=5e6, link_rate_bps=80e9,
-        flops_per_epoch=2.938e10, device_flops=1e12, rounds=40, local_epochs=2,
-        mode="dl",
-    )
-    assert dl.t_send_s == 0.0
-    with pytest.raises(ValueError):
-        derive_times(0.0, 5e6, 80e9, 1e10, 1e12, 40, 2, "fello")
-    with pytest.raises(ValueError):
-        derive_times(1e6, 5e6, 80e9, 1e10, 1e12, 40, 2, "mesh")
-
-
-def test_derive_times_halving_rate_doubles_send():
-    fast = derive_times(2e6, 1e6, 1e9, 1e9, 1e12, 1, 1, "fello")
-    slow = derive_times(2e6, 1e6, 0.5e9, 1e9, 1e12, 1, 1, "fello")
-    assert slow.t_send_s == pytest.approx(2.0 * fast.t_send_s, rel=1e-12)
-
-
 def test_analytic_flops_per_sample():
     assert analytic_flops_per_sample((784, 64, 10)) == pytest.approx(
         3.0 * 2.0 * (784 * 64 + 64 * 10), rel=0.0
@@ -153,26 +116,45 @@ def test_build_reports_preset_figures():
 def test_build_reports_analytic():
     arch = (784, 64, 10)
     n_params = 784 * 64 + 64 + 64 * 10 + 10
+    rate, flops = 80e9, 1e12
     reports = {
         r.architecture: r
         for r in build_reports(
             40, 2, accounting="analytic", arch=arch, samples_per_client=2208,
-            cluster_size=18,
+            cluster_size=18, device_flops=flops, link_rate_bps=rate,
         )
     }
-    epoch_flops = 304896.0 * 2208
-    assert reports["dl"].total_delay_s == pytest.approx(
-        40 * 2 * epoch_flops / 1e12, rel=1e-12
-    )
+    epoch_s = 304896.0 * 2208 / flops
+    # fello sends the model down and up each round and aggregates 18 of them;
+    # cl uploads each raw shard once; dl sends nothing.
+    assert dict(reports["fello"].components) == pytest.approx({
+        "send": 2 * 40 * 8.0 * 4.0 * n_params / rate,
+        "train": 40 * 2 * epoch_s,
+        "aggregate": 40 * 2.0 * 18 * n_params / flops,
+    }, rel=1e-12)
+    assert dict(reports["cl"].components) == pytest.approx({
+        "send": 8.0 * 4.0 * 2208 * 784 / rate, "train": 40 * 2 * epoch_s,
+    }, rel=1e-12)
+    assert dict(reports["dl"].components) == pytest.approx({"train": 40 * 2 * epoch_s}, rel=1e-12)
     assert reports["fello"].server_memory_bytes == pytest.approx(4.0 * n_params)
     assert reports["cl"].server_memory_bytes == pytest.approx(
         4.0 * n_params + 18 * 4.0 * 2208 * 784
     )
     assert math.isnan(reports["dl"].server_memory_bytes)
+    # Halving the link rate doubles fello's send.
+    slow = build_reports(40, 2, accounting="analytic", arch=arch, samples_per_client=2208,
+                         link_rate_bps=rate / 2)
+    assert slow[0].architecture == "fello"
+    assert dict(slow[0].components)["send"] == pytest.approx(
+        2.0 * dict(reports["fello"].components)["send"], rel=1e-12
+    )
     with pytest.raises(ValueError):
         build_reports(40, 2, accounting="analytic")
     with pytest.raises(ValueError):
         build_reports(40, 2, accounting="audited")
+    for bad_arch, shard in (((0, 64, 10), 2208), ((784, 0, 10), 2208), ((784, 64, 10), 0)):
+        with pytest.raises(ValueError, match="analytic accounting needs layer widths"):
+            build_reports(40, 2, accounting="analytic", arch=bad_arch, samples_per_client=shard)
 
 
 def test_renderers_agree():
