@@ -19,7 +19,7 @@ from .orbits import SatIndex, WalkerConfig
 from .optical_link import LinkSample, OpticalParams
 from .fl_engine import CorruptionSpec, Dataset, ModelParams, TrainConfig
 from .lesc import LescConfig, RoundLog
-from .overhead import OverheadInputs, OverheadReport
+from .overhead import OverheadReport
 from .config import ScenarioConfig, load_config
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "CorruptionSpec",
     "LescConfig",
     "RoundLog",
-    "OverheadInputs",
     "OverheadReport",
     "ScenarioConfig",
     "load_config",

@@ -14,6 +14,7 @@ serialized config loads back equal to the original.
 import configparser
 import io
 import math
+import numbers
 import os
 from dataclasses import dataclass, fields, replace
 
@@ -168,11 +169,12 @@ class ScenarioConfig:
             return {None: self}
         if not self.sweep_values:
             raise ConfigError("[sweep] parameter set without values")
+        field, _ = _sweep_target(self.sweep_parameter)
         points = {}
         for value in self.sweep_values:
             if value in points:
                 raise ConfigError(f"[sweep] values entry {value!r} repeats an earlier value")
-            points[value] = apply_sweep(self, value)
+            points[value] = replace(self, sweep_parameter=None, sweep_values=(), **{field: value})
         return points
 
 
@@ -210,6 +212,9 @@ def _schema() -> dict:
 
 SCHEMA = _schema()
 
+_TYPES = {"int": numbers.Integral, "float": numbers.Real, "bool": bool, "str": str,
+          "str_list": tuple, "str_or_none": (str, type(None)),
+          "float_or_auto": (numbers.Real, type(None))}
 _BOOL_WORDS = {"true": True, "yes": True, "on": True, "1": True,
                "false": False, "no": False, "off": False, "0": False}
 
@@ -306,10 +311,13 @@ def load_config(path: str, **overrides) -> ScenarioConfig:
 
 def validate_config(cfg: ScenarioConfig) -> None:
     """Reject impossible values with a diagnostic naming the field."""
-    # NaN and inf slip past range checks; recluster_period alone takes inf ("never").
+    # A config built in code may hold any type (a bool is no number here); NaN and
+    # inf slip past range checks; recluster_period alone takes inf ("never").
     for section, keys in SCHEMA.items():
         for key, (field, tag) in keys.items():
             value = getattr(cfg, field)
+            if not isinstance(value, _TYPES[tag]) or isinstance(value, bool) != (tag == "bool"):
+                raise ConfigError(f"[{section}] {key} must be {tag}, got {value!r}")
             if not tag.startswith("float") or value is None:
                 continue
             if math.isnan(value):
@@ -368,12 +376,6 @@ def validate_config(cfg: ScenarioConfig) -> None:
                 validate_config(point)
             except ConfigError as e:
                 raise ConfigError(f"sweep value {value!r}: {e}") from None
-
-
-def apply_sweep(cfg: ScenarioConfig, value) -> ScenarioConfig:
-    """The config with one typed sweep value substituted and the sweep cleared."""
-    field, _ = _sweep_target(cfg.sweep_parameter)
-    return replace(cfg, **{field: value, "sweep_parameter": None, "sweep_values": ()})
 
 
 def serialize_config(cfg: ScenarioConfig) -> str:

@@ -4,9 +4,9 @@ Total delay, compute, and memory footprints for federated learning over
 ISLs (fello), fully local distributed training (dl), and centralized
 training at one edge fed by raw data uploads (cl). Component times either
 come from the pinned measurement preset or are derived from payload sizes,
-link rate, and device throughput. Each mode's delay components are the one
-delay formula: the report totals, the per-round delay of a run and the
-round clock are all sums of them.
+link rate, and device throughput. delay_components is the one delay
+formula: the report totals, the per-round delay of a run and the round
+clock are all sums of its components.
 """
 
 import csv
@@ -34,29 +34,6 @@ PRESET_FIGURES = {
 
 
 @dataclass(frozen=True)
-class OverheadInputs:
-    """Component times feeding one mode's delay."""
-
-    rounds: int
-    local_epochs: int
-    t_send_s: float
-    t_epoch_s: float
-    t_agg_s: float
-    mode: str = "fello"
-
-    def __post_init__(self):
-        if self.rounds < 0:
-            raise ValueError(f"rounds must be >= 0, got {self.rounds}")
-        if self.local_epochs < 1:
-            raise ValueError(f"local epochs must be >= 1, got {self.local_epochs}")
-        for name in ("t_send_s", "t_epoch_s", "t_agg_s"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.mode not in MODES:
-            raise ValueError(f"unknown overhead mode {self.mode!r}")
-
-
-@dataclass(frozen=True)
 class OverheadReport:
     """Delay, compute and memory totals for one architecture."""
 
@@ -68,28 +45,31 @@ class OverheadReport:
     components: tuple
 
 
-def _components(inputs: OverheadInputs) -> tuple:
-    """(name, seconds) delay components of inputs.mode over inputs.rounds.
+def delay_components(mode: str, rounds: int, local_epochs: int, t_send_s: float,
+                     t_epoch_s: float, t_agg_s: float) -> tuple:
+    """(name, seconds) delay components of one mode over rounds.
 
     fello: a download and an upload, E local epochs and one aggregation per
     round. cl: one raw-data upload, then E epochs per round at the edge.
     dl: E local epochs per round, nothing transmitted.
     """
-    train = inputs.rounds * inputs.local_epochs * inputs.t_epoch_s
-    if inputs.mode == "fello":
+    if mode not in MODES:
+        raise ValueError(f"unknown overhead mode {mode!r}")
+    if rounds < 0:
+        raise ValueError(f"rounds must be >= 0, got {rounds}")
+    if local_epochs < 1:
+        raise ValueError(f"local epochs must be >= 1, got {local_epochs}")
+    for name, value in (("t_send_s", t_send_s), ("t_epoch_s", t_epoch_s), ("t_agg_s", t_agg_s)):
+        if value < 0.0:
+            raise ValueError(f"{name} must be >= 0")
+    train = rounds * local_epochs * t_epoch_s
+    if mode == "fello":
         return (
-            ("send", 2.0 * inputs.rounds * inputs.t_send_s),
-            ("train", train),
-            ("aggregate", inputs.rounds * inputs.t_agg_s),
+            ("send", 2.0 * rounds * t_send_s), ("train", train), ("aggregate", rounds * t_agg_s),
         )
-    if inputs.mode == "cl":
-        return (("send", inputs.t_send_s), ("train", train))
+    if mode == "cl":
+        return (("send", t_send_s), ("train", train))
     return (("train", train),)
-
-
-def total_delay(inputs: OverheadInputs) -> float:
-    """The sum of the delay components, in their order."""
-    return sum(seconds for _, seconds in _components(inputs))
 
 
 def round_delay(mode: str, local_epochs: int, sent: bool = True) -> float:
@@ -98,18 +78,10 @@ def round_delay(mode: str, local_epochs: int, sent: bool = True) -> float:
     sent=False leaves out the send component, for a round in which nobody
     transmitted.
     """
-    inputs = preset_inputs(mode, rounds=1, local_epochs=local_epochs)
-    return sum(
-        seconds for name, seconds in _components(inputs) if sent or name != "send"
-    )
-
-
-def preset_inputs(mode: str, rounds: int = 40, local_epochs: int = 2) -> OverheadInputs:
-    """Component-time preset reproducing the pinned measurement table."""
-    if mode not in MODES:
+    if mode not in PRESET_TIMES:
         raise ValueError(f"unknown overhead mode {mode!r}")
-    times = PRESET_TIMES[mode]
-    return OverheadInputs(rounds=rounds, local_epochs=local_epochs, mode=mode, **times)
+    components = delay_components(mode, 1, local_epochs, **PRESET_TIMES[mode])
+    return sum(seconds for name, seconds in components if sent or name != "send")
 
 
 def analytic_flops_per_sample(arch: tuple) -> float:
@@ -145,7 +117,7 @@ def build_reports(
         if value <= 0.0:
             raise ValueError(f"{name} must be > 0, got {value}")
     if accounting == "preset":
-        inputs = {mode: preset_inputs(mode, rounds, local_epochs) for mode in MODES}
+        times = PRESET_TIMES
         figures = PRESET_FIGURES
     else:
         if arch is None or samples_per_client is None:
@@ -165,12 +137,12 @@ def build_reports(
         # cl upload, and dl transmits nothing.
         sent_bytes = {"fello": model_bytes, "cl": data_bytes, "dl": 0.0}
         agg_s = 2.0 * cluster_size * n_params / device_flops
-        inputs = {
-            mode: OverheadInputs(
-                rounds, local_epochs, t_send_s=8.0 * sent_bytes[mode] / link_rate_bps,
-                t_epoch_s=epoch_flops / device_flops,
-                t_agg_s=agg_s if mode == "fello" else 0.0, mode=mode,
-            )
+        times = {
+            mode: {
+                "t_send_s": 8.0 * sent_bytes[mode] / link_rate_bps,
+                "t_epoch_s": epoch_flops / device_flops,
+                "t_agg_s": agg_s if mode == "fello" else 0.0,
+            }
             for mode in MODES
         }
         figures = {
@@ -178,13 +150,12 @@ def build_reports(
             "cl": (compute, model_bytes + cluster_size * data_bytes, client),
             "dl": (compute, math.nan, client),
         }
-    return [
-        OverheadReport(
-            mode, total_delay(inputs[mode]), *figures[mode],
-            components=_components(inputs[mode]),
-        )
-        for mode in MODES
-    ]
+    reports = []
+    for mode in MODES:
+        components = delay_components(mode, rounds, local_epochs, **times[mode])
+        total = sum(seconds for _, seconds in components)
+        reports.append(OverheadReport(mode, total, *figures[mode], components=components))
+    return reports
 
 
 def render_text(reports: list) -> str:
@@ -194,11 +165,7 @@ def render_text(reports: list) -> str:
         f"{'server mem [MB]':>18}{'client mem [MB]':>18}"
     ]
     for r in reports:
-        server = (
-            "-"
-            if math.isnan(r.server_memory_bytes)
-            else f"{r.server_memory_bytes / 1e6:.2f}"
-        )
+        server = "-" if math.isnan(r.server_memory_bytes) else f"{r.server_memory_bytes / 1e6:.2f}"
         lines.append(
             f"{r.architecture:<14}{r.total_delay_s:>12.2f}"
             f"{r.compute_flops / 1e12:>18.3f}{server:>18}"

@@ -25,12 +25,12 @@ from fello_sim.optical_link import antenna_gain, noise_power, pointing_loss, rec
 from fello_sim.orbits import SatIndex, positions_at, row_of
 from fello_sim.scenario import run_one, run_scenario
 from fello_sim.seeding import Substreams, derive_seed
-from fello_sim.overhead import preset_inputs, total_delay
+from fello_sim.overhead import PRESET_TIMES, build_reports, delay_components
 
 
 def test_criterion_1_overhead_reproduction():
     t0 = time.perf_counter()
-    totals = {mode: total_delay(preset_inputs(mode)) for mode in ("fello", "cl", "dl")}
+    totals = {r.architecture: r.total_delay_s for r in build_reports(40, 2)}
     assert round(totals["fello"], 2) == 2.36
     assert round(totals["cl"], 2) == 15.67
     assert round(totals["dl"], 2) == 2.35
@@ -207,7 +207,8 @@ def test_cumulative_delay_is_the_modelled_delay(tmp_path):
     for mode in ("fello", "dl"):
         last = [r for r in rows if r["architecture"] == mode][-1]
         assert int(last["round"]) == rounds
-        want = total_delay(preset_inputs(mode, rounds=rounds, local_epochs=epochs))
+        components = delay_components(mode, rounds, epochs, **PRESET_TIMES[mode])
+        want = sum(seconds for _, seconds in components)
         assert math.isclose(float(last["cumulative_delay_s"]), want, rel_tol=1e-12)
 
 

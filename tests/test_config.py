@@ -277,6 +277,18 @@ def test_validate_config_on_constructed_instances():
         validate_config(replace(ScenarioConfig(), overhead_accounting="guess"))
     with pytest.raises(ConfigError, match="kind"):
         validate_config(replace(ScenarioConfig(), dataset_kind="cifar"))
+    # A value of the wrong type is a config error, not a TypeError.
+    with pytest.raises(ConfigError, match=r"^\[run\] workers must be int, got '2'$"):
+        validate_config(replace(ScenarioConfig(), workers="2"))
+    with pytest.raises(ConfigError, match=r"^\[lesc\] delta_d_km must be float, got '2600'$"):
+        validate_config(replace(ScenarioConfig(), lesc_delta_d_km="2600"))
+    with pytest.raises(ConfigError,
+                       match=r"^sweep value '4': \[train\] local_epochs must be int, got '4'$"):
+        validate_config(replace(ScenarioConfig(), sweep_parameter="train.local_epochs",
+                                sweep_values=("4",)))
+    # numpy scalars are numbers.
+    validate_config(replace(ScenarioConfig(), workers=np.int64(2),
+                            lesc_delta_d_km=np.float32(2600.0)))
 
 
 def test_builders_mirror_flat_fields():

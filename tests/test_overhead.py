@@ -1,22 +1,28 @@
 import csv
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from fello_sim.config import ScenarioConfig
 from fello_sim.overhead import (
     MODES,
     PRESET_TIMES,
-    OverheadInputs,
     analytic_flops_per_sample,
     build_reports,
+    delay_components,
     render_csv,
     render_text,
-    preset_inputs,
     round_delay,
-    total_delay,
 )
+
+
+def total(mode, rounds=40, local_epochs=2, **times):
+    """Sum of mode's delay components; the preset times unless times are given."""
+    times = times or PRESET_TIMES[mode]
+    return sum(seconds for _, seconds in delay_components(mode, rounds, local_epochs, **times))
 
 
 def test_closed_forms_against_reference_formulas():
@@ -25,20 +31,16 @@ def test_closed_forms_against_reference_formulas():
         a = int(rng.integers(0, 100))
         e = int(rng.integers(1, 8))
         ts, te, ta = rng.uniform(0.0, 0.5, size=3)
-        fello = OverheadInputs(a, e, ts, te, ta, mode="fello")
-        dl = OverheadInputs(a, e, 0.0, te, 0.0, mode="dl")
-        cl = OverheadInputs(a, e, ts, te, 0.0, mode="cl")
-        assert total_delay(fello) == pytest.approx(
-            a * (2 * ts + e * te + ta), rel=1e-12
-        )
-        assert total_delay(dl) == pytest.approx(a * e * te, rel=1e-12)
-        assert total_delay(cl) == pytest.approx(ts + a * e * te, rel=1e-12)
+        fello = total("fello", a, e, t_send_s=ts, t_epoch_s=te, t_agg_s=ta)
+        dl = total("dl", a, e, t_send_s=0.0, t_epoch_s=te, t_agg_s=0.0)
+        cl = total("cl", a, e, t_send_s=ts, t_epoch_s=te, t_agg_s=0.0)
+        assert fello == pytest.approx(a * (2 * ts + e * te + ta), rel=1e-12)
+        assert dl == pytest.approx(a * e * te, rel=1e-12)
+        assert cl == pytest.approx(ts + a * e * te, rel=1e-12)
 
 
 def test_preset_totals():
-    fello = total_delay(preset_inputs("fello"))
-    cl = total_delay(preset_inputs("cl"))
-    dl = total_delay(preset_inputs("dl"))
+    fello, cl, dl = (total(mode) for mode in ("fello", "cl", "dl"))
     assert fello == pytest.approx(2.36204, abs=1e-9)
     assert cl == pytest.approx(15.670845, abs=1e-9)
     assert dl == pytest.approx(2.3504, abs=1e-9)
@@ -50,34 +52,31 @@ def test_preset_totals():
 
 
 def test_mode_checks_and_edge_cases():
-    with pytest.raises(ValueError):
-        preset_inputs("mesh")
-    with pytest.raises(ValueError):
-        OverheadInputs(-1, 2, 0.1, 0.1, 0.0)
-    with pytest.raises(ValueError):
-        OverheadInputs(1, 0, 0.1, 0.1, 0.0)
-    with pytest.raises(ValueError):
-        OverheadInputs(1, 1, -0.1, 0.1, 0.0)
-    assert total_delay(preset_inputs("fello", rounds=0)) == 0.0
+    with pytest.raises(ValueError, match="unknown overhead mode"):
+        delay_components("mesh", 40, 2, 0.1, 0.1, 0.0)
+    with pytest.raises(ValueError, match="unknown overhead mode"):
+        round_delay("mesh", 2)
+    with pytest.raises(ValueError, match="rounds"):
+        delay_components("fello", -1, 2, 0.1, 0.1, 0.0)
+    with pytest.raises(ValueError, match="local epochs"):
+        delay_components("fello", 1, 0, 0.1, 0.1, 0.0)
+    for times in ((-0.1, 0.1, 0.0), (0.1, -0.1, 0.0), (0.1, 0.1, -0.1)):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            delay_components("fello", 1, 1, *times)
+    assert total("fello", rounds=0) == 0.0
 
 
 def test_linearity_in_rounds():
-    single = total_delay(preset_inputs("fello", rounds=1))
-    assert total_delay(preset_inputs("fello", rounds=10)) == pytest.approx(
-        10.0 * single, rel=1e-12
-    )
+    assert total("fello", rounds=10) == pytest.approx(10.0 * total("fello", rounds=1), rel=1e-12)
     # dl ignores send and aggregation entirely.
-    base = preset_inputs("dl")
-    heavier = OverheadInputs(base.rounds, base.local_epochs, 0.0, base.t_epoch_s,
-                             0.0, mode="dl")
-    assert total_delay(heavier) == total_delay(base)
+    heavier = dict(PRESET_TIMES["dl"], t_send_s=1.0, t_agg_s=1.0)
+    assert total("dl", **heavier) == total("dl")
 
 
 def test_round_delay_is_one_preset_round():
     for mode in MODES:
         for epochs in (1, 2, 5):
-            want = total_delay(preset_inputs(mode, rounds=1, local_epochs=epochs))
-            assert round_delay(mode, epochs) == want
+            assert round_delay(mode, epochs) == total(mode, rounds=1, local_epochs=epochs)
     # Without a send only the training is left; dl never sends.
     assert round_delay("cl", 2, sent=False) == 2 * PRESET_TIMES["cl"]["t_epoch_s"]
     assert round_delay("dl", 2, sent=False) == round_delay("dl", 2)
@@ -174,3 +173,32 @@ def test_renderers_agree():
         if row["server_memory_bytes"]:
             assert round(float(row["server_memory_bytes"]) / 1e6, 2) == table[arch][2]
     assert rows[2]["server_memory_bytes"] == ""
+
+
+def test_report_bytes_of_the_stock_config():
+    preset = ScenarioConfig().overhead()
+    assert render_csv(preset) == (
+        "architecture,total_delay_s,compute_flops,server_memory_bytes,client_memory_bytes\r\n"
+        "fello,2.36204,878000000000.0,520000.0,7040000.0\r\n"
+        "cl,15.670845,17560000000000.0,140280000.0,7010000.0\r\n"
+        "dl,2.3504,878000000000.0,,7040000.0\r\n"
+    )
+    assert render_text(preset) == (
+        "architecture     delay [s]   compute [TFLOP]   server mem [MB]   client mem [MB]\n"
+        "fello                 2.36             0.878              0.52              7.04\n"
+        "cl                   15.67            17.560            140.28              7.01\n"
+        "dl                    2.35             0.878                 -              7.04\n"
+    )
+    analytic = replace(ScenarioConfig(), overhead_accounting="analytic").overhead()
+    assert render_csv(analytic) == (
+        "architecture,total_delay_s,compute_flops,server_memory_bytes,client_memory_bytes\r\n"
+        "fello,0.15816097344,1077136588800.0,203560.0,7127848.0\r\n"
+        "cl,0.09817227264,1077136588800.0,138689320.0,7127848.0\r\n"
+        "dl,0.05385682944,1077136588800.0,,7127848.0\r\n"
+    )
+    assert render_text(analytic) == (
+        "architecture     delay [s]   compute [TFLOP]   server mem [MB]   client mem [MB]\n"
+        "fello                 0.16             1.077              0.20              7.13\n"
+        "cl                    0.10             1.077            138.69              7.13\n"
+        "dl                    0.05             1.077                 -              7.13\n"
+    )

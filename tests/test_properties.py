@@ -2,7 +2,7 @@
 
 Each property holds for every valid input, so the examples are drawn rather
 than picked: Walker shells and times, satellite addresses, link budgets,
-parameter vectors, bit error rates, overhead inputs, index shards and whole
+parameter vectors, bit error rates, overhead report inputs, index shards and whole
 scenario configs. Example
 counts are capped to keep the suite fast.
 """
@@ -41,7 +41,7 @@ from fello_sim.orbits import (
     positions_at,
     row_of,
 )
-from fello_sim.overhead import MODES, OverheadInputs, _components, total_delay
+from fello_sim.overhead import build_reports
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
@@ -237,19 +237,23 @@ def test_index_shards_train_like_their_gathered_rows(dtype, batch_size, blocks, 
 
 @PROPERTY
 @given(
-    inputs=st.builds(
-        OverheadInputs,
-        rounds=st.integers(0, 10_000),
-        local_epochs=st.integers(1, 50),
-        t_send_s=st.floats(0.0, 10.0),
-        t_epoch_s=st.floats(0.0, 10.0),
-        t_agg_s=st.floats(0.0, 10.0),
-        mode=st.sampled_from(MODES),
-    )
+    rounds=st.integers(0, 10_000),
+    local_epochs=st.integers(1, 50),
+    accounting=st.sampled_from(("preset", "analytic")),
+    cluster_size=st.integers(1, 1_000),
+    device_flops=positive(1e15),
+    link_rate_bps=positive(1e12),
 )
-def test_total_delay_is_the_sum_of_its_components(inputs):
+def test_total_delay_is_the_sum_of_its_components(
+    rounds, local_epochs, accounting, cluster_size, device_flops, link_rate_bps
+):
     # The reported total and its components are one formula, to the bit.
-    assert total_delay(inputs) == sum(seconds for _, seconds in _components(inputs))
+    reports = build_reports(
+        rounds, local_epochs, accounting, arch=(784, 64, 10), samples_per_client=2208,
+        cluster_size=cluster_size, device_flops=device_flops, link_rate_bps=link_rate_bps,
+    )
+    for report in reports:
+        assert report.total_delay_s == sum(seconds for _, seconds in report.components)
 
 
 sweeps = st.one_of(
