@@ -13,6 +13,9 @@ from .fl_engine import Dataset
 
 IDX_IMAGES_MAGIC = 2051
 IDX_LABELS_MAGIC = 2049
+# float64 values in synthetic_blobs' draw block: 1 MiB, so each block is
+# scaled, shifted, stored and clipped while it is still in cache
+BLOCK_VALUES = 2**17
 
 
 def _read_idx(path: str, expected_magic: int) -> np.ndarray:
@@ -61,8 +64,12 @@ def synthetic_blobs(
     mild; pass explicit centers to sample more data from the same classes.
     The draws are float64 and rounded once when stored, so the streams do not
     depend on the feature dtype; 0 and 1 are float32 values, so clipping after
-    the rounding equals clipping before it. The samples come in shuffled
-    order, as rows of the class-ordered block: the features exist once.
+    the rounding equals clipping before it. Each class is drawn in order
+    through one reused float64 block of whole rows, BLOCK_VALUES values or
+    one row if that is more, so the stream is consumed as by one whole-class
+    draw and the only full-size array is the float32 features. The samples
+    come in shuffled order, as rows of the class-ordered block: the features
+    exist once.
     """
     if n_classes < 2:
         raise ValueError(f"need at least 2 classes, got {n_classes}")
@@ -76,15 +83,19 @@ def synthetic_blobs(
         raise ValueError(f"centers shape {centers.shape} mismatches blob spec")
     features = np.empty((n_classes * samples_per_class, n_features), dtype=np.float32)
     labels = np.repeat(np.arange(n_classes, dtype=np.int64), samples_per_class)
-    draws = np.empty((samples_per_class, n_features))
+    block = np.empty((min(samples_per_class, max(1, BLOCK_VALUES // n_features)), n_features))
     for c in range(n_classes):
-        # bit for bit centers[c] + rng.normal(0.0, spread, ...), which
-        # computes 0.0 + spread * z from the same standard normal stream
-        rng.standard_normal(out=draws)
-        draws *= spread
-        draws += centers[c]
-        features[c * samples_per_class : (c + 1) * samples_per_class] = draws
-    np.clip(features, 0.0, 1.0, out=features)
+        end = (c + 1) * samples_per_class
+        for start in range(c * samples_per_class, end, len(block)):
+            draws = block[: end - start]
+            # bit for bit centers[c] + rng.normal(0.0, spread, ...), which
+            # computes 0.0 + spread * z from the same standard normal stream
+            rng.standard_normal(out=draws)
+            draws *= spread
+            draws += centers[c]
+            stored = features[start : start + len(draws)]
+            stored[...] = draws
+            np.clip(stored, 0.0, 1.0, out=stored)
     order = rng.permutation(labels.size)
     return Dataset(features, labels, n_classes, order)
 

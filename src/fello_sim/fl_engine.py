@@ -219,6 +219,19 @@ def _forward(model: ModelParams, x: np.ndarray):
     return h, logits
 
 
+def _row_max(logits: np.ndarray) -> np.ndarray:
+    """Each row's maximum as a column, bit for bit logits.max(axis=1, keepdims=True).
+
+    Taken column by column: over a test set's thousand rows and ten classes
+    that is several times faster than numpy's row reduction, over a 32-row
+    minibatch about twice as slow, so training keeps the row reduction.
+    """
+    top = logits[:, 0].copy()
+    for j in range(1, logits.shape[1]):
+        np.maximum(top, logits[:, j], out=top)
+    return top[:, None]
+
+
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
@@ -310,8 +323,10 @@ def evaluate(model: ModelParams, test: Dataset) -> tuple:
     features, labels = test.take()
     _, logits = _forward(model, features)
     predicted = np.argmax(logits, axis=1)
-    log_p = _log_softmax(logits)
-    loss = float(-log_p[np.arange(test.n_samples), labels].mean())
+    # the log-softmax at the labels only, with _log_softmax's arithmetic
+    shifted = logits - _row_max(logits)
+    log_p = shifted[np.arange(test.n_samples), labels] - np.log(np.exp(shifted).sum(axis=1))
+    loss = float(-log_p.mean())
     return float((predicted == labels).mean()), loss
 
 

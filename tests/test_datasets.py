@@ -8,6 +8,7 @@ import pytest
 from fello_sim import baselines, fl_engine
 from fello_sim.cli import main
 from fello_sim.datasets import (
+    BLOCK_VALUES,
     load_idx_images,
     load_idx_labels,
     load_mnist,
@@ -152,18 +153,39 @@ def test_blobs_shape_and_balance():
     assert (counts == 25).all()
 
 
-def test_blobs_are_float64_draws_rounded_once():
-    data = synthetic_blobs(3, 5, 20, np.random.default_rng(2), spread=0.4)
+def assert_blobs_are_float64_draws_rounded_once(n_classes, n_features, per_class):
+    drawn = np.random.default_rng(2)
+    data = synthetic_blobs(n_classes, n_features, per_class, drawn, spread=0.4)
     rng = np.random.default_rng(2)
-    centers = rng.uniform(0.25, 0.75, size=(3, 5))
-    wide = np.vstack([centers[c] + rng.normal(0.0, 0.4, size=(20, 5)) for c in range(3)])
-    order = rng.permutation(60)
+    centers = rng.uniform(0.25, 0.75, size=(n_classes, n_features))
+    wide = np.vstack([centers[c] + rng.normal(0.0, 0.4, size=(per_class, n_features))
+                      for c in range(n_classes)])
+    order = rng.permutation(n_classes * per_class)
     want = np.clip(wide, 0.0, 1.0)[order]
     features, labels = data.take()
     assert data.dtype == features.dtype == np.float32
     assert ((want == 0.0) | (want == 1.0)).any()  # clipping took part
     assert np.array_equal(features, want.astype(np.float32))
-    assert np.array_equal(labels, np.repeat(np.arange(3), 20)[order])
+    assert np.array_equal(labels, np.repeat(np.arange(n_classes), per_class)[order])
+    # the generator is left where one whole-class draw per class leaves it
+    assert drawn.bytes(16) == rng.bytes(16)
+
+
+def test_blobs_are_float64_draws_rounded_once():
+    assert_blobs_are_float64_draws_rounded_once(3, 5, 20)
+
+
+@pytest.mark.parametrize(
+    "n_classes,n_features,per_class",
+    [
+        (3, 784, 400),  # 167-row blocks: two full and a short last one per class
+        (2, 1024, 256),  # 128-row blocks: two full ones per class
+        (2, BLOCK_VALUES + 3, 3),  # wider than a block: one row per block
+    ],
+)
+def test_blobs_drawn_across_several_blocks(n_classes, n_features, per_class):
+    assert per_class > max(1, BLOCK_VALUES // n_features)
+    assert_blobs_are_float64_draws_rounded_once(n_classes, n_features, per_class)
 
 
 def test_blobs_deterministic_and_validated():
@@ -217,13 +239,15 @@ def test_split_deterministic():
 
 
 def test_synthetic_split_holds_the_train_features_once():
-    # the class-ordered block plus its shuffle order, not a shuffled copy
+    # the class-ordered block plus its shuffle order, not a shuffled copy, and
+    # no whole-class float64 staging; the test set is small, so the train
+    # features dominate the peak
     tracemalloc.start()
     try:
-        train, _ = synthetic_split(10, 784, 600, 100, np.random.default_rng(0))
+        train, _ = synthetic_split(10, 784, 600, 10, np.random.default_rng(0))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     train_bytes = 10 * 600 * 784 * np.dtype(np.float32).itemsize
     assert train.n_samples * train.n_features * train.dtype.itemsize == train_bytes
-    assert peak <= 1.5 * train_bytes
+    assert peak <= 1.1 * train_bytes

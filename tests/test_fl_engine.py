@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -402,6 +403,38 @@ def test_evaluate_brute_force_oracle():
         best = min(c for c in range(3) if logits[c] == logits.max())
         hits += int(best == y)
     assert acc == pytest.approx(hits / 20.0, rel=0.0)
+
+
+@pytest.mark.parametrize("case", ["drawn", "tied", "nan_row"])
+@pytest.mark.parametrize("n_rows", [32, 1000])
+@pytest.mark.parametrize("n_classes", [2, 10])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_evaluate_equals_the_full_log_softmax_to_the_bit(dtype, n_classes, n_rows, case):
+    rng = np.random.default_rng(40)
+    features = rng.random((n_rows, 6)).astype(dtype)
+    labels = rng.integers(0, n_classes, size=n_rows)
+    model = init_model(6, 8, n_classes, rng, dtype=dtype)
+    model.weights[1][...] *= 20.0  # logits spread over tens, so rounding shows
+    if case == "tied":
+        # the first and last class share every logit, and it is each row's max
+        model.weights[1][:, -1] = model.weights[1][:, 0]
+        model.biases[1][[0, -1]] = 100.0
+    if case == "nan_row":
+        features[3] = np.nan
+    with np.errstate(invalid="ignore"):
+        acc, loss = evaluate(model, Dataset(features, labels, n_classes))
+        # the reference: the full log-softmax, read at the labels
+        h = np.maximum(features @ model.weights[0] + model.biases[0], 0.0)
+        logits = h @ model.weights[1] + model.biases[1]
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        log_p = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        want_loss = float(-log_p[np.arange(n_rows), labels].mean())
+    want_acc = float((np.argmax(logits, axis=1) == labels).mean())
+    assert acc == want_acc
+    assert struct.pack("<d", loss) == struct.pack("<d", want_loss)
+    assert math.isnan(loss) == (case == "nan_row")
+    if case == "tied":
+        assert acc == float((labels == 0).mean())
 
 
 def test_memorization_reaches_full_accuracy():
