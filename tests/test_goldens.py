@@ -14,13 +14,18 @@ thread, built as OPENBLAS_VERSION. Relations between runs (common random
 numbers) hold on any kernel and compare runs with whole_run, each scenario
 run once in this process: an architecture run alone writes its rows,
 reordering architectures or reversing sweep values reorders row blocks,
-and every sweep point writes a single run's rows.
+every sweep point writes a single run's rows, and other data moves only
+the accuracy and loss cells.
 
 A change that alters numbers on purpose, or another OpenBLAS build, runs
-REGENERATE and says why in CHANGES.md.
+REGENERATE, which prints for each file how many cells moved in each column
+and the largest relative change, and says why in CHANGES.md.
 """
 
+import collections
+import csv
 import functools
+import math
 import os
 import subprocess
 import sys
@@ -114,10 +119,10 @@ def openblas_version() -> str:
 
 
 @functools.cache
-def whole_run(name: str) -> list:
+def whole_run(name: str, **overrides) -> list:
     """Row blocks of the scenario run once as a whole, in this process."""
     with tempfile.TemporaryDirectory() as tmp:
-        return row_blocks(run_metrics(scenario_config(name, tmp)))
+        return row_blocks(run_metrics(scenario_config(name, tmp, **overrides)))
 
 
 def row_blocks(metrics: bytes) -> list:
@@ -131,6 +136,12 @@ def row_blocks(metrics: bytes) -> list:
 
 def blocks_of(blocks: list, arch: str) -> list:
     return [block for block in blocks if block[0][0] == arch]
+
+
+def untrained_cells(blocks: list) -> list:
+    """Row blocks without their accuracy and loss cells, the only ones training writes."""
+    return [(key, [",".join(cells[:1] + cells[3:]) for cells in (row.split(",") for row in rows)])
+            for key, rows in blocks]
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -176,6 +187,14 @@ def test_reversing_sweep_values_reverses_row_blocks(tmp_path):
     assert row_blocks(run_metrics(cfg)) == expected
 
 
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_the_data_moves_only_training_cells(name):
+    # schedules, links, shards and delays never read the features
+    other = whole_run(name, dataset_spread=0.2)
+    assert other != whole_run(name)
+    assert untrained_cells(other) == untrained_cells(whole_run(name))
+
+
 def test_default_manifest_matches_golden():
     assert serialize_config(ScenarioConfig()).encode() == read(GOLDENS, "manifest.cfg")
 
@@ -201,6 +220,25 @@ def test_golden_membership_agrees_across_architectures(name):
     assert all(blocks == [blocks[0]] * len(MODES) for blocks in membership.values())
 
 
+def moved_cells(old: bytes, new: bytes) -> str:
+    """Cells of each metrics column that differ, with the largest relative change."""
+    old_rows, new_rows = (list(csv.reader(data.decode().splitlines()[1:])) for data in (old, new))
+    if len(old_rows) != len(new_rows) or old_rows[:1] != new_rows[:1]:
+        return f"{len(old_rows) - 1} rows -> {len(new_rows) - 1} rows, not comparable"
+    moved, largest = collections.Counter(), {}
+    for old_row, new_row in zip(old_rows[1:], new_rows[1:]):
+        for column, was, now in zip(new_rows[0], old_row, new_row):
+            if was != now:
+                moved[column] += 1
+                try:
+                    change = abs(float(now) - float(was)) / abs(float(was))
+                except (ValueError, ZeroDivisionError):  # an empty cell or a zero
+                    change = math.inf
+                largest[column] = max(largest.get(column, 0.0), change)
+    return ", ".join(f"{column} {moved[column]} (max relative {largest[column]:.3g})"
+                     for column in new_rows[0] if moved[column]) or "unchanged"
+
+
 if __name__ == "__main__":
     os.makedirs(GOLDENS, exist_ok=True)
     outputs = {"manifest.cfg": serialize_config(ScenarioConfig()).encode()}
@@ -208,7 +246,13 @@ if __name__ == "__main__":
         with tempfile.TemporaryDirectory() as tmp:
             outputs[f"{scenario}.csv"] = pinned_metrics(scenario, tmp)
     for filename, data in outputs.items():
-        with open(os.path.join(GOLDENS, filename), "wb") as f:
+        path = os.path.join(GOLDENS, filename)
+        old = read(path) if os.path.exists(path) else None
+        if old is None or old == data:
+            moved = "new" if old is None else "unchanged"
+        else:
+            moved = moved_cells(old, data) if filename.endswith(".csv") else "changed"
+        with open(path, "wb") as f:
             f.write(data)
-        print(f"wrote {filename} ({len(data)} bytes)", file=sys.stderr)
+        print(f"wrote {filename} ({len(data)} bytes): {moved}", file=sys.stderr)
     print(f"OPENBLAS_VERSION = {openblas_version()!r}", file=sys.stderr)
