@@ -2,18 +2,22 @@
 
 Reads the classic IDX binary format for image/label pairs, and generates
 a synthetic Gaussian-blob classification set of configurable shape for
-runs where no real data is mounted.
+runs where no real data is mounted. Each synthetic class is drawn from its
+own keyed substream into its own slice of the float32 features, so the
+classes can be drawn on threads and the bytes do not depend on how many.
 """
 
 import struct
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .fl_engine import Dataset
+from .seeding import Substreams
 
 IDX_IMAGES_MAGIC = 2051
 IDX_LABELS_MAGIC = 2049
-# float64 values in synthetic_blobs' draw block: 1 MiB, so each block is
+# float64 values in a synthetic class's draw block: 1 MiB, so each block is
 # scaled, shifted, stored and clipped while it is still in cache
 BLOCK_VALUES = 2**17
 
@@ -50,54 +54,73 @@ def load_mnist(images_path: str, labels_path: str) -> Dataset:
     return Dataset(load_idx_images(images_path), load_idx_labels(labels_path), n_classes=10)
 
 
-def synthetic_blobs(
-    n_classes: int,
-    n_features: int,
-    samples_per_class: int,
-    rng: np.random.Generator,
-    spread: float = 0.15,
-    centers: np.ndarray = None,
-) -> Dataset:
-    """Gaussian blobs around per-class centers, float32 features clipped to [0, 1].
+def _fill_class(out: np.ndarray, center: np.ndarray, spread: float,
+                rng: np.random.Generator) -> None:
+    """out[...] = clip(float32(center + spread * z)), z drawn by rng in order.
 
-    Centers default to uniform draws in [0.25, 0.75] so clipped tails stay
-    mild; pass explicit centers to sample more data from the same classes.
-    The draws are float64 and rounded once when stored, so the streams do not
-    depend on the feature dtype; 0 and 1 are float32 values, so clipping after
-    the rounding equals clipping before it. Each class is drawn in order
-    through one reused float64 block of whole rows, BLOCK_VALUES values or
-    one row if that is more, so the stream is consumed as by one whole-class
-    draw and the only full-size array is the float32 features. The samples
-    come in shuffled order, as rows of the class-ordered block: the features
-    exist once.
+    The draws pass through one float64 block of whole rows, BLOCK_VALUES
+    values or one row if that is more, so rng is consumed as by one
+    whole-class draw and each block is scaled, shifted, stored and clipped
+    while it is still in cache.
     """
-    if n_classes < 2:
-        raise ValueError(f"need at least 2 classes, got {n_classes}")
+    block = np.empty((min(len(out), max(1, BLOCK_VALUES // out.shape[1])), out.shape[1]))
+    for start in range(0, len(out), len(block)):
+        draws = block[: len(out) - start]
+        # bit for bit center + rng.normal(0.0, spread, ...), which computes
+        # 0.0 + spread * z from the same standard normal stream
+        rng.standard_normal(out=draws)
+        draws *= spread
+        draws += center
+        stored = out[start : start + len(draws)]
+        stored[...] = draws
+        np.clip(stored, 0.0, 1.0, out=stored)
+
+
+def synthetic_blobs(
+    centers: np.ndarray,
+    samples_per_class: int,
+    rngs,
+    spread: float = 0.15,
+    threads: int = 1,
+) -> Dataset:
+    """Gaussian blobs around centers' rows, float32 features clipped to [0, 1].
+
+    Class c's samples_per_class rows are drawn from rngs[c] alone, so a
+    class's rows depend only on its center and its generator, and the
+    classes can be drawn in any order: on min(threads, n_classes) threads,
+    joined before this returns (numpy releases the GIL while it draws and
+    while it scales, shifts, stores and clips), the bytes are those of one
+    thread. The draws are float64 and rounded once when stored, so the
+    streams do not depend on the feature dtype; 0 and 1 are float32 values,
+    so clipping after the rounding equals clipping before it. The samples
+    come class-ordered, without rows.
+    """
+    centers = np.asarray(centers, dtype=np.float64)
+    if centers.ndim != 2 or centers.shape[0] < 2:
+        raise ValueError(f"need (n_classes >= 2, n_features) centers, got shape {centers.shape}")
+    n_classes, n_features = centers.shape
     if n_features < 1 or samples_per_class < 1:
         raise ValueError("n_features and samples_per_class must be >= 1")
     if spread <= 0.0:
         raise ValueError(f"spread must be > 0, got {spread}")
-    if centers is None:
-        centers = rng.uniform(0.25, 0.75, size=(n_classes, n_features))
-    elif centers.shape != (n_classes, n_features):
-        raise ValueError(f"centers shape {centers.shape} mismatches blob spec")
+    if len(rngs) != n_classes:
+        raise ValueError(f"need one generator per class, got {len(rngs)} for {n_classes}")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     features = np.empty((n_classes * samples_per_class, n_features), dtype=np.float32)
+
+    def fill(c):
+        rows = features[c * samples_per_class : (c + 1) * samples_per_class]
+        _fill_class(rows, centers[c], spread, rngs[c])
+
+    if threads == 1:
+        for c in range(n_classes):
+            fill(c)
+    else:
+        with ThreadPoolExecutor(max_workers=min(threads, n_classes)) as pool:
+            list(pool.map(fill, range(n_classes)))
     labels = np.repeat(np.arange(n_classes, dtype=np.int64), samples_per_class)
-    block = np.empty((min(samples_per_class, max(1, BLOCK_VALUES // n_features)), n_features))
-    for c in range(n_classes):
-        end = (c + 1) * samples_per_class
-        for start in range(c * samples_per_class, end, len(block)):
-            draws = block[: end - start]
-            # bit for bit centers[c] + rng.normal(0.0, spread, ...), which
-            # computes 0.0 + spread * z from the same standard normal stream
-            rng.standard_normal(out=draws)
-            draws *= spread
-            draws += centers[c]
-            stored = features[start : start + len(draws)]
-            stored[...] = draws
-            np.clip(stored, 0.0, 1.0, out=stored)
-    order = rng.permutation(labels.size)
-    return Dataset(features, labels, n_classes, order)
+    return Dataset(features, labels, n_classes)
 
 
 def synthetic_split(
@@ -105,15 +128,25 @@ def synthetic_split(
     n_features: int,
     train_per_class: int,
     test_per_class: int,
-    rng: np.random.Generator,
+    streams: Substreams,
     spread: float = 0.15,
+    threads: int = 1,
 ) -> tuple:
     """(train, test) blob datasets drawn around one shared set of centers.
 
-    train keeps its shuffle as rows; the smaller test set is gathered once
-    into a Dataset without rows, so evaluating on it copies nothing.
+    The centers and the train shuffle come from streams' "dataset" stream,
+    class c of the train set from ("dataset", "train", c) and of the test
+    set from ("dataset", "test", c); threads draws the classes of each set
+    in parallel (see synthetic_blobs) without changing a byte. The features
+    are held once: train is the class-ordered block with its shuffle order
+    as rows, and test stays class-ordered, as evaluation reads every row.
     """
+    rng = streams.derive("dataset")
     centers = rng.uniform(0.25, 0.75, size=(n_classes, n_features))
-    train = synthetic_blobs(n_classes, n_features, train_per_class, rng, spread, centers)
-    test = synthetic_blobs(n_classes, n_features, test_per_class, rng, spread, centers)
-    return train, Dataset(*test.take(), n_classes)
+    train, test = (
+        synthetic_blobs(centers, per_class,
+                        [streams.derive("dataset", part, c) for c in range(n_classes)],
+                        spread, threads)
+        for part, per_class in (("train", train_per_class), ("test", test_per_class))
+    )
+    return train.subset(rng.permutation(train.n_samples)), test

@@ -9,9 +9,11 @@ plan (the schedule and shards) and passes it to the arm's runner.
 
 run_scenario runs the arms point by point, inline or, with workers > 1, on
 forked processes. The parent builds a point's datasets, which depend on the
-master seed alone, before its arms start, and workers inherit them, as the
-pool forks at its first submit. A pooled sweep forks before its later
-points exist, so its arms build their own; perfbench pins that count until
+master seed alone, before its arms start, drawing synthetic classes on up
+to workers threads that are joined before any fork, and workers inherit
+them, as the pool forks at its first submit. A pooled sweep forks before
+its later points exist, so its arms build their own, each on one thread,
+as the pool already holds the cores; perfbench pins that count until
 ROADMAP item 4. Outputs: manifest.cfg and overhead.txt/overhead.csv before
 any arm runs, then metrics.csv with every completed arm's rows, plus a
 FAILED marker, replacing an earlier run's, with one traceback per failed
@@ -40,20 +42,23 @@ METRICS_COLUMNS = (
 )
 
 
-def build_datasets(cfg: ScenarioConfig) -> tuple:
-    """(train, test) datasets; synthetic data depends only on the master seed."""
+def build_datasets(cfg: ScenarioConfig, threads: int = 1) -> tuple:
+    """(train, test) datasets; synthetic data depends only on the master seed.
+
+    threads draws synthetic classes in parallel without changing a byte.
+    """
     if cfg.dataset_kind == "mnist":
         train = load_mnist(cfg.dataset_train_images, cfg.dataset_train_labels)
         test = load_mnist(cfg.dataset_test_images, cfg.dataset_test_labels)
         return train, test
-    rng = Substreams(cfg.master_seed).derive("dataset")
     return synthetic_split(
         cfg.dataset_n_classes,
         cfg.dataset_n_features,
         cfg.dataset_train_per_class,
         cfg.dataset_test_per_class,
-        rng,
+        Substreams(cfg.master_seed),
         cfg.dataset_spread,
+        threads,
     )
 
 
@@ -165,8 +170,10 @@ def run_scenario(cfg: ScenarioConfig) -> int:
         submit = pool.submit if pool else _settle
         for value, cfg_point in points.items():
             # Workers fork before a later point could be built here, so a
-            # pooled sweep's arms build their own datasets.
-            built = None if pool and len(points) > 1 else _settle(build_datasets, cfg_point)
+            # pooled sweep's arms build their own datasets, on one thread
+            # each. The parent builds before any arm runs, on workers threads.
+            built = (None if pool and len(points) > 1
+                     else _settle(build_datasets, cfg_point, cfg.workers))
             if built is not None and built.exception():
                 outcomes.update(((arch, value), built) for arch in cfg.architectures)
                 continue

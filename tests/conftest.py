@@ -106,7 +106,7 @@ def static_walker():
 
 def _tiny_train_setup(seed=7):
     """(train, test, TrainConfig, Substreams(seed)) small enough to train in milliseconds."""
-    train, test = synthetic_split(3, 6, 60, 20, np.random.default_rng(99), spread=0.1)
+    train, test = synthetic_split(3, 6, 60, 20, Substreams(99), spread=0.1)
     cfg = TrainConfig(learning_rate=0.1, local_epochs=2, batch_size=16, hidden_size=6)
     return train, test, cfg, Substreams(seed)
 
@@ -142,5 +142,4 @@ def write():
 
 @pytest.fixture
 def blob_data():
-    rng = np.random.default_rng(1234)
-    return synthetic_split(3, 8, 60, 20, rng, spread=0.12)
+    return synthetic_split(3, 8, 60, 20, Substreams(1234), spread=0.12)

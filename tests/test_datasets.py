@@ -1,5 +1,6 @@
 import csv
 import struct
+import threading
 import tracemalloc
 
 import numpy as np
@@ -15,6 +16,7 @@ from fello_sim.datasets import (
     synthetic_blobs,
     synthetic_split,
 )
+from fello_sim.seeding import Substreams
 
 
 def write_idx_images(path, array):
@@ -143,32 +145,35 @@ def test_idx_truncated_header_names_the_file(tmp_path, header, loader):
         loader(str(path))
 
 
+def class_streams(seed, n_classes):
+    return [np.random.default_rng([seed, c]) for c in range(n_classes)]
+
+
 def test_blobs_shape_and_balance():
-    data = synthetic_blobs(4, 6, 25, np.random.default_rng(1), spread=0.1)
+    centers = np.random.default_rng(1).uniform(0.25, 0.75, size=(4, 6))
+    data = synthetic_blobs(centers, 25, class_streams(1, 4), spread=0.1)
     assert data.n_samples == 100
     assert data.n_features == 6
+    assert data.rows is None
     features, labels = data.take()
     assert features.min() >= 0.0 and features.max() <= 1.0
-    counts = np.bincount(labels, minlength=4)
-    assert (counts == 25).all()
+    assert np.array_equal(labels, np.repeat(np.arange(4), 25))
 
 
-def assert_blobs_are_float64_draws_rounded_once(n_classes, n_features, per_class):
-    drawn = np.random.default_rng(2)
-    data = synthetic_blobs(n_classes, n_features, per_class, drawn, spread=0.4)
-    rng = np.random.default_rng(2)
-    centers = rng.uniform(0.25, 0.75, size=(n_classes, n_features))
-    wide = np.vstack([centers[c] + rng.normal(0.0, 0.4, size=(per_class, n_features))
-                      for c in range(n_classes)])
-    order = rng.permutation(n_classes * per_class)
-    want = np.clip(wide, 0.0, 1.0)[order]
+def assert_blobs_are_float64_draws_rounded_once(n_classes, n_features, per_class, threads=1):
+    centers = np.random.default_rng(2).uniform(0.25, 0.75, size=(n_classes, n_features))
+    drawn = class_streams(2, n_classes)
+    data = synthetic_blobs(centers, per_class, drawn, spread=0.4, threads=threads)
     features, labels = data.take()
     assert data.dtype == features.dtype == np.float32
-    assert ((want == 0.0) | (want == 1.0)).any()  # clipping took part
-    assert np.array_equal(features, want.astype(np.float32))
-    assert np.array_equal(labels, np.repeat(np.arange(n_classes), per_class)[order])
-    # the generator is left where one whole-class draw per class leaves it
-    assert drawn.bytes(16) == rng.bytes(16)
+    assert ((features == 0.0) | (features == 1.0)).any()  # clipping took part
+    assert np.array_equal(labels, np.repeat(np.arange(n_classes), per_class))
+    for c, (rng, left) in enumerate(zip(class_streams(2, n_classes), drawn)):
+        wide = centers[c] + rng.normal(0.0, 0.4, size=(per_class, n_features))
+        want = np.clip(wide.astype(np.float32), 0.0, 1.0)
+        assert np.array_equal(features[c * per_class : (c + 1) * per_class], want)
+        # class c's generator is left where its one whole-class draw leaves it
+        assert left.bytes(16) == rng.bytes(16)
 
 
 def test_blobs_are_float64_draws_rounded_once():
@@ -188,28 +193,49 @@ def test_blobs_drawn_across_several_blocks(n_classes, n_features, per_class):
     assert_blobs_are_float64_draws_rounded_once(n_classes, n_features, per_class)
 
 
+@pytest.mark.parametrize("threads", [2, 3])
+def test_blobs_drawn_on_threads_are_the_same_draws(threads):
+    assert_blobs_are_float64_draws_rounded_once(3, 784, 400, threads)
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_an_error_in_one_class_reaches_the_caller(threads):
+    class Broken:
+        def standard_normal(self, out):
+            raise RuntimeError("class 1 broke")
+
+    rngs = class_streams(3, 3)
+    rngs[1] = Broken()
+    with pytest.raises(RuntimeError, match="class 1 broke"):
+        synthetic_blobs(np.full((3, 4), 0.5), 10, rngs, threads=threads)
+
+
 def test_blobs_deterministic_and_validated():
-    a = synthetic_blobs(3, 4, 10, np.random.default_rng(7))
-    b = synthetic_blobs(3, 4, 10, np.random.default_rng(7))
+    centers = np.full((3, 4), 0.5)
+    a = synthetic_blobs(centers, 10, class_streams(7, 3))
+    b = synthetic_blobs(centers, 10, class_streams(7, 3))
     (a_features, a_labels), (b_features, b_labels) = a.take(), b.take()
     assert np.array_equal(a_features, b_features)
     assert np.array_equal(a_labels, b_labels)
-    with pytest.raises(ValueError):
-        synthetic_blobs(1, 4, 10, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        synthetic_blobs(3, 0, 10, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        synthetic_blobs(3, 4, 10, np.random.default_rng(0), spread=0.0)
-    with pytest.raises(ValueError):
-        synthetic_blobs(3, 4, 10, np.random.default_rng(0),
-                        centers=np.zeros((2, 4)))
+    with pytest.raises(ValueError, match="n_classes >= 2"):
+        synthetic_blobs(np.full((1, 4), 0.5), 10, class_streams(0, 1))
+    with pytest.raises(ValueError, match="n_classes >= 2"):
+        synthetic_blobs(np.full(4, 0.5), 10, class_streams(0, 4))
+    with pytest.raises(ValueError, match="must be >= 1"):
+        synthetic_blobs(np.full((3, 0), 0.5), 10, class_streams(0, 3))
+    with pytest.raises(ValueError, match="must be >= 1"):
+        synthetic_blobs(centers, 0, class_streams(0, 3))
+    with pytest.raises(ValueError, match="spread"):
+        synthetic_blobs(centers, 10, class_streams(0, 3), spread=0.0)
+    with pytest.raises(ValueError, match="one generator per class"):
+        synthetic_blobs(centers, 10, class_streams(0, 2))
+    with pytest.raises(ValueError, match="threads"):
+        synthetic_blobs(centers, 10, class_streams(0, 3), threads=0)
 
 
 def test_blobs_centers_are_reused():
-    rng = np.random.default_rng(3)
-    centers = rng.uniform(0.3, 0.7, size=(3, 5))
-    data = synthetic_blobs(3, 5, 400, np.random.default_rng(4), spread=0.05,
-                           centers=centers)
+    centers = np.random.default_rng(3).uniform(0.3, 0.7, size=(3, 5))
+    data = synthetic_blobs(centers, 400, class_streams(4, 3), spread=0.05)
     features, labels = data.take()
     for c in range(3):
         mean = features[labels == c].mean(axis=0)
@@ -230,24 +256,59 @@ def test_split_shares_class_geometry(blob_data):
         assert int(np.argmin(dists)) == c
 
 
+def split_parts(train, test):
+    """Every array of a split: train's features, labels and rows, test's features and labels."""
+    return (train.features, train.labels, train.rows, test.features, test.labels)
+
+
 def test_split_deterministic():
-    t1, s1 = synthetic_split(3, 4, 20, 10, np.random.default_rng(9))
-    t2, s2 = synthetic_split(3, 4, 20, 10, np.random.default_rng(9))
-    assert all(np.array_equal(a, b) for a, b in zip(t1.take(), t2.take()))
-    assert np.array_equal(s1.features, s2.features)
-    assert np.array_equal(s1.labels, s2.labels)
+    t1, s1 = synthetic_split(3, 4, 20, 10, Substreams(9))
+    t2, s2 = synthetic_split(3, 4, 20, 10, Substreams(9))
+    assert all(np.array_equal(a, b) for a, b in zip(split_parts(t1, s1), split_parts(t2, s2)))
 
 
-def test_synthetic_split_holds_the_train_features_once():
-    # the class-ordered block plus its shuffle order, not a shuffled copy, and
-    # no whole-class float64 staging; the test set is small, so the train
-    # features dominate the peak
+def test_split_draws_each_class_from_its_own_stream():
+    streams = Substreams(9)
+    train, test = synthetic_split(3, 4, 20, 10, streams, spread=0.3)
+    rng = streams.derive("dataset")
+    centers = rng.uniform(0.25, 0.75, size=(3, 4))
+    for part, data in (("train", train), ("test", test)):
+        per_class = data.features.shape[0] // 3
+        alone = synthetic_blobs(centers, per_class,
+                                [streams.derive("dataset", part, c) for c in range(3)], 0.3)
+        assert np.array_equal(data.features, alone.features)
+        assert np.array_equal(data.labels, alone.labels)
+    # the train shuffle follows the centers on the "dataset" stream; test stays class-ordered
+    assert np.array_equal(train.rows, rng.permutation(60))
+    assert test.rows is None
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_split_bytes_do_not_depend_on_threads(threads):
+    one = split_parts(*synthetic_split(3, 784, 400, 50, Substreams(11), spread=0.3))
+    many = split_parts(*synthetic_split(3, 784, 400, 50, Substreams(11), spread=0.3,
+                                        threads=threads))
+    assert all(np.array_equal(a, b) for a, b in zip(one, many))
+
+
+def test_synthetic_split_joins_its_threads():
+    # a process pool forks after the parent's build, so no thread may outlive it
+    before = threading.active_count()
+    synthetic_split(3, 784, 400, 10, Substreams(5), threads=2)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("test_per_class", [10, 100])
+def test_synthetic_split_holds_the_train_features_once(test_per_class):
+    # the class-ordered train block plus its shuffle order, not a shuffled
+    # copy; the class-ordered test block, not a gathered copy; and no
+    # whole-class float64 staging
     tracemalloc.start()
     try:
-        train, _ = synthetic_split(10, 784, 600, 10, np.random.default_rng(0))
+        train, test = synthetic_split(10, 784, 600, test_per_class, Substreams(0))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    train_bytes = 10 * 600 * 784 * np.dtype(np.float32).itemsize
-    assert train.n_samples * train.n_features * train.dtype.itemsize == train_bytes
-    assert peak <= 1.1 * train_bytes
+    feature_bytes = 10 * (600 + test_per_class) * 784 * np.dtype(np.float32).itemsize
+    assert sum(d.n_samples * d.n_features * d.dtype.itemsize for d in (train, test)) == feature_bytes
+    assert peak <= 1.1 * feature_bytes

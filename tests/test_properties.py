@@ -208,7 +208,7 @@ def test_aggregate_is_a_convex_combination(data, n_models, seed, width):
 )
 def test_index_shards_train_like_their_gathered_rows(dtype, batch_size, blocks, shuffled, seed):
     # Two shards that overlap, sizes the batch size does not divide, drawn
-    # from a dataset or from a shuffled view of one as synthetic_blobs makes.
+    # from a dataset or from a shuffled view of one as synthetic_split makes.
     rng = np.random.default_rng(seed)
     n, n_features, n_classes = 48, 5, 3
     base = Dataset(rng.random((n, n_features)).astype(dtype),
