@@ -298,17 +298,17 @@ def test_synthetic_split_joins_its_threads():
     assert threading.active_count() == before
 
 
-@pytest.mark.parametrize("test_per_class", [10, 100])
-def test_synthetic_split_holds_the_train_features_once(test_per_class):
+def test_synthetic_split_holds_the_train_features_once():
     # the class-ordered train block plus its shuffle order, not a shuffled
     # copy; the class-ordered test block, not a gathered copy; and no
-    # whole-class float64 staging
-    tracemalloc.start()
-    try:
-        train, test = synthetic_split(10, 784, 600, test_per_class, Substreams(0))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    feature_bytes = 10 * (600 + test_per_class) * 784 * np.dtype(np.float32).itemsize
-    assert sum(d.n_samples * d.n_features * d.dtype.itemsize for d in (train, test)) == feature_bytes
-    assert peak <= 1.1 * feature_bytes
+    # whole-class float64 staging, with a small test set and a large one
+    for test_per_class in (10, 100):
+        tracemalloc.start()
+        try:
+            train, test = synthetic_split(10, 784, 600, test_per_class, Substreams(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        feature_bytes = 10 * (600 + test_per_class) * 784 * np.dtype(np.float32).itemsize
+        assert sum(d.n_samples * d.n_features * d.dtype.itemsize for d in (train, test)) == feature_bytes
+        assert peak <= 1.1 * feature_bytes, test_per_class
