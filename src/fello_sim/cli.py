@@ -36,7 +36,8 @@ _OVERRIDES = {
              "fixed-denominator aggregation); requires snr_mode = paper on both links",
     ),
     "--workers": dict(dest="workers", type=int, help="forked processes (Linux), at most one "
-                      "per (architecture, sweep point) arm"),
+                      "per (architecture, sweep point) arm; the parent's dataset build uses up "
+                      "to this many threads, a pooled sweep's arms build on one"),
 }
 
 

@@ -79,7 +79,7 @@ def _fill_class(out: np.ndarray, center: np.ndarray, spread: float,
 def synthetic_blobs(
     centers: np.ndarray,
     samples_per_class: int,
-    rngs,
+    rngs: list,
     spread: float = 0.15,
     threads: int = 1,
 ) -> Dataset:
@@ -113,12 +113,8 @@ def synthetic_blobs(
         rows = features[c * samples_per_class : (c + 1) * samples_per_class]
         _fill_class(rows, centers[c], spread, rngs[c])
 
-    if threads == 1:
-        for c in range(n_classes):
-            fill(c)
-    else:
-        with ThreadPoolExecutor(max_workers=min(threads, n_classes)) as pool:
-            list(pool.map(fill, range(n_classes)))
+    with ThreadPoolExecutor(max_workers=min(threads, n_classes)) as pool:
+        list(pool.map(fill, range(n_classes)))
     labels = np.repeat(np.arange(n_classes, dtype=np.int64), samples_per_class)
     return Dataset(features, labels, n_classes)
 
@@ -143,10 +139,10 @@ def synthetic_split(
     """
     rng = streams.derive("dataset")
     centers = rng.uniform(0.25, 0.75, size=(n_classes, n_features))
-    train, test = (
-        synthetic_blobs(centers, per_class,
-                        [streams.derive("dataset", part, c) for c in range(n_classes)],
-                        spread, threads)
-        for part, per_class in (("train", train_per_class), ("test", test_per_class))
-    )
-    return train.subset(rng.permutation(train.n_samples)), test
+
+    def blobs(part, per_class):
+        rngs = [streams.derive("dataset", part, c) for c in range(n_classes)]
+        return synthetic_blobs(centers, per_class, rngs, spread, threads)
+
+    train = blobs("train", train_per_class)
+    return train.subset(rng.permutation(train.n_samples)), blobs("test", test_per_class)
