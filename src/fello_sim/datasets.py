@@ -87,13 +87,14 @@ def synthetic_blobs(
 
     Class c's samples_per_class rows are drawn from rngs[c] alone, so a
     class's rows depend only on its center and its generator, and the
-    classes can be drawn in any order: on min(threads, n_classes) threads,
-    joined before this returns (numpy releases the GIL while it draws and
-    while it scales, shifts, stores and clips), the bytes are those of one
-    thread. The draws are float64 and rounded once when stored, so the
-    streams do not depend on the feature dtype; 0 and 1 are float32 values,
-    so clipping after the rounding equals clipping before it. The samples
-    come class-ordered, without rows.
+    classes can be drawn in any order. With threads > 1 they are drawn on
+    min(threads, n_classes) threads, joined before this returns (numpy
+    releases the GIL while it draws and while it scales, shifts, stores and
+    clips), with the bytes of the calling thread drawing them alone. The
+    draws are float64 and rounded once when stored, so the streams do not
+    depend on the feature dtype; 0 and 1 are float32 values, so clipping
+    after the rounding equals clipping before it. The samples come
+    class-ordered, without rows.
     """
     centers = np.asarray(centers, dtype=np.float64)
     if centers.ndim != 2 or centers.shape[0] < 2:
@@ -113,8 +114,13 @@ def synthetic_blobs(
         rows = features[c * samples_per_class : (c + 1) * samples_per_class]
         _fill_class(rows, centers[c], spread, rngs[c])
 
-    with ThreadPoolExecutor(max_workers=min(threads, n_classes)) as pool:
-        list(pool.map(fill, range(n_classes)))
+    if threads == 1:
+        # inline: a one-thread pool measured slower on churn (ROADMAP item 14)
+        for c in range(n_classes):
+            fill(c)
+    else:
+        with ThreadPoolExecutor(max_workers=min(threads, n_classes)) as pool:
+            list(pool.map(fill, range(n_classes)))
     labels = np.repeat(np.arange(n_classes, dtype=np.int64), samples_per_class)
     return Dataset(features, labels, n_classes)
 
