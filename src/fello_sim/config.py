@@ -1,14 +1,14 @@
 """Scenario configuration: INI surface, defaults, validation, round trip.
 
 One flat frozen dataclass mirrors the config file key for key (angles in
-degrees, SI units otherwise). Each field is the only declaration of its
-key's name, section and type: SCHEMA is derived from the field list, and
-builder methods pass each section's keys to its domain object by name. The
-domain objects declare the same defaults again, and a test holds the two
-equal. Each builder owns its section's rules, and validation calls them all;
-points() is the one sweep expansion, which validation and the run both read.
-Serialization echoes every field at full precision via repr, so a
-serialized config loads back equal to the original.
+degrees, SI units otherwise). Each field is the only declaration of its key's
+name, section and type: SCHEMA is derived from the field list, and builder
+methods pass each section's keys to its domain object by name. A default its
+domain object declares is read from that class (*_deg via math.degrees); any
+other, [overhead]'s included, is written here alone. Each builder owns its
+section's rules, and validation calls them all; points() is the one sweep
+expansion, which validation and the run both read. Serialization echoes every
+field at full precision via repr, so it loads back equal.
 """
 
 import configparser
@@ -44,7 +44,7 @@ class ScenarioConfig:
     sats_per_orbit: int = 20
     inclination_deg: float = 70.0
     altitude_km: float = 570.0
-    earth_radius_km: float = 6371.0
+    earth_radius_km: float = WalkerConfig.earth_radius_km
     # [isl_optics]
     isl_wavelength_m: float = 1.5e-6
     isl_bandwidth_hz: float = 1.25e9
@@ -52,14 +52,14 @@ class ScenarioConfig:
     isl_tx_efficiency: float = 0.8
     isl_rx_efficiency: float = 0.8
     isl_telescope_diameter_m: float = 0.06
-    isl_pointing_sd_rad: float = 3e-6
+    isl_pointing_sd_rad: float = OpticalParams.pointing_sd_rad
     isl_responsivity_a_per_w: float = 0.6007
     isl_dark_current_a: float = 1e-9
     isl_noise_temp_k: float = 500.0
     isl_load_resistance_ohm: float = 1000.0
-    isl_snr_mode: str = "paper"
-    isl_ber_scheme: str = "ook"
-    isl_ber_fixed: float = 0.0
+    isl_snr_mode: str = OpticalParams.snr_mode
+    isl_ber_scheme: str = OpticalParams.ber_scheme
+    isl_ber_fixed: float = OpticalParams.ber_fixed
     # [gsl_optics]: only the zero-pointing budget peak_snr reads
     gsl_wavelength_m: float = 1.5e-6
     gsl_bandwidth_hz: float = 1.25e9
@@ -71,25 +71,25 @@ class ScenarioConfig:
     gsl_dark_current_a: float = 1e-9
     gsl_noise_temp_k: float = 500.0
     gsl_load_resistance_ohm: float = 1000.0
-    gsl_snr_mode: str = "paper"
+    gsl_snr_mode: str = OpticalParams.snr_mode
     # [lesc]
-    lesc_threshold_mode: str = "distance"
-    lesc_delta_d_km: float = 2600.0
-    lesc_delta_gamma: float = 20.0
-    lesc_recluster_period: float = 1.0
-    lesc_recluster_fraction: float = 0.7
-    lesc_gsl_snr_threshold: float = 20.0
-    lesc_rounds: int = 40
-    lesc_gs_lat_deg: float = 0.0
-    lesc_gs_lon_deg: float = 0.0
-    lesc_min_elevation_deg: float = 10.0
-    lesc_snr_units: str = "db"
-    lesc_round_time_s: float = None
+    lesc_threshold_mode: str = LescConfig.threshold_mode
+    lesc_delta_d_km: float = LescConfig.delta_d_km
+    lesc_delta_gamma: float = LescConfig.delta_gamma
+    lesc_recluster_period: float = LescConfig.recluster_period
+    lesc_recluster_fraction: float = LescConfig.recluster_fraction
+    lesc_gsl_snr_threshold: float = LescConfig.gsl_snr_threshold
+    lesc_rounds: int = LescConfig.rounds
+    lesc_gs_lat_deg: float = math.degrees(LescConfig.gs_lat)
+    lesc_gs_lon_deg: float = math.degrees(LescConfig.gs_lon)
+    lesc_min_elevation_deg: float = math.degrees(LescConfig.min_elevation)
+    lesc_snr_units: str = LescConfig.snr_units
+    lesc_round_time_s: float = LescConfig.round_time_s
     # [train]
-    train_learning_rate: float = 0.1
-    train_local_epochs: int = 2
-    train_batch_size: int = 32
-    train_hidden_size: int = 64
+    train_learning_rate: float = TrainConfig.learning_rate
+    train_local_epochs: int = TrainConfig.local_epochs
+    train_batch_size: int = TrainConfig.batch_size
+    train_hidden_size: int = TrainConfig.hidden_size
     # [dataset]
     dataset_kind: str = "synthetic"
     dataset_n_classes: int = 10
@@ -103,9 +103,9 @@ class ScenarioConfig:
     dataset_test_images: str = ""
     dataset_test_labels: str = ""
     # [corruption]
-    corruption_kind: str = "none"
-    corruption_awgn_scale: float = 1.0
-    corruption_packet_bits: int = 8192
+    corruption_kind: str = CorruptionSpec.kind
+    corruption_awgn_scale: float = CorruptionSpec.awgn_scale
+    corruption_packet_bits: int = CorruptionSpec.packet_bits
     # [overhead]
     overhead_accounting: str = "preset"
     overhead_cluster_size: int = 20

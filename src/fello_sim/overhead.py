@@ -95,12 +95,12 @@ def analytic_flops_per_sample(arch: tuple) -> float:
 def build_reports(
     rounds: int,
     local_epochs: int,
-    accounting: str = "preset",
+    accounting: str,
+    cluster_size: int,
+    device_flops: float,
+    link_rate_bps: float,
     arch: tuple = None,
     samples_per_client: int = None,
-    cluster_size: int = 20,
-    device_flops: float = 1e12,
-    link_rate_bps: float = 1.25e9,
 ) -> list:
     """One OverheadReport per architecture.
 

@@ -25,12 +25,12 @@ from fello_sim.optical_link import antenna_gain, noise_power, pointing_loss, rec
 from fello_sim.orbits import SatIndex, positions_at, row_of
 from fello_sim.scenario import run_one, run_scenario
 from fello_sim.seeding import Substreams, derive_seed
-from fello_sim.overhead import PRESET_TIMES, build_reports, delay_components
+from fello_sim.overhead import PRESET_TIMES, delay_components
 
 
 def test_criterion_1_overhead_reproduction():
     t0 = time.perf_counter()
-    totals = {r.architecture: r.total_delay_s for r in build_reports(40, 2)}
+    totals = {r.architecture: r.total_delay_s for r in ScenarioConfig().overhead()}
     assert round(totals["fello"], 2) == 2.36
     assert round(totals["cl"], 2) == 15.67
     assert round(totals["dl"], 2) == 2.35

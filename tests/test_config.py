@@ -250,7 +250,8 @@ def test_sweep_rejects_repeated_values(tmp_path, write):
     "builder", ["walker", "isl_optics", "gsl_optics", "lesc", "train", "corruption"]
 )
 def test_domain_defaults_equal_scenario_defaults(builder):
-    # ScenarioConfig and the domain dataclasses each declare a default per key
+    # ScenarioConfig reads these defaults from the domain classes; this guards
+    # the builders' key mapping and the *_deg keys' degree round trip
     built = getattr(ScenarioConfig(), builder)()
     for f in fields(built):
         if f.default is not MISSING:

@@ -95,7 +95,7 @@ def test_analytic_flops_per_sample():
 
 
 def test_build_reports_preset_figures():
-    reports = {r.architecture: r for r in build_reports(40, 2)}
+    reports = {r.architecture: r for r in ScenarioConfig().overhead()}
     assert set(reports) == set(MODES)
     assert reports["fello"].compute_flops == pytest.approx(0.878e12)
     assert reports["cl"].compute_flops == pytest.approx(17.56e12)
@@ -142,22 +142,24 @@ def test_build_reports_analytic():
     assert math.isnan(reports["dl"].server_memory_bytes)
     # Halving the link rate doubles fello's send.
     slow = build_reports(40, 2, accounting="analytic", arch=arch, samples_per_client=2208,
-                         link_rate_bps=rate / 2)
+                         cluster_size=18, device_flops=flops, link_rate_bps=rate / 2)
     assert slow[0].architecture == "fello"
     assert dict(slow[0].components)["send"] == pytest.approx(
         2.0 * dict(reports["fello"].components)["send"], rel=1e-12
     )
+    figures = dict(cluster_size=18, device_flops=flops, link_rate_bps=rate)
     with pytest.raises(ValueError):
-        build_reports(40, 2, accounting="analytic")
+        build_reports(40, 2, accounting="analytic", **figures)
     with pytest.raises(ValueError):
-        build_reports(40, 2, accounting="audited")
+        build_reports(40, 2, accounting="audited", **figures)
     for bad_arch, shard in (((0, 64, 10), 2208), ((784, 0, 10), 2208), ((784, 64, 10), 0)):
         with pytest.raises(ValueError, match="analytic accounting needs layer widths"):
-            build_reports(40, 2, accounting="analytic", arch=bad_arch, samples_per_client=shard)
+            build_reports(40, 2, accounting="analytic", arch=bad_arch, samples_per_client=shard,
+                          **figures)
 
 
 def test_renderers_agree():
-    reports = build_reports(40, 2)
+    reports = ScenarioConfig().overhead()
     text = render_text(reports)
     table = {}
     for line in text.splitlines()[1:]:
