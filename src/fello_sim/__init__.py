@@ -9,7 +9,8 @@ Subsystems:
     baselines     centralized (CL) and distributed (DL) reference architectures
     overhead      analytic communication/computation delay model and report
     config        scenario configuration files (parse, validate, serialize)
-    scenario      scenario execution and metrics emission
+    scenario      scenario execution and metrics emission, on one BLAS thread
+    blas          the loaded OpenBLAS's kernel and thread count, via ctypes
     cli           command line entry point
 """
 

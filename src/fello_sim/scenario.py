@@ -8,16 +8,18 @@ wherever the value stands in sweep.values. run_one builds an arm's round
 plan (the schedule and shards) and passes it to the arm's runner.
 
 run_scenario runs the arms point by point, inline or, with workers > 1, on
-forked processes. The parent builds a point's datasets, which depend on the
-master seed alone, before its arms start, drawing synthetic classes on up
-to workers threads that are joined before any fork, and workers inherit
-them, as the pool forks at its first submit. A pooled sweep forks before
-its later points exist, so its arms build their own, each on one thread,
-as the pool already holds the cores; perfbench pins that count until
-ROADMAP item 4. Outputs: manifest.cfg and overhead.txt/overhead.csv before
-any arm runs, then metrics.csv with every completed arm's rows, plus a
-FAILED marker, replacing an earlier run's, with one traceback per failed
-arm, in arm order (architecture first, as in metrics.csv).
+forked processes, all on one OpenBLAS thread (blas.one_thread), so
+metrics.csv does not follow the caller's BLAS thread count. The parent
+builds a point's datasets, which depend on the master seed alone, before its
+arms start, drawing synthetic classes on up to workers threads that are
+joined before any fork, and workers inherit them, as the pool forks at its
+first submit. A pooled sweep forks before its later points exist, so its
+arms build their own, each on one thread, as the pool already holds the
+cores; perfbench pins that count until ROADMAP item 4. Outputs: manifest.cfg
+and overhead.txt/overhead.csv before any arm runs, then metrics.csv with
+every completed arm's rows, plus a FAILED marker, replacing an earlier
+run's, with one traceback per failed arm, in arm order (architecture first,
+as in metrics.csv).
 """
 
 import contextlib
@@ -29,7 +31,7 @@ import os
 import traceback
 from concurrent.futures import Future, ProcessPoolExecutor
 
-from . import baselines, overhead
+from . import baselines, blas, overhead
 from .config import ScenarioConfig, format_sweep_value, serialize_config
 from .datasets import load_mnist, synthetic_split
 from .lesc import round_plan, run_fello
@@ -144,6 +146,7 @@ def _settle(fn, *args) -> Future:
     return future
 
 
+@blas.one_thread()
 def run_scenario(cfg: ScenarioConfig) -> int:
     """Execute all (architecture, sweep point) runs and write all outputs.
 

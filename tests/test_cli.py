@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from fello_sim import baselines, scenario
+from fello_sim import baselines, blas, scenario
 from fello_sim.cli import main
 from fello_sim.config import ScenarioConfig
 
@@ -440,3 +440,34 @@ def test_run_one_rejects_an_unknown_architecture_before_building_data(monkeypatc
     with pytest.raises(ValueError, match="unknown architecture 'xx'"):
         scenario.run_one(ScenarioConfig(), "xx")
     assert built == []
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_arms_run_on_one_blas_thread_and_the_caller_keeps_its_count(
+    tmp_path, monkeypatch, workers, write
+):
+    if not blas.info():
+        pytest.skip("no recognised OpenBLAS is loaded")
+
+    def broken(*args, **kwargs):
+        raise RuntimeError(f"cl ran on {blas.info()['threads']} BLAS threads")
+
+    monkeypatch.setattr(baselines, "run_cl", broken)
+    path = write(tmp_path, TINY_SCENARIO)
+    out = str(tmp_path / "out")
+    before = blas.set_threads(2)
+    try:
+        # a failed arm, inline or on a forked process, still restores the count
+        assert main(["run", path, "--out", out, "--workers", str(workers)]) == 2
+        assert blas.info()["threads"] == 2
+    finally:
+        blas.set_threads(before)
+    assert "RuntimeError: cl ran on 1 BLAS threads" in read(os.path.join(out, "FAILED"))
+
+
+def test_a_run_without_a_recognised_openblas_runs_as_before(tmp_path, monkeypatch, write):
+    monkeypatch.setattr(blas, "_openblas", lambda: None)
+    assert blas.info() == {}
+    assert blas.set_threads(1) is None
+    path = write(tmp_path, TINY_SCENARIO)
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 0

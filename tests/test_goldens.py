@@ -15,7 +15,8 @@ numbers) hold on any kernel and compare runs with whole_run, each scenario
 run once in this process: an architecture run alone writes its rows,
 reordering architectures or reversing sweep values reorders row blocks,
 every sweep point writes a single run's rows, and other data moves only
-the accuracy and loss cells.
+the accuracy and loss cells. A run pins OpenBLAS to one thread itself, so
+its bytes do not follow the caller's thread count.
 
 A change that alters numbers on purpose, or another OpenBLAS build, runs
 REGENERATE, which prints for each file how many cells moved in each column
@@ -99,16 +100,21 @@ def run_metrics(cfg: ScenarioConfig) -> bytes:
 
 def pinned_metrics(name: str, output_dir: str) -> bytes:
     """name's metrics.csv from `fello-sim run` in a subprocess on KERNEL, one BLAS thread."""
-    path = os.path.join(output_dir, "scenario.cfg")
+    return cli_metrics(scenario_config(name, output_dir),
+                       dict(os.environ, OPENBLAS_CORETYPE=KERNEL, OPENBLAS_NUM_THREADS="1"))
+
+
+def cli_metrics(cfg: ScenarioConfig, env: dict) -> bytes:
+    """cfg's metrics.csv from `fello-sim run` in a subprocess under env."""
+    path = os.path.join(cfg.output_dir, "scenario.cfg")
     with open(path, "w") as f:
-        f.write(serialize_config(scenario_config(name, output_dir)))
+        f.write(serialize_config(cfg))
     # -m puts the working directory, the one that holds fello_sim, on sys.path
     done = subprocess.run([sys.executable, "-m", "fello_sim.cli", "run", path],
                           cwd=os.path.dirname(os.path.dirname(fello_sim.__file__)),
-                          env=dict(os.environ, OPENBLAS_CORETYPE=KERNEL, OPENBLAS_NUM_THREADS="1"),
-                          capture_output=True, text=True)
+                          env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    return read(output_dir, "metrics.csv")
+    return read(cfg.output_dir, "metrics.csv")
 
 
 def openblas_version() -> str:
@@ -193,6 +199,23 @@ def test_the_data_moves_only_training_cells(name):
     other = whole_run(name, dataset_spread=0.2)
     assert other != whole_run(name)
     assert untrained_cells(other) == untrained_cells(whole_run(name))
+
+
+def test_run_bytes_do_not_follow_the_blas_thread_count(tmp_path):
+    # A 1-round run at the stock data shape, whose cl and dl loss cells move
+    # when OpenBLAS sums a product on more than one thread
+    unset = {k: v for k, v in os.environ.items()
+             if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    metrics = {}
+    for threads in ("1", None, "2"):
+        out = tmp_path / f"threads-{threads}"
+        out.mkdir()
+        cfg = replace(ScenarioConfig(), output_dir=str(out), lesc_rounds=1,
+                      dataset_train_per_class=1000, dataset_samples_per_client=500)
+        env = unset if threads is None else dict(unset, OPENBLAS_NUM_THREADS=threads)
+        metrics[threads] = cli_metrics(cfg, env)
+    assert metrics[None] == metrics["1"]
+    assert metrics["2"] == metrics["1"]
 
 
 def test_default_manifest_matches_golden():
