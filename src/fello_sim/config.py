@@ -2,7 +2,8 @@
 
 One flat frozen dataclass mirrors the config file key for key (angles in
 degrees, SI units otherwise). Each field is the only declaration of its key's
-name, section and type: SCHEMA is derived from the field list, and builder
+name, section and type: SCHEMA is derived from the field list, the annotation
+picks the _CODECS entry that parses, checks and writes the value, and builder
 methods pass each section's keys to its domain object by name. A default its
 domain object declares is read from that class (*_deg via math.degrees); any
 other, [overhead]'s included, is written here alone. Each builder owns its
@@ -16,6 +17,7 @@ import io
 import math
 import numbers
 import os
+from collections import namedtuple
 from dataclasses import dataclass, fields, replace
 
 from .fl_engine import CorruptionSpec, TrainConfig
@@ -84,7 +86,7 @@ class ScenarioConfig:
     lesc_gs_lon_deg: float = math.degrees(LescConfig.gs_lon)
     lesc_min_elevation_deg: float = math.degrees(LescConfig.min_elevation)
     lesc_snr_units: str = LescConfig.snr_units
-    lesc_round_time_s: float = LescConfig.round_time_s
+    lesc_round_time_s: float | None = LescConfig.round_time_s
     # [train]
     train_learning_rate: float = TrainConfig.learning_rate
     train_local_epochs: int = TrainConfig.local_epochs
@@ -112,7 +114,7 @@ class ScenarioConfig:
     overhead_device_flops: float = 1e12
     overhead_link_rate_bps: float = 1.25e9
     # [sweep]
-    sweep_parameter: str = None
+    sweep_parameter: str | None = None
     sweep_values: tuple = ()
 
     def _build(self, make, section: str, **overrides):
@@ -188,13 +190,32 @@ _RUN_KEYS = ("architectures", "master_seed", "output_dir", "paper_literal", "wor
 # keys read once per run, never per sweep point; so are all of [overhead]'s,
 # since the overhead report is written from the unswept config
 _RUN_WIDE = ("run.architectures", "run.output_dir", "run.workers")
-# fields whose INI form is not named by their annotation
-_TAGS = {
-    "architectures": "str_list",
-    "lesc_round_time_s": "float_or_auto",
-    "sweep_parameter": "str_or_none",
-    "sweep_values": "str_list",
+# a type tag's field annotation, accepted types (a bool passes only as "bool"), parse
+# of stripped text (ValueError or KeyError if bad) and format of a value (None is "")
+_Codec = namedtuple("_Codec", "annotation types parse format")
+
+
+def _float_text(value) -> str:
+    return repr(float(value))
+
+
+# type tag -> codec; a field's annotation names its tag
+_CODECS = {
+    "int": _Codec(int, numbers.Integral, int, str),
+    "float": _Codec(float, numbers.Real, float, _float_text),
+    "bool": _Codec(bool, bool,
+                   lambda text: configparser.ConfigParser.BOOLEAN_STATES[text.lower()],
+                   lambda value: str(value).lower()),
+    "str": _Codec(str, str, str, str),
+    "str_or_none": _Codec(str | None, (str, type(None)), lambda text: text or None, str),
+    "float_or_auto": _Codec(float | None, (numbers.Real, type(None)),
+                            lambda text: None if text in ("", "auto") else float(text),
+                            _float_text),
+    "str_list": _Codec(tuple, tuple,
+                       lambda text: tuple(p.strip() for p in text.split(",") if p.strip()),
+                       lambda values: ",".join(map(format_sweep_value, values))),
 }
+_TAG_OF = {codec.annotation: tag for tag, codec in _CODECS.items()}
 
 
 def _schema() -> dict:
@@ -206,53 +227,19 @@ def _schema() -> dict:
             section = _PREFIX_SECTIONS[prefix]
         else:
             section, key = ("run" if f.name in _RUN_KEYS else "constellation"), f.name
-        schema.setdefault(section, {})[key] = (f.name, _TAGS.get(f.name, f.type.__name__))
+        schema.setdefault(section, {})[key] = (f.name, _TAG_OF[f.type])
     return schema
 
 
 SCHEMA = _schema()
 
-_TYPES = {"int": numbers.Integral, "float": numbers.Real, "bool": bool, "str": str,
-          "str_list": tuple, "str_or_none": (str, type(None)),
-          "float_or_auto": (numbers.Real, type(None))}
-_BOOL_WORDS = {"true": True, "yes": True, "on": True, "1": True,
-               "false": False, "no": False, "off": False, "0": False}
-
 
 def _parse_value(tag: str, text: str, where: str):
     text = text.strip()
     try:
-        if tag == "int":
-            return int(text)
-        if tag == "float":
-            return float(text)
-        if tag == "bool":
-            return _BOOL_WORDS[text.lower()]
-        if tag == "str":
-            return text
-        if tag == "str_or_none":
-            return text or None
-        if tag == "float_or_auto":
-            return None if text in ("", "auto") else float(text)
-        if tag == "str_list":
-            return tuple(part.strip() for part in text.split(",") if part.strip())
+        return _CODECS[tag].parse(text)
     except (ValueError, KeyError):
         raise ConfigError(f"{where}: cannot parse {text!r} as {tag}") from None
-    raise ConfigError(f"{where}: unknown schema tag {tag}")
-
-
-def _format_value(tag: str, value) -> str:
-    if value is None:
-        return ""
-    if tag in ("int", "str", "str_or_none"):
-        return str(value)
-    if tag in ("float", "float_or_auto"):
-        return repr(float(value))
-    if tag == "bool":
-        return "true" if value else "false"
-    if tag == "str_list":
-        return ",".join(format_sweep_value(v) for v in value)
-    raise ConfigError(f"unknown schema tag {tag}")
 
 
 def format_sweep_value(value) -> str:
@@ -316,7 +303,8 @@ def validate_config(cfg: ScenarioConfig) -> None:
     for section, keys in SCHEMA.items():
         for key, (field, tag) in keys.items():
             value = getattr(cfg, field)
-            if not isinstance(value, _TYPES[tag]) or isinstance(value, bool) != (tag == "bool"):
+            accepted = _CODECS[tag].types
+            if not isinstance(value, accepted) or isinstance(value, bool) != (tag == "bool"):
                 raise ConfigError(f"[{section}] {key} must be {tag}, got {value!r}")
             if not tag.startswith("float") or value is None:
                 continue
@@ -384,6 +372,7 @@ def serialize_config(cfg: ScenarioConfig) -> str:
     for section, keys in SCHEMA.items():
         out.write(f"[{section}]\n")
         for key, (field, tag) in keys.items():
-            out.write(f"{key} = {_format_value(tag, getattr(cfg, field))}\n")
+            value = getattr(cfg, field)
+            out.write(f"{key} = {'' if value is None else _CODECS[tag].format(value)}\n")
         out.write("\n")
     return out.getvalue()

@@ -70,7 +70,7 @@ class LescConfig:
     gs_lon: float = 0.0
     min_elevation: float = math.radians(10.0)
     snr_units: str = "db"
-    round_time_s: float = None
+    round_time_s: float | None = None
 
     def __post_init__(self):
         if self.threshold_mode not in ("distance", "snr"):
@@ -441,7 +441,7 @@ def run_fello(
     train_set: Dataset,
     test_set: Dataset,
     streams: Substreams,
-    fixed_total: int = None,
+    fixed_total: int | None = None,
 ) -> list:
     """Full federated run; one RoundLog per round.
 

@@ -102,8 +102,15 @@ def test_bad_values_name_the_field(tmp_path, write):
         load_config(write(tmp_path, "[run]\narchitectures = fello,mesh\n"))
     with pytest.raises(ConfigError, match="duplicate"):
         load_config(write(tmp_path, "[run]\narchitectures = dl,dl\n"))
-    with pytest.raises(ConfigError, match="cannot parse"):
-        load_config(write(tmp_path, "[run]\nmaster_seed = soon\n"))
+    for section, key, text, tag in [
+        ("run", "master_seed", "soon", "int"),
+        ("isl_optics", "tx_power_w", "1,5", "float"),
+        ("run", "paper_literal", "maybe", "bool"),
+        ("lesc", "round_time_s", "never", "float_or_auto"),
+    ]:
+        message = f"[{section}] {key}: cannot parse {text!r} as {tag}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_config(write(tmp_path, f"[{section}]\n{key} = {text}\n"))
     with pytest.raises(ConfigError, match="samples_per_client"):
         load_config(write(
             tmp_path,
