@@ -2,16 +2,16 @@
 
 numpy links OpenBLAS dynamically, so the library is found among this
 process's mapped files and its own entry points are called, threadpoolctl's
-method (https://github.com/joblib/threadpoolctl). Symbols are tried under
-numpy's wheel names (scipy_openblas_*64_) and a system build's (openblas_*).
-With no recognised OpenBLAS, info() is empty and the setters do nothing.
+method (https://github.com/joblib/threadpoolctl), under its six symbol
+spellings [scipy_]openblas_*[64_|_64]. With no recognised OpenBLAS, info() is
+empty and the setters do nothing.
 """
 
 import contextlib
 import ctypes
 import os
 
-_SYMBOLS = ("scipy_openblas_{}64_", "openblas_{}")
+_SYMBOLS = tuple(f"{p}openblas_{{}}{s}" for p in ("", "scipy_") for s in ("", "64_", "_64"))
 # entry point -> (argtypes, restype)
 _SIGNATURES = {
     "get_corename": ([], ctypes.c_char_p),
@@ -21,20 +21,26 @@ _SIGNATURES = {
 
 
 def _openblas():
-    """The loaded OpenBLAS's typed entry points by name, or None."""
+    """The first loaded OpenBLAS (by path) with a known spelling's entry points, or None."""
     try:
         with open("/proc/self/maps") as f:
             paths = {line.split()[-1] for line in f}
     except OSError:
         return None
     for path in sorted(p for p in paths if "openblas" in os.path.basename(p)):
-        lib = ctypes.CDLL(path)
-        for symbol in _SYMBOLS:
-            if hasattr(lib, symbol.format("set_num_threads")):
-                entries = {name: getattr(lib, symbol.format(name)) for name in _SIGNATURES}
-                for name, entry in entries.items():
-                    entry.argtypes, entry.restype = _SIGNATURES[name]
-                return entries
+        if entries := _entries(ctypes.CDLL(path)):
+            return entries
+    return None
+
+
+def _entries(lib):
+    """lib's typed entry points by name under the first spelling it exports, or None."""
+    for symbol in _SYMBOLS:
+        if hasattr(lib, symbol.format("set_num_threads")):
+            entries = {name: getattr(lib, symbol.format(name)) for name in _SIGNATURES}
+            for name, entry in entries.items():
+                entry.argtypes, entry.restype = _SIGNATURES[name]
+            return entries
     return None
 
 

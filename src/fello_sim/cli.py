@@ -81,7 +81,10 @@ def _linkbudget(cfg, sat_from: SatIndex, sat_to: SatIndex, t: float) -> int:
         )
     if not math.isfinite(t):
         raise ConfigError(f"--time must be finite, got {t}")
-    d = distance(cfg.walker(), sat_from, sat_to, t)
+    try:
+        d = distance(cfg.walker(), sat_from, sat_to, t)
+    except IndexError as e:
+        raise ConfigError(f"--from/--to: {e}") from None
     rng = Substreams(cfg.master_seed).derive(
         "linkbudget", sat_from.plane, sat_from.slot, sat_to.plane, sat_to.slot, t
     )
@@ -102,10 +105,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _load(args)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 1
-    try:
         if args.command == "run":
             return run_scenario(cfg)
         if args.command == "overhead":
@@ -120,7 +119,7 @@ def main(argv=None) -> int:
                 f"rounds={cfg.lesc_rounds} dataset={cfg.dataset_kind} sweep={sweep}"
             )
             return 0
-    except (ConfigError, IndexError) as e:
+    except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
     except Exception:

@@ -1,8 +1,11 @@
+import ctypes
 import os
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from fello_sim import baselines, blas, scenario
+from fello_sim import baselines, blas, cli, scenario
 from fello_sim.cli import main
 from fello_sim.config import ScenarioConfig
 
@@ -198,6 +201,17 @@ def test_linkbudget_rejects_out_of_range_satellite(tmp_path, capsys, write):
     path = write(tmp_path, TINY_SCENARIO)
     assert main(["linkbudget", path, "--from", "1,1", "--to", "40,1"]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+def test_a_runtime_index_error_is_no_config_error(tmp_path, capsys, monkeypatch, write):
+    def broken(cfg):
+        raise IndexError("list index out of range")
+
+    monkeypatch.setattr(cli, "run_scenario", broken)
+    assert main(["run", write(tmp_path, TINY_SCENARIO)]) == 2
+    err = capsys.readouterr().err
+    assert "IndexError: list index out of range" in err
+    assert "config error" not in err
 
 
 def test_linkbudget_rejects_same_satellite(tmp_path, capsys, write):
@@ -446,8 +460,9 @@ def test_run_one_rejects_an_unknown_architecture_before_building_data(monkeypatc
 def test_arms_run_on_one_blas_thread_and_the_caller_keeps_its_count(
     tmp_path, monkeypatch, workers, write
 ):
-    if not blas.info():
-        pytest.skip("no recognised OpenBLAS is loaded")
+    if "openblas" not in np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]:
+        pytest.skip("numpy is built on no OpenBLAS")
+    assert blas.info(), "numpy's OpenBLAS exports no recognised thread entry point"
 
     def broken(*args, **kwargs):
         raise RuntimeError(f"cl ran on {blas.info()['threads']} BLAS threads")
@@ -471,3 +486,16 @@ def test_a_run_without_a_recognised_openblas_runs_as_before(tmp_path, monkeypatc
     assert blas.set_threads(1) is None
     path = write(tmp_path, TINY_SCENARIO)
     assert main(["run", path, "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("prefix", ["", "scipy_"])
+@pytest.mark.parametrize("suffix", ["", "64_", "_64"])
+def test_every_openblas_symbol_spelling_is_recognised(prefix, suffix):
+    names = ("get_corename", "get_num_threads", "set_num_threads")
+    lib = SimpleNamespace(**{f"{prefix}openblas_{name}{suffix}": SimpleNamespace()
+                             for name in names})
+    entries = blas._entries(lib)
+    assert entries == {name: getattr(lib, f"{prefix}openblas_{name}{suffix}") for name in names}
+    assert entries["set_num_threads"].argtypes == [ctypes.c_int]
+    assert entries["get_corename"].restype is ctypes.c_char_p
+    assert blas._entries(SimpleNamespace(mkl_set_num_threads=SimpleNamespace())) is None
