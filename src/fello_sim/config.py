@@ -20,6 +20,7 @@ import os
 from collections import namedtuple
 from dataclasses import dataclass, fields, replace
 
+from .datasets import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, idx_dims
 from .fl_engine import CorruptionSpec, TrainConfig
 from .lesc import LescConfig
 from .optical_link import OpticalParams
@@ -334,28 +335,23 @@ def validate_config(cfg: ScenarioConfig) -> None:
         raise ConfigError(f"[dataset] kind must be synthetic or mnist, got {cfg.dataset_kind!r}")
     if cfg.dataset_samples_per_client < 1:
         raise ConfigError("[dataset] samples_per_client must be >= 1")
+    if cfg.dataset_n_features < 1:
+        raise ConfigError("[dataset] n_features must be >= 1")
     if cfg.dataset_kind == "synthetic":
         if cfg.dataset_n_classes < 2:
             raise ConfigError("[dataset] n_classes must be >= 2")
-        if cfg.dataset_n_features < 1:
-            raise ConfigError("[dataset] n_features must be >= 1")
         if cfg.dataset_train_per_class < 1 or cfg.dataset_test_per_class < 1:
             raise ConfigError("[dataset] train_per_class and test_per_class must be >= 1")
         if cfg.dataset_spread <= 0.0:
             raise ConfigError("[dataset] spread must be > 0")
         total = cfg.dataset_n_classes * cfg.dataset_train_per_class
-        if cfg.dataset_samples_per_client > total:
-            raise ConfigError(
-                f"[dataset] samples_per_client {cfg.dataset_samples_per_client} exceeds "
-                f"the {total} training samples"
-            )
     else:
-        for key in ("train_images", "train_labels", "test_images", "test_labels"):
-            p = getattr(cfg, "dataset_" + key)
-            if not p:
-                raise ConfigError(f"[dataset] {key} is required for mnist")
-            if not os.path.isfile(p):
-                raise ConfigError(f"[dataset] {key} names no such file {p!r}")
+        total = _check_idx_files(cfg)
+    if cfg.dataset_samples_per_client > total:
+        raise ConfigError(
+            f"[dataset] samples_per_client {cfg.dataset_samples_per_client} exceeds "
+            f"the {total} training samples"
+        )
     cfg.overhead()
     points = cfg.points()
     if cfg.sweep_parameter is not None:
@@ -364,6 +360,39 @@ def validate_config(cfg: ScenarioConfig) -> None:
                 validate_config(point)
             except ConfigError as e:
                 raise ConfigError(f"sweep value {value!r}: {e}") from None
+
+
+def _check_idx_files(cfg: ScenarioConfig) -> int:
+    """Check the four IDX headers against each other and n_features; the training samples.
+
+    Only the headers are read, so a payload that does not match its header
+    still fails the run, not the validation.
+    """
+    dims = {}
+    for key, magic in (("train_images", IDX_IMAGES_MAGIC), ("train_labels", IDX_LABELS_MAGIC),
+                       ("test_images", IDX_IMAGES_MAGIC), ("test_labels", IDX_LABELS_MAGIC)):
+        p = getattr(cfg, "dataset_" + key)
+        if not p:
+            raise ConfigError(f"[dataset] {key} is required for mnist")
+        if not os.path.isfile(p):
+            raise ConfigError(f"[dataset] {key} names no such file {p!r}")
+        try:
+            dims[key] = idx_dims(p, magic)
+        except (OSError, ValueError) as e:
+            raise ConfigError(f"[dataset] {key}: {e}") from None
+    train, test = (math.prod(dims[f"{split}_images"][1:]) for split in ("train", "test"))
+    if train != test:
+        raise ConfigError(f"[dataset] train_images holds {train} features per image, "
+                          f"test_images {test}")
+    if train != cfg.dataset_n_features:
+        raise ConfigError(f"[dataset] n_features is {cfg.dataset_n_features}, but the IDX "
+                          f"images hold {train} features each")
+    for split in ("train", "test"):
+        images, labels = dims[f"{split}_images"][0], dims[f"{split}_labels"][0]
+        if images != labels:
+            raise ConfigError(f"[dataset] {split}_images holds {images} images, "
+                              f"{split}_labels {labels} labels")
+    return dims["train_images"][0]
 
 
 def serialize_config(cfg: ScenarioConfig) -> str:

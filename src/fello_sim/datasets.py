@@ -2,9 +2,11 @@
 
 Reads the classic IDX binary format for image/label pairs, and generates
 a synthetic Gaussian-blob classification set of configurable shape for
-runs where no real data is mounted. Each synthetic class is drawn from its
-own keyed substream into its own slice of the float32 features, so the
-classes can be drawn on threads and the bytes do not depend on how many.
+runs where no real data is mounted. Both hold features as 8-bit
+intensities, as MNIST's pixels are; a Dataset widens them to float32 a
+minibatch at a time. Each synthetic class is drawn from its own keyed
+substream into its own slice of the features, so the classes can be drawn
+on threads and the bytes do not depend on how many.
 """
 
 import struct
@@ -18,20 +20,30 @@ from .seeding import Substreams
 IDX_IMAGES_MAGIC = 2051
 IDX_LABELS_MAGIC = 2049
 # float64 values in a synthetic class's draw block: 1 MiB, so each block is
-# scaled, shifted, stored and clipped while it is still in cache
+# scaled, shifted, clipped, quantised and stored while it is still in cache
 BLOCK_VALUES = 2**17
+
+
+def _read_dims(f, path: str, expected_magic: int) -> tuple:
+    try:
+        magic, = struct.unpack(">I", f.read(4))
+        if magic != expected_magic:
+            raise ValueError(f"{path}: bad IDX magic {magic}, expected {expected_magic}")
+        n_dims = magic & 0xFF  # low byte of the magic encodes the rank
+        return struct.unpack(f">{n_dims}I", f.read(4 * n_dims))
+    except struct.error:
+        raise ValueError(f"{path}: truncated IDX header") from None
+
+
+def idx_dims(path: str, expected_magic: int) -> tuple:
+    """The dimensions an IDX file's header declares, without reading its payload."""
+    with open(path, "rb") as f:
+        return _read_dims(f, path, expected_magic)
 
 
 def _read_idx(path: str, expected_magic: int) -> np.ndarray:
     with open(path, "rb") as f:
-        try:
-            magic, = struct.unpack(">I", f.read(4))
-            if magic != expected_magic:
-                raise ValueError(f"{path}: bad IDX magic {magic}, expected {expected_magic}")
-            n_dims = magic & 0xFF  # low byte of the magic encodes the rank
-            dims = struct.unpack(f">{n_dims}I", f.read(4 * n_dims))
-        except struct.error:
-            raise ValueError(f"{path}: truncated IDX header") from None
+        dims = _read_dims(f, path, expected_magic)
         data = np.frombuffer(f.read(), dtype=np.uint8)
     if data.size != int(np.prod(dims)):
         raise ValueError(f"{path}: payload size {data.size} mismatches dims {dims}")
@@ -39,9 +51,9 @@ def _read_idx(path: str, expected_magic: int) -> np.ndarray:
 
 
 def load_idx_images(path: str) -> np.ndarray:
-    """IDX image file to a (n, rows*cols) float32 array scaled to [0, 1]."""
+    """IDX image file to its (n, rows*cols) uint8 intensities, as stored."""
     raw = _read_idx(path, IDX_IMAGES_MAGIC)
-    return raw.reshape(raw.shape[0], -1).astype(np.float32) / np.float32(255.0)
+    return raw.reshape(raw.shape[0], -1)
 
 
 def load_idx_labels(path: str) -> np.ndarray:
@@ -56,12 +68,12 @@ def load_mnist(images_path: str, labels_path: str) -> Dataset:
 
 def _fill_class(out: np.ndarray, center: np.ndarray, spread: float,
                 rng: np.random.Generator) -> None:
-    """out[...] = clip(float32(center + spread * z)), z drawn by rng in order.
+    """out[...] = uint8(rint(255 * clip(center + spread * z, 0, 1))), z drawn by rng in order.
 
     The draws pass through one float64 block of whole rows, BLOCK_VALUES
     values or one row if that is more, so rng is consumed as by one
-    whole-class draw and each block is scaled, shifted, stored and clipped
-    while it is still in cache.
+    whole-class draw and each block is scaled, shifted, clipped, quantised
+    and stored while it is still in cache.
     """
     block = np.empty((min(len(out), max(1, BLOCK_VALUES // out.shape[1])), out.shape[1]))
     for start in range(0, len(out), len(block)):
@@ -71,9 +83,9 @@ def _fill_class(out: np.ndarray, center: np.ndarray, spread: float,
         rng.standard_normal(out=draws)
         draws *= spread
         draws += center
-        stored = out[start : start + len(draws)]
-        stored[...] = draws
-        np.clip(stored, 0.0, 1.0, out=stored)
+        np.clip(draws, 0.0, 1.0, out=draws)
+        draws *= 255.0
+        np.rint(draws, out=out[start : start + len(draws)], casting="unsafe")
 
 
 def synthetic_blobs(
@@ -83,18 +95,17 @@ def synthetic_blobs(
     spread: float = 0.15,
     threads: int = 1,
 ) -> Dataset:
-    """Gaussian blobs around centers' rows, float32 features clipped to [0, 1].
+    """Gaussian blobs around centers' rows, clipped to [0, 1] and held as uint8 k/255.
 
     Class c's samples_per_class rows are drawn from rngs[c] alone, so a
     class's rows depend only on its center and its generator, and the
     classes can be drawn in any order. With threads > 1 they are drawn on
     min(threads, n_classes) threads, joined before this returns (numpy
-    releases the GIL while it draws and while it scales, shifts, stores and
-    clips), with the bytes of the calling thread drawing them alone. The
-    draws are float64 and rounded once when stored, so the streams do not
-    depend on the feature dtype; 0 and 1 are float32 values, so clipping
-    after the rounding equals clipping before it. The samples come
-    class-ordered, without rows.
+    releases the GIL while it draws and while it scales, shifts, clips and
+    stores), with the bytes of the calling thread drawing them alone. The
+    draws are float64, clipped, and rounded once to the nearest intensity
+    k in 0..255 when stored, so the streams do not depend on the storage.
+    The samples come class-ordered, without rows.
     """
     centers = np.asarray(centers, dtype=np.float64)
     if centers.ndim != 2 or centers.shape[0] < 2:
@@ -108,7 +119,7 @@ def synthetic_blobs(
         raise ValueError(f"need one generator per class, got {len(rngs)} for {n_classes}")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    features = np.empty((n_classes * samples_per_class, n_features), dtype=np.float32)
+    features = np.empty((n_classes * samples_per_class, n_features), dtype=np.uint8)
 
     def fill(c):
         rows = features[c * samples_per_class : (c + 1) * samples_per_class]

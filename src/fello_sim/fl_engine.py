@@ -7,11 +7,13 @@ state: additive white Gaussian noise scaled by 1/sqrt(snr), or packetized
 erasures where a lost packet leaves the receiver's previous values.
 
 Training runs in the precision of the features: float32 data gives float32
-models, gradients and payloads, float64 data float64 ones. Random draws are
+models, gradients and payloads, float64 data float64 ones. 8-bit intensities
+k are held as uint8 and train as the float32 values k/255. Random draws are
 float64 and rounded once when stored.
 
 Client shards are Datasets over the one train set's feature matrix: their
-rows pick its samples, whose features are gathered a minibatch at a time.
+rows pick its samples, whose features are gathered, and 8-bit ones widened,
+a minibatch at a time.
 """
 
 import copy
@@ -24,14 +26,17 @@ from .optical_link import LinkSample
 
 PACKET_BITS_PER_PARAM = 32
 FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+INTENSITY_DTYPE = np.dtype(np.uint8)
 
 
 @dataclass
 class Dataset:
     """Samples of a feature matrix with integer class labels.
 
-    float32 and float64 features keep their dtype; any other converts to
-    float64. Labels must have an integer dtype: float or bool labels are
+    float32 and float64 features keep their dtype. uint8 features are 8-bit
+    intensities k, held as they are, 1 byte each, and read as the float32
+    values k/255: dtype is float32, and take() widens the rows it gathers.
+    Any other dtype converts to float64. Labels must have an integer dtype: float or bool labels are
     rejected rather than truncated. rows picks the samples by row index,
     without copying them: sample i is row rows[i], rows may repeat and need
     not be sorted, and None means every row in order. Only take() gathers
@@ -46,7 +51,7 @@ class Dataset:
 
     def __post_init__(self):
         self.features = np.asarray(self.features)
-        if self.features.dtype not in FLOAT_DTYPES:
+        if self.features.dtype not in FLOAT_DTYPES + (INTENSITY_DTYPE,):
             self.features = self.features.astype(np.float64)
         labels = np.asarray(self.labels)
         if labels.dtype.kind not in "iu":
@@ -77,13 +82,20 @@ class Dataset:
 
     @property
     def dtype(self) -> np.dtype:
+        """The dtype take() returns features in."""
+        if self.features.dtype == INTENSITY_DTYPE:
+            return np.dtype(np.float32)
         return self.features.dtype
 
     def take(self, positions=slice(None)) -> tuple:
         """(features, labels) of the samples at these positions, in order."""
         if self.rows is not None:
             positions = self.rows[positions]
-        return self.features[positions], self.labels[positions]
+        features = self.features[positions]
+        if features.dtype == INTENSITY_DTYPE:
+            # bit for bit features.astype(float32) / float32(255), in one pass
+            features = np.divide(features, np.float32(255), dtype=np.float32)
+        return features, self.labels[positions]
 
     def subset(self, indices) -> "Dataset":
         """The samples at these positions, as rows of the same feature matrix."""

@@ -1,11 +1,12 @@
 import dataclasses
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from fello_sim.config import ScenarioConfig
-from fello_sim.datasets import synthetic_split
+from fello_sim.datasets import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, synthetic_split
 from fello_sim.fl_engine import TrainConfig
 from fello_sim.lesc import round_plan
 from fello_sim.optical_link import LinkSample
@@ -143,3 +144,34 @@ def write():
 @pytest.fixture
 def blob_data():
     return synthetic_split(3, 8, 60, 20, Substreams(1234), spread=0.12)
+
+
+def _write_idx(path, magic, array, dims=None):
+    """array's values as uint8 bytes under an IDX header of dims (default: its shape)."""
+    array = np.asarray(array).astype(np.uint8)
+    dims = array.shape if dims is None else dims
+    with open(path, "wb") as f:
+        f.write(struct.pack(f">I{len(dims)}I", magic, *dims))
+        f.write(array.tobytes())
+
+
+@pytest.fixture(scope="session")
+def write_idx():
+    return _write_idx
+
+
+def _mnist_files(directory, train=(40, 4, 5), test=(12, 4, 5), seed=8):
+    """Random IDX images of these (n, rows, cols) shapes and their labels; the [dataset] keys."""
+    rng = np.random.default_rng(seed)
+    keys = []
+    for split, shape in (("train", train), ("test", test)):
+        images, labels = directory / f"{split}-images.idx", directory / f"{split}-labels.idx"
+        _write_idx(images, IDX_IMAGES_MAGIC, rng.integers(0, 256, size=shape))
+        _write_idx(labels, IDX_LABELS_MAGIC, rng.integers(0, 10, size=shape[0]))
+        keys += [f"{split}_images = {images}", f"{split}_labels = {labels}"]
+    return "\n".join(keys) + "\n"
+
+
+@pytest.fixture(scope="session")
+def mnist_files():
+    return _mnist_files

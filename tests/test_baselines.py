@@ -77,13 +77,15 @@ def test_cl_pools_members_in_order(table1_optics, on_plan, static_walker, tiny_t
 
 
 @pytest.mark.parametrize("kind", ["none", "awgn", "packet"])
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64, np.uint8])
 def test_cl_pools_shards_in_the_data_dtype(
     table1_optics, monkeypatch, dtype, kind, on_plan, static_walker, tiny_train_setup
 ):
     walker = static_walker(1, 5)
     base, test, tc, streams = tiny_train_setup(79)
     features, labels = base.take()
+    if dtype is np.uint8:
+        features = np.rint(features * 255)  # back to the 8-bit intensities, read as float32
     train = Dataset(features.astype(dtype), labels, base.n_classes)
     cfg = LescConfig(delta_d_km=9000.0, rounds=2, round_time_s=30.0,
                      gsl_snr_threshold=0.0, snr_units="linear")
@@ -99,7 +101,7 @@ def test_cl_pools_shards_in_the_data_dtype(
     spec = CorruptionSpec(kind=kind, awgn_scale=10.0, packet_bits=64)
     on_plan(run_cl, cfg, walker, table1_optics, tc, train, test, 30, streams, spec)
     # two members pool 60 rows for every epoch of both rounds
-    want = (60, np.dtype(dtype), np.dtype(dtype), kind == "none")
+    want = (60, train.dtype, train.dtype, kind == "none")
     assert seen == [want] * (2 * tc.local_epochs)
 
 

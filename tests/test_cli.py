@@ -8,6 +8,7 @@ import pytest
 from fello_sim import baselines, blas, cli, scenario
 from fello_sim.cli import main
 from fello_sim.config import ScenarioConfig
+from fello_sim.datasets import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC
 
 TINY_SCENARIO = """
 [run]
@@ -239,14 +240,16 @@ def test_linkbudget_malformed_index(tmp_path, capsys, write):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_run_failure_writes_marker(tmp_path, workers, write):
-    # Valid config whose dataset files corrupt after validation.
-    bogus = tmp_path / "img.idx"
-    bogus.write_bytes(b"\x00\x00\x00\x00bad")
+def test_run_failure_writes_marker(tmp_path, workers, write, write_idx):
+    # Valid config whose dataset files are corrupt past their headers, which
+    # validation reads: the payloads are missing.
+    images, labels = tmp_path / "img.idx", tmp_path / "lab.idx"
+    write_idx(images, IDX_IMAGES_MAGIC, [], dims=(40, 2, 4))
+    write_idx(labels, IDX_LABELS_MAGIC, [], dims=(40,))
     text = TINY_SCENARIO + (
         "\nkind = mnist\n"
-        f"train_images = {bogus}\ntrain_labels = {bogus}\n"
-        f"test_images = {bogus}\ntest_labels = {bogus}\n"
+        f"train_images = {images}\ntrain_labels = {labels}\n"
+        f"test_images = {images}\ntest_labels = {labels}\n"
     )
     path = write(tmp_path, text)
     out = str(tmp_path / "broken")

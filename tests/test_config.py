@@ -14,6 +14,7 @@ from fello_sim.config import (
     serialize_config,
     validate_config,
 )
+from fello_sim.datasets import IDX_LABELS_MAGIC
 from fello_sim.optical_link import evaluate_link, peak_snr
 
 
@@ -178,12 +179,41 @@ def test_mnist_requires_existing_files(tmp_path, write):
     # a directory exists but is no IDX file: every arm would fail at run time
     with pytest.raises(ConfigError, match="no such file"):
         load_config(write(tmp_path, text.replace(f"{tmp_path}/none.idx", str(tmp_path))))
-    # the mnist path leaves n_features unchecked; only the analytic report reads it
+    # a file is no IDX file of its kind: the header is read before any arm runs
     (tmp_path / "none.idx").touch()
-    text += "n_features = 0\n"
-    assert load_config(write(tmp_path, text)).dataset_n_features == 0
-    with pytest.raises(ConfigError, match=r"^\[overhead\] analytic accounting needs layer widths"):
-        load_config(write(tmp_path, text + "[overhead]\naccounting = analytic\n"))
+    with pytest.raises(ConfigError, match=r"^\[dataset\] train_images: .*truncated IDX header"):
+        load_config(write(tmp_path, text))
+
+
+MNIST = "[dataset]\nkind = mnist\nn_features = 20\nsamples_per_client = 12\n"
+
+
+def test_mnist_headers_agree_with_each_other_and_n_features(tmp_path, write, mnist_files,
+                                                             write_idx):
+    keys = mnist_files(tmp_path, train=(40, 4, 5), test=(12, 5, 4))
+    cfg = load_config(write(tmp_path, MNIST + keys))
+    assert cfg.dataset_n_features == 20
+    # the modelled wire payload reads n_features, so it must be the images' width
+    with pytest.raises(ConfigError,
+                       match=r"^\[dataset\] n_features is 784, but the IDX images hold 20 "):
+        load_config(write(tmp_path, MNIST.replace("n_features = 20", "n_features = 784") + keys))
+    with pytest.raises(ConfigError, match=r"^\[dataset\] n_features must be >= 1$"):
+        load_config(write(tmp_path, MNIST.replace("n_features = 20", "n_features = 0") + keys))
+    with pytest.raises(ConfigError, match=r"^\[dataset\] samples_per_client 41 exceeds the 40 "):
+        load_config(write(tmp_path, MNIST.replace("= 12", "= 41") + keys))
+    mnist_files(tmp_path, train=(40, 4, 5), test=(12, 4, 4))
+    with pytest.raises(ConfigError, match=r"^\[dataset\] train_images holds 20 features per "
+                                          r"image, test_images 16$"):
+        load_config(write(tmp_path, MNIST + keys))
+    mnist_files(tmp_path, train=(40, 4, 5), test=(12, 4, 5))
+    write_idx(tmp_path / "test-labels.idx", IDX_LABELS_MAGIC, np.zeros(11))
+    with pytest.raises(ConfigError, match=r"^\[dataset\] test_images holds 12 images, "
+                                          r"test_labels 11 labels$"):
+        load_config(write(tmp_path, MNIST + keys))
+    # a label file named as images
+    keys = keys.replace("train-images", "train-labels", 1)
+    with pytest.raises(ConfigError, match=r"^\[dataset\] train_images: .*bad IDX magic 2049"):
+        load_config(write(tmp_path, MNIST + keys))
 
 
 def test_sweep_parsing_and_validation(tmp_path, write):

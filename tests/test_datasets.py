@@ -10,6 +10,8 @@ from fello_sim import baselines, fl_engine
 from fello_sim.cli import main
 from fello_sim.datasets import (
     BLOCK_VALUES,
+    IDX_IMAGES_MAGIC,
+    IDX_LABELS_MAGIC,
     load_idx_images,
     load_idx_labels,
     load_mnist,
@@ -19,39 +21,29 @@ from fello_sim.datasets import (
 from fello_sim.seeding import Substreams
 
 
-def write_idx_images(path, array):
-    n, rows, cols = array.shape
-    with open(path, "wb") as f:
-        f.write(struct.pack(">IIII", 2051, n, rows, cols))
-        f.write(array.astype(np.uint8).tobytes())
-
-
-def write_idx_labels(path, labels):
-    with open(path, "wb") as f:
-        f.write(struct.pack(">II", 2049, len(labels)))
-        f.write(np.asarray(labels, dtype=np.uint8).tobytes())
-
-
-def test_idx_round_trip(tmp_path):
+def test_idx_round_trip(tmp_path, write_idx):
     rng = np.random.default_rng(0)
     images = rng.integers(0, 256, size=(7, 4, 5), dtype=np.uint8)
     labels = rng.integers(0, 10, size=7)
     img_path = tmp_path / "img.idx"
     lab_path = tmp_path / "lab.idx"
-    write_idx_images(img_path, images)
-    write_idx_labels(lab_path, labels)
+    write_idx(img_path, IDX_IMAGES_MAGIC, images)
+    write_idx(lab_path, IDX_LABELS_MAGIC, labels)
 
     loaded = load_idx_images(str(img_path))
-    assert loaded.shape == (7, 20)
-    assert loaded.min() >= 0.0 and loaded.max() <= 1.0
-    assert loaded.dtype == np.float32
-    assert np.array_equal(loaded, (images.reshape(7, 20) / 255.0).astype(np.float32))
+    assert loaded.dtype == np.uint8
+    assert np.array_equal(loaded, images.reshape(7, 20))
     assert np.array_equal(load_idx_labels(str(lab_path)), labels)
 
     data = load_mnist(str(img_path), str(lab_path))
     assert data.n_samples == 7
     assert data.n_features == 20
     assert data.n_classes == 10
+    # the file's bytes are held as they are and train as float32 k/255
+    assert data.features.dtype == np.uint8
+    features, _ = data.take()
+    assert data.dtype == features.dtype == np.float32
+    assert np.array_equal(features, images.reshape(7, 20).astype(np.float32) / np.float32(255))
 
 
 MNIST_SCENARIO = """
@@ -71,21 +63,15 @@ hidden_size = 8
 
 [dataset]
 kind = mnist
+n_features = 20
 samples_per_client = 12
 """
 
 
-def test_mnist_scenario_trains_in_float32(tmp_path, monkeypatch):
+def test_mnist_scenario_trains_in_float32(tmp_path, monkeypatch, mnist_files):
     # 40 tiny IDX training images and 12 test images through the run command
-    rng = np.random.default_rng(8)
-    section = []
-    for split, n in (("train", 40), ("test", 12)):
-        images, labels = tmp_path / f"{split}-images.idx", tmp_path / f"{split}-labels.idx"
-        write_idx_images(images, rng.integers(0, 256, size=(n, 4, 5)))
-        write_idx_labels(labels, rng.integers(0, 10, size=n))
-        section += [f"{split}_images = {images}", f"{split}_labels = {labels}"]
     config = tmp_path / "mnist.cfg"
-    config.write_text(MNIST_SCENARIO + "\n".join(section) + "\n")
+    config.write_text(MNIST_SCENARIO + mnist_files(tmp_path, train=(40, 4, 5), test=(12, 4, 5)))
     seen = set()
 
     def recording(sgd_epoch):
@@ -107,7 +93,7 @@ def test_mnist_scenario_trains_in_float32(tmp_path, monkeypatch):
     assert all(0.0 <= float(row["accuracy"]) <= 1.0 for row in rows)
 
 
-def test_idx_bad_magic(tmp_path):
+def test_idx_bad_magic(tmp_path, write_idx):
     path = tmp_path / "bad.idx"
     with open(path, "wb") as f:
         f.write(struct.pack(">II", 1234, 3))
@@ -116,7 +102,7 @@ def test_idx_bad_magic(tmp_path):
         load_idx_labels(str(path))
     # Image loader rejects a label file.
     lab = tmp_path / "lab.idx"
-    write_idx_labels(lab, [1, 2, 3])
+    write_idx(lab, IDX_LABELS_MAGIC, [1, 2, 3])
     with pytest.raises(ValueError):
         load_idx_images(str(lab))
 
@@ -165,13 +151,15 @@ def assert_blobs_are_float64_draws_rounded_once(n_classes, n_features, per_class
     drawn = class_streams(2, n_classes)
     data = synthetic_blobs(centers, per_class, drawn, spread=0.4, threads=threads)
     features, labels = data.take()
+    assert data.features.dtype == np.uint8
     assert data.dtype == features.dtype == np.float32
     assert ((features == 0.0) | (features == 1.0)).any()  # clipping took part
+    assert np.array_equal(features, data.features.astype(np.float32) / np.float32(255))
     assert np.array_equal(labels, np.repeat(np.arange(n_classes), per_class))
     for c, (rng, left) in enumerate(zip(class_streams(2, n_classes), drawn)):
         wide = centers[c] + rng.normal(0.0, 0.4, size=(per_class, n_features))
-        want = np.clip(wide.astype(np.float32), 0.0, 1.0)
-        assert np.array_equal(features[c * per_class : (c + 1) * per_class], want)
+        want = np.rint(255.0 * np.clip(wide, 0.0, 1.0)).astype(np.uint8)
+        assert np.array_equal(data.features[c * per_class : (c + 1) * per_class], want)
         # class c's generator is left where its one whole-class draw leaves it
         assert left.bytes(16) == rng.bytes(16)
 
@@ -243,10 +231,11 @@ def test_split_shares_class_geometry(blob_data):
     assert train.n_samples == 180 and test.n_samples == 60
     # Per-class train means must be closest to the same class's test mean.
     features, labels = train.take()
+    test_features, test_labels = test.take()
     for c in range(train.n_classes):
         mu_train = features[labels == c].mean(axis=0)
         dists = [
-            np.linalg.norm(mu_train - test.features[test.labels == d].mean(axis=0))
+            np.linalg.norm(mu_train - test_features[test_labels == d].mean(axis=0))
             for d in range(test.n_classes)
         ]
         assert int(np.argmin(dists)) == c
@@ -296,8 +285,9 @@ def test_synthetic_split_joins_its_threads():
 
 def test_synthetic_split_holds_the_train_features_once():
     # the class-ordered train block plus its shuffle order, not a shuffled
-    # copy; the class-ordered test block, not a gathered copy; and no
-    # whole-class float64 staging, with a small test set and a large one
+    # copy; the class-ordered test block, not a gathered copy; 1 byte per
+    # value; and no whole-class float64 staging, only one BLOCK_VALUES block
+    # on the one drawing thread, with a small test set and a large one
     for test_per_class in (10, 100):
         tracemalloc.start()
         try:
@@ -305,7 +295,8 @@ def test_synthetic_split_holds_the_train_features_once():
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        feature_bytes = 10 * (600 + test_per_class) * 784 * np.dtype(np.float32).itemsize
-        held = sum(d.n_samples * d.n_features * d.dtype.itemsize for d in (train, test))
-        assert held == feature_bytes
-        assert peak <= 1.1 * feature_bytes, test_per_class
+        feature_bytes = sum(d.features.nbytes for d in (train, test))
+        assert feature_bytes == 10 * (600 + test_per_class) * 784
+        index_bytes = train.labels.nbytes + train.rows.nbytes + test.labels.nbytes
+        block_bytes = BLOCK_VALUES * np.dtype(np.float64).itemsize
+        assert peak <= feature_bytes + block_bytes + index_bytes, test_per_class

@@ -237,6 +237,47 @@ def test_index_shards_train_like_their_gathered_rows(dtype, batch_size, blocks, 
 
 @PROPERTY
 @given(
+    n=st.integers(1, 40),
+    n_features=st.integers(1, 6),
+    batch_size=st.integers(1, 8),
+    picks=st.one_of(st.none(), st.lists(st.integers(0, 39), min_size=1, max_size=30)),
+    seed=st.integers(0, 2**32),
+)
+def test_intensities_train_like_the_float32_values_they_stand_for(
+    n, n_features, batch_size, picks, seed
+):
+    # uint8 features k are read as float32 k/255, with rows or without
+    rng = np.random.default_rng(seed)
+    n_classes = 3
+    intensities = rng.integers(0, 256, size=(n, n_features), dtype=np.uint8)
+    intensities[0, 0] = 255  # the top of the range is always present
+    labels = rng.integers(0, n_classes, size=n)
+    held = Dataset(intensities, labels, n_classes)
+    values = Dataset(intensities.astype(np.float32) / np.float32(255), labels, n_classes)
+    assert held.features.dtype == np.uint8 and held.dtype == values.dtype == np.float32
+    if picks is not None:
+        rows, inner = np.array(picks) % n, rng.permutation(len(picks))
+        # rows of rows, as a shuffled train set's shards pick its samples
+        held, values = (d.subset(rows).subset(inner) for d in (held, values))
+    for got, want in zip(held.take(), values.take()):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    positions = rng.permutation(held.n_samples)[: batch_size]
+    for got, want in zip(held.take(positions), values.take(positions)):
+        assert np.array_equal(got, want)
+    cfg = TrainConfig(learning_rate=0.5, local_epochs=2, batch_size=batch_size, hidden_size=4)
+    model = init_model(n_features, cfg.hidden_size, n_classes, rng, dtype=held.dtype)
+    stepped = [sgd_epoch(model, d, cfg, np.random.default_rng(seed)) for d in (held, values)]
+    assert np.array_equal(stepped[0].vec, stepped[1].vec)
+    trained = [train_local(ClientState(shard=d), model, cfg, np.random.default_rng(seed))
+               for d in (held, values)]
+    assert trained[0].vec.dtype == np.float32
+    assert np.array_equal(trained[0].vec, trained[1].vec)
+    assert evaluate(trained[0], held) == evaluate(trained[0], values)
+
+
+@PROPERTY
+@given(
     rounds=st.integers(0, 10_000),
     local_epochs=st.integers(1, 50),
     accounting=st.sampled_from(("preset", "analytic")),
