@@ -363,10 +363,11 @@ def validate_config(cfg: ScenarioConfig) -> None:
 
 
 def _check_idx_files(cfg: ScenarioConfig) -> int:
-    """Check the four IDX headers against each other and n_features; the training samples.
+    """The number of training images, once the four IDX headers agree.
 
-    Only the headers are read, so a payload that does not match its header
-    still fails the run, not the validation.
+    The images must be n_features wide and each label file must count its
+    images. Only the headers are read, so a payload that does not match its
+    header fails the run, not the validation.
     """
     dims = {}
     for key, magic in (("train_images", IDX_IMAGES_MAGIC), ("train_labels", IDX_LABELS_MAGIC),

@@ -95,7 +95,7 @@ def synthetic_blobs(
     spread: float = 0.15,
     threads: int = 1,
 ) -> Dataset:
-    """Gaussian blobs around centers' rows, clipped to [0, 1] and held as uint8 k/255.
+    """Gaussian blobs around centers' rows, clipped to [0, 1], as 8-bit intensities.
 
     Class c's samples_per_class rows are drawn from rngs[c] alone, so a
     class's rows depend only on its center and its generator, and the
