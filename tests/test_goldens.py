@@ -1,18 +1,20 @@
-"""Pinned outputs: metrics.csv of five small scenarios and the default manifest.
+"""Pinned outputs: metrics.csv of six scenarios and the default manifest.
 
 Each scenario's metrics.csv must match its file under tests/goldens/ byte
 for byte, so a refactor that drifts any number, even in the last digit,
-fails here. Together the scenarios reach every branch of the FELLO, CL and
-DL round loops: handovers, re-clusterings, coverage gaps before and after
-the first cluster forms, AWGN and packet corruption, distance and SNR
-thresholds, the fixed aggregation denominator and a process-pool sweep.
+fails here. Together the five small scenarios reach every branch of the
+FELLO, CL and DL round loops: handovers, re-clusterings, coverage gaps
+before and after the first cluster forms, AWGN and packet corruption,
+distance and SNR thresholds, the fixed aggregation denominator and a
+process-pool sweep. The sixth, paper_shape, runs the paper's data shape,
+where OpenBLAS takes other kernel paths than at 8 features.
 
 OpenBLAS kernels may sum a matrix product in another order, moving the
 last digits of `loss` cells, so the files pin bytes under one kernel:
 pinned_metrics runs `fello-sim run` in a subprocess on KERNEL with one BLAS
 thread, built as OPENBLAS_VERSION. Relations between runs (common random
-numbers) hold on any kernel and compare runs with whole_run, each scenario
-run once in this process: an architecture run alone writes its rows,
+numbers) hold on any kernel and compare runs with whole_run, each small
+scenario run once in this process: an architecture run alone writes its rows,
 reordering architectures or reversing sweep values reorders row blocks,
 every sweep point writes a single run's rows, and other data moves only
 the accuracy and loss cells. A run pins OpenBLAS to one thread itself, so
@@ -82,10 +84,18 @@ SCENARIOS = {
         sweep_parameter="lesc.delta_d_km", sweep_values=(1800.0, 2600.0), workers=2,
     ),
 }
+# 784 features, hidden 64 and 2208-sample shards; a handover makes CL re-ship
+# its AWGN-impaired shards. Pinned by bytes alone, as each relation run at
+# this shape would cost seconds.
+PINNED = dict(SCENARIOS, paper_shape=dict(
+    train_hidden_size=64, dataset_n_classes=10, dataset_n_features=784,
+    dataset_train_per_class=300, dataset_samples_per_client=2208,
+    lesc_delta_d_km=1800.0, lesc_round_time_s=300.0, lesc_rounds=2, corruption_kind="awgn",
+))
 
 
 def scenario_config(name: str, output_dir: str, **overrides) -> ScenarioConfig:
-    return replace(BASE, output_dir=output_dir, **{**SCENARIOS[name], **overrides})
+    return replace(BASE, output_dir=output_dir, **{**PINNED[name], **overrides})
 
 
 def read(*path: str) -> bytes:
@@ -150,7 +160,7 @@ def untrained_cells(blocks: list) -> list:
             for key, rows in blocks]
 
 
-@pytest.mark.parametrize("name", sorted(SCENARIOS))
+@pytest.mark.parametrize("name", sorted(PINNED))
 def test_metrics_match_golden(name, tmp_path):
     assert pinned_metrics(name, str(tmp_path)) == read(GOLDENS, f"{name}.csv"), (
         f"the goldens were made with OpenBLAS {OPENBLAS_VERSION}, this is "
@@ -265,7 +275,7 @@ def moved_cells(old: bytes, new: bytes) -> str:
 if __name__ == "__main__":
     os.makedirs(GOLDENS, exist_ok=True)
     outputs = {"manifest.cfg": serialize_config(ScenarioConfig()).encode()}
-    for scenario in SCENARIOS:
+    for scenario in PINNED:
         with tempfile.TemporaryDirectory() as tmp:
             outputs[f"{scenario}.csv"] = pinned_metrics(scenario, tmp)
     for filename, data in outputs.items():
