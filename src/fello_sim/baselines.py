@@ -30,7 +30,7 @@ from .seeding import Substreams
 @dataclass
 class _ClClient:
     shard: Dataset
-    shipped: Dataset = None  # what the edge received over the link it crossed
+    rows: np.ndarray = None  # the edge's rows of what it received over the link
 
 
 @dataclass
@@ -51,46 +51,45 @@ def run_cl(
     """Centralized training at the edge on pooled client uploads.
 
     Newly admitted clients ship their shard when they join; a handover
-    makes every member re-ship to the new edge. The pool always holds
-    exactly the current members' uploads. An unimpaired link delivers the
-    shard's own rows, so under "none" the pool is a Dataset over the train
-    set's features with the members' rows; impaired uploads are materialised.
+    makes every member re-ship to the new edge. The edge trains on its
+    members' rows of one source Dataset, in member order: the train set
+    under "none", whose links deliver the shard itself, else one matrix of
+    (largest cluster x shard size) rows, where a member's uploads fill the
+    first slot that no other member held when it joined.
     """
     edge_rng = streams.derive("cltrain")
+    source = train_set
+    if corruption.kind != "none":
+        size = max((s.n_samples for _, shards in plan for s in shards.values()), default=0)
+        n_rows = size * max((len(rec.members) for rec, _ in plan), default=0)
+        source = Dataset(np.zeros((n_rows, train_set.n_features), train_set.dtype),
+                         np.zeros(n_rows, np.int64), train_set.n_classes)
 
     def step(rec, clients, models):
         # a handover moves the server, so every member re-ships to it
         shippers = rec.members if rec.handover else rec.admitted
-        shipped_snrs = []
-        for sat in shippers:
-            link = rec.links.sample(sat)
+        links = [rec.links.sample(sat) for sat in shippers]
+        for sat, link in zip(shippers, links):
             client = clients[sat]
-            if corruption.kind == "none":
-                client.shipped = client.shard
-            else:
+            if corruption.kind != "none":
+                if client.rows is None:  # the first slot no other member holds
+                    held = {c.rows[0] for c in clients.values() if c.rows is not None}
+                    start = min(set(range(0, n_rows, size)) - held)
+                    client.rows = np.arange(start, start + client.shard.n_samples)
                 ship_rng = streams.derive("ship", rec.round_index, sat.plane, sat.slot)
-                features, labels = client.shard.take()
-                features = corrupt_vector(features, link, corruption, ship_rng)
-                client.shipped = Dataset(features, labels, train_set.n_classes)
-            shipped_snrs.append(link.snr_db)
+                features, source.labels[client.rows] = client.shard.take()
+                source.features[client.rows] = corrupt_vector(features, link, corruption, ship_rng)
         model, = models
         if rec.members:
-            shipped = [clients[sat].shipped for sat in rec.members]
-            if corruption.kind == "none":
-                pooled = replace(train_set, rows=np.concatenate([d.rows for d in shipped]))
-            else:
-                pooled = Dataset(
-                    np.concatenate([d.features for d in shipped]),
-                    np.concatenate([d.labels for d in shipped]),
-                    train_set.n_classes,
-                )
+            pooled = replace(source, rows=np.concatenate([clients[s].rows for s in rec.members]))
             for _ in range(train_cfg.local_epochs):
                 model = sgd_epoch(model, pooled, train_cfg, edge_rng)
-        return [model], shipped_snrs
+        return [model], [link.snr_db for link in links]
 
     return run_rounds(
         "cl", plan, [initial_model(train_set, train_cfg, streams)],
-        lambda sat, shard, _: _ClClient(shard), step, test_set, train_cfg.local_epochs,
+        lambda sat, shard, _: _ClClient(shard, shard.rows if source is train_set else None),
+        step, test_set, train_cfg.local_epochs,
     )
 
 
@@ -111,7 +110,7 @@ def run_dl(
 
     def admit(sat, shard, round_index):
         rng = streams.derive("dltrain", round_index, sat.plane, sat.slot)
-        return _DlClient(shard=shard, model=w0.copy(), rng=rng)
+        return _DlClient(shard=shard, model=w0, rng=rng)
 
     def client_round(client):
         for _ in range(train_cfg.local_epochs):
