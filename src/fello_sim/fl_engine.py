@@ -191,19 +191,6 @@ class CorruptionSpec:
             raise ValueError(f"packet bits must be >= 1, got {self.packet_bits}")
 
 
-@dataclass
-class ClientState:
-    """One participating satellite's shard and latest local model.
-
-    last_upload is the edge's most recent received copy of this client's
-    parameters, the fallback content for lost packets on the uplink.
-    """
-
-    shard: Dataset
-    local_model: ModelParams = None
-    last_upload: ModelParams = None
-
-
 def init_model(
     n_features: int,
     hidden_size: int,
@@ -244,8 +231,9 @@ def _row_max(logits: np.ndarray) -> np.ndarray:
     return top[:, None]
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
+def _log_softmax(logits: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """Row-wise log-softmax, shifted by top, each row's maximum as a column."""
+    shifted = logits - top
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
@@ -253,7 +241,7 @@ def _gradients(model: ModelParams, x: np.ndarray, y: np.ndarray, grad: ModelPara
     """Write one minibatch's mean cross-entropy gradient into grad's layers."""
     n = x.shape[0]
     h, logits = _forward(model, x)
-    log_p = _log_softmax(logits)
+    log_p = _log_softmax(logits, logits.max(axis=1, keepdims=True))
     delta_out = np.exp(log_p)
     delta_out[np.arange(n), y] -= 1.0
     delta_out /= n
@@ -290,15 +278,11 @@ def sgd_epoch(
 
 
 def train_local(
-    client: ClientState,
-    w_global: ModelParams,
-    cfg: TrainConfig,
-    rng: np.random.Generator,
+    model: ModelParams, data: Dataset, cfg: TrainConfig, rng: np.random.Generator
 ) -> ModelParams:
-    """Local update: start from the global model, run E epochs on the shard."""
-    model = w_global
+    """Local update: cfg.local_epochs sgd_epoch passes on one generator."""
     for _ in range(cfg.local_epochs):
-        model = sgd_epoch(model, client.shard, cfg, rng)
+        model = sgd_epoch(model, data, cfg, rng)
     return model
 
 
@@ -335,10 +319,8 @@ def evaluate(model: ModelParams, test: Dataset) -> tuple:
     features, labels = test.take()
     _, logits = _forward(model, features)
     predicted = np.argmax(logits, axis=1)
-    # the log-softmax at the labels only, with _log_softmax's arithmetic
-    shifted = logits - _row_max(logits)
-    log_p = shifted[np.arange(test.n_samples), labels] - np.log(np.exp(shifted).sum(axis=1))
-    loss = float(-log_p.mean())
+    log_p = _log_softmax(logits, _row_max(logits))
+    loss = float(-log_p[np.arange(test.n_samples), labels].mean())
     return float((predicted == labels).mean()), loss
 
 

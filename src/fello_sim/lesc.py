@@ -22,7 +22,6 @@ import numpy as np
 
 from . import overhead
 from .fl_engine import (
-    ClientState,
     CorruptionSpec,
     Dataset,
     ModelParams,
@@ -434,6 +433,19 @@ def run_rounds(
     return logs
 
 
+@dataclass
+class _FelloClient:
+    """A FELLO member's shard, its last local model and the edge's last upload.
+
+    upload is the edge's most recent received copy of the member's
+    parameters, the fallback content for lost packets on the uplink.
+    """
+
+    shard: Dataset
+    model: ModelParams = None
+    upload: ModelParams = None
+
+
 def run_fello(
     plan: list,
     train_cfg: TrainConfig,
@@ -453,19 +465,16 @@ def run_fello(
         global_model, = models
         uploads, snrs = [], []
         for sat in rec.members:
-            record = clients[sat]
+            client = clients[sat]
             link = rec.links.sample(sat)
             down_rng = streams.derive("down", rec.round_index, sat.plane, sat.slot)
-            received = corrupt_model(
-                global_model, link, corruption, down_rng, prev=record.local_model
-            )
+            received = corrupt_model(global_model, link, corruption, down_rng, prev=client.model)
             train_rng = streams.derive("train", rec.round_index, sat.plane, sat.slot)
-            record.local_model = train_local(record, received, train_cfg, train_rng)
+            client.model = train_local(received, client.shard, train_cfg, train_rng)
             up_rng = streams.derive("up", rec.round_index, sat.plane, sat.slot)
-            record.last_upload = corrupt_model(
-                record.local_model, link, corruption, up_rng, prev=record.last_upload
-            )
-            uploads.append((record.last_upload, record.shard.n_samples))
+            client.upload = corrupt_model(client.model, link, corruption, up_rng,
+                                          prev=client.upload)
+            uploads.append((client.upload, client.shard.n_samples))
             snrs.append(link.snr_db)
         if uploads:
             global_model = aggregate(uploads, total_samples=fixed_total)
@@ -475,5 +484,5 @@ def run_fello(
 
     return run_rounds(
         "fello", plan, [initial_model(train_set, train_cfg, streams)],
-        lambda sat, shard, _: ClientState(shard), step, test_set, train_cfg.local_epochs,
+        lambda sat, shard, _: _FelloClient(shard), step, test_set, train_cfg.local_epochs,
     )

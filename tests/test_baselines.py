@@ -18,6 +18,7 @@ from fello_sim.fl_engine import (
     init_model,
     partition_data,
     sgd_epoch,
+    train_local,
 )
 from fello_sim.lesc import LescConfig, MembershipRound, round_plan
 from fello_sim.orbits import SatIndex
@@ -46,8 +47,7 @@ def test_cl_single_client_is_composite_local_training(
     shard = partition_data(train, [sat], 40, ref.derive("shard", 1))[sat]
     edge_rng = ref.derive("cltrain")
     for log in logs:
-        for _ in range(tc.local_epochs):
-            model = sgd_epoch(model, shard, tc, edge_rng)
+        model = train_local(model, shard, tc, edge_rng)
         accuracy, loss = evaluate(model, test)
         assert log.accuracy == accuracy
         assert log.global_loss == loss
@@ -214,8 +214,7 @@ def test_dl_single_client_is_plain_trajectory(
     shard = partition_data(train, [sat], 40, ref.derive("shard", 1))[sat]
     rng = ref.derive("dltrain", 1, sat.plane, sat.slot)
     for log in logs:
-        for _ in range(tc.local_epochs):
-            model = sgd_epoch(model, shard, tc, rng)
+        model = train_local(model, shard, tc, rng)
         accuracy, loss = evaluate(model, test)
         assert log.accuracy == accuracy
         assert log.global_loss == loss
@@ -238,8 +237,7 @@ def test_dl_reports_member_means(table1_optics, on_plan, static_walker, tiny_tra
     for log in logs:
         scores = []
         for s in members:
-            for _ in range(tc.local_epochs):
-                models[s] = sgd_epoch(models[s], shards[s], tc, rngs[s])
+            models[s] = train_local(models[s], shards[s], tc, rngs[s])
             scores.append(evaluate(models[s], test))
         assert log.accuracy == float(np.mean([a for a, _ in scores]))
         assert log.global_loss == float(np.mean([l for _, l in scores]))

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from fello_sim.fl_engine import (
-    ClientState,
     CorruptionSpec,
     Dataset,
     ModelParams,
@@ -207,8 +206,7 @@ def test_training_descends():
     model = init_model(4, 8, 3, np.random.default_rng(7))
     cfg = TrainConfig(learning_rate=0.05, local_epochs=5, batch_size=16, hidden_size=8)
     before = evaluate(model, data)[1]
-    client = ClientState(shard=data)
-    after_model = train_local(client, model, cfg, np.random.default_rng(2))
+    after_model = train_local(model, data, cfg, np.random.default_rng(2))
     assert evaluate(after_model, data)[1] < before
 
 
@@ -216,10 +214,16 @@ def test_train_local_determinism():
     data = toy_dataset()
     model = init_model(4, 3, 3, np.random.default_rng(8))
     cfg = TrainConfig(learning_rate=0.1, local_epochs=2, batch_size=8, hidden_size=3)
-    client = ClientState(shard=data)
-    a = train_local(client, model, cfg, np.random.default_rng(3))
-    b = train_local(client, model, cfg, np.random.default_rng(3))
+    a = train_local(model, data, cfg, np.random.default_rng(3))
+    b = train_local(model, data, cfg, np.random.default_rng(3))
     assert np.array_equal(a.vec, b.vec)
+    # local_epochs sgd_epoch calls chained on one generator, bit for bit
+    chained, rng = model, np.random.default_rng(3)
+    for _ in range(cfg.local_epochs):
+        chained = sgd_epoch(chained, data, cfg, rng)
+    assert np.array_equal(a.vec, chained.vec)
+    one_epoch = sgd_epoch(model, data, cfg, np.random.default_rng(3))
+    assert not np.array_equal(a.vec, one_epoch.vec)
     # Input model is never mutated.
     assert np.array_equal(model.vec, init_model(4, 3, 3, np.random.default_rng(8)).vec)
 
@@ -232,7 +236,7 @@ def test_training_never_mutates_its_input():
     cfg = TrainConfig(learning_rate=0.1, local_epochs=2, batch_size=8, hidden_size=3)
     sgd_epoch(model, data, cfg, np.random.default_rng(14))
     assert np.array_equal(model.vec, before)
-    train_local(ClientState(shard=data), model, cfg, np.random.default_rng(14))
+    train_local(model, data, cfg, np.random.default_rng(14))
     assert np.array_equal(model.vec, before)
     # The first batch's step overflows the weights; the second batch's gradient is NaN.
     blowup = TrainConfig(learning_rate=1e300, local_epochs=1, batch_size=8, hidden_size=3)
@@ -296,7 +300,7 @@ def test_precision_follows_the_data(dtype, make_link):
     cfg = TrainConfig(learning_rate=0.1, local_epochs=2, batch_size=8, hidden_size=3)
     model = initial_model(data, cfg, Substreams(3))
     stepped = sgd_epoch(model, data, cfg, np.random.default_rng(1))
-    trained = train_local(ClientState(shard=data), model, cfg, np.random.default_rng(2))
+    trained = train_local(model, data, cfg, np.random.default_rng(2))
     mean = aggregate([(stepped, 3), (trained, 5)])
     results = [model.vec, stepped.vec, trained.vec, mean.vec]
     link = make_link(snr_linear=50.0, ber_prob=1e-2)
@@ -322,9 +326,9 @@ def test_float32_training_tracks_float64():
     assert np.array_equal(init.vec, wide.vec.astype(np.float32))  # draws rounded once
     trained = {}
     for dtype in (np.float32, np.float64):
-        client = ClientState(shard=Dataset(features.astype(dtype), labels, 10))
+        shard = Dataset(features.astype(dtype), labels, 10)
         w0 = ModelParams(init.vec.astype(dtype), init.arch)
-        trained[dtype] = train_local(client, w0, cfg, np.random.default_rng(62))
+        trained[dtype] = train_local(w0, shard, cfg, np.random.default_rng(62))
     assert trained[np.float32].vec.dtype == np.float32
     assert not np.array_equal(trained[np.float64].vec, init.vec)
     gap = np.abs(trained[np.float32].vec - trained[np.float64].vec).max()
@@ -444,8 +448,7 @@ def test_memorization_reaches_full_accuracy():
     data = Dataset(features, labels, 2)
     cfg = TrainConfig(learning_rate=0.5, local_epochs=200, batch_size=5, hidden_size=8)
     model = init_model(2, 8, 2, np.random.default_rng(31))
-    client = ClientState(shard=data)
-    trained = train_local(client, model, cfg, np.random.default_rng(32))
+    trained = train_local(model, data, cfg, np.random.default_rng(32))
     acc, _ = evaluate(trained, data)
     assert acc == 1.0
 

@@ -7,7 +7,6 @@ import pytest
 from fello_sim import lesc, overhead
 from fello_sim.config import ConfigError, ScenarioConfig, validate_config
 from fello_sim.fl_engine import (
-    ClientState,
     CorruptionSpec,
     aggregate,
     evaluate,
@@ -597,9 +596,8 @@ def test_run_fello_single_client_equals_train_local(
     w = init_model(train.n_features, tc.hidden_size, train.n_classes,
                    ref.derive("init"), dtype=train.dtype)
     shard = partition_data(train, [sat], 40, ref.derive("shard", 1))[sat]
-    client = ClientState(shard=shard)
     for a, log in zip((1, 2), logs):
-        local = train_local(client, w, tc, ref.derive("train", a, sat.plane, sat.slot))
+        local = train_local(w, shard, tc, ref.derive("train", a, sat.plane, sat.slot))
         w = aggregate([(local, 40)])
         accuracy, loss = evaluate(w, test)
         assert log.accuracy == accuracy
@@ -623,12 +621,10 @@ def test_run_fello_matches_reference_fedavg(
     w = init_model(train.n_features, tc.hidden_size, train.n_classes,
                    ref.derive("init"), dtype=train.dtype)
     shards = partition_data(train, list(members), 30, ref.derive("shard", 1))
-    states = {s: ClientState(shard=shards[s]) for s in members}
     for a, log in zip((1, 2, 3), logs):
         uploads = []
         for s in members:
-            local = train_local(states[s], w, tc,
-                                ref.derive("train", a, s.plane, s.slot))
+            local = train_local(w, shards[s], tc, ref.derive("train", a, s.plane, s.slot))
             uploads.append((local, 30))
         w = aggregate(uploads)
         accuracy, loss = evaluate(w, test)
@@ -650,8 +646,7 @@ def test_run_fello_fixed_total_denominator(
     w0 = init_model(train.n_features, tc.hidden_size, train.n_classes,
                     ref.derive("init"), dtype=train.dtype)
     shard = partition_data(train, [sat], 40, ref.derive("shard", 1))[sat]
-    local = train_local(ClientState(shard=shard), w0, tc,
-                        ref.derive("train", 1, 1, 2))
+    local = train_local(w0, shard, tc, ref.derive("train", 1, 1, 2))
     halved = aggregate([(local, 40)], total_samples=80)
     accuracy, loss = evaluate(halved, test)
     assert logs[0].accuracy == accuracy

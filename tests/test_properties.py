@@ -19,7 +19,6 @@ from hypothesis.extra.numpy import arrays
 
 from fello_sim.config import ScenarioConfig, load_config, serialize_config, validate_config
 from fello_sim.fl_engine import (
-    ClientState,
     CorruptionSpec,
     Dataset,
     ModelParams,
@@ -228,7 +227,7 @@ def test_index_shards_train_like_their_gathered_rows(dtype, batch_size, blocks, 
         assert view.n_samples == gathered.n_samples == rows.size
         stepped = [sgd_epoch(model, d, cfg, np.random.default_rng(seed)) for d in (view, gathered)]
         assert np.array_equal(stepped[0].vec, stepped[1].vec)
-        trained = [train_local(ClientState(shard=d), model, cfg, np.random.default_rng(seed))
+        trained = [train_local(model, d, cfg, np.random.default_rng(seed))
                    for d in (view, gathered)]
         assert trained[0].vec.dtype == dtype
         assert np.array_equal(trained[0].vec, trained[1].vec)
@@ -269,8 +268,7 @@ def test_intensities_train_like_the_float32_values_they_stand_for(
     model = init_model(n_features, cfg.hidden_size, n_classes, rng, dtype=held.dtype)
     stepped = [sgd_epoch(model, d, cfg, np.random.default_rng(seed)) for d in (held, values)]
     assert np.array_equal(stepped[0].vec, stepped[1].vec)
-    trained = [train_local(ClientState(shard=d), model, cfg, np.random.default_rng(seed))
-               for d in (held, values)]
+    trained = [train_local(model, d, cfg, np.random.default_rng(seed)) for d in (held, values)]
     assert trained[0].vec.dtype == np.float32
     assert np.array_equal(trained[0].vec, trained[1].vec)
     assert evaluate(trained[0], held) == evaluate(trained[0], values)
