@@ -20,7 +20,7 @@ import os
 from collections import namedtuple
 from dataclasses import dataclass, fields, replace
 
-from .datasets import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, idx_dims
+from .datasets import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, SPREAD, idx_dims
 from .fl_engine import CorruptionSpec, TrainConfig
 from .lesc import LescConfig
 from .optical_link import OpticalParams
@@ -99,7 +99,7 @@ class ScenarioConfig:
     dataset_n_features: int = 784
     dataset_train_per_class: int = 6000
     dataset_test_per_class: int = 100
-    dataset_spread: float = 0.15
+    dataset_spread: float = SPREAD
     dataset_samples_per_client: int = 2208
     dataset_train_images: str = ""
     dataset_train_labels: str = ""

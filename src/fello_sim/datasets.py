@@ -22,6 +22,8 @@ IDX_LABELS_MAGIC = 2049
 # float64 values in a synthetic class's draw block: 1 MiB, so each block is
 # scaled, shifted, clipped, quantised and stored while it is still in cache
 BLOCK_VALUES = 2**17
+# a synthetic class's stock standard deviation around its center, in [0, 1] units
+SPREAD = 0.15
 
 
 def _read_dims(f, path: str, expected_magic: int) -> tuple:
@@ -92,7 +94,7 @@ def synthetic_blobs(
     centers: np.ndarray,
     samples_per_class: int,
     rngs: list,
-    spread: float = 0.15,
+    spread: float = SPREAD,
     threads: int = 1,
 ) -> Dataset:
     """Gaussian blobs around centers' rows, clipped to [0, 1], as 8-bit intensities.
@@ -142,7 +144,7 @@ def synthetic_split(
     train_per_class: int,
     test_per_class: int,
     streams: Substreams,
-    spread: float = 0.15,
+    spread: float = SPREAD,
     threads: int = 1,
 ) -> tuple:
     """(train, test) blob datasets drawn around one shared set of centers.

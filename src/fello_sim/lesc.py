@@ -435,10 +435,10 @@ def run_rounds(
 
 @dataclass
 class _FelloClient:
-    """A FELLO member's shard, its last local model and the edge's last upload.
+    """A FELLO member's shard and the fallbacks for its lost packets.
 
-    upload is the edge's most recent received copy of the member's
-    parameters, the fallback content for lost packets on the uplink.
+    model is its last local model, the downlink's fallback; upload is the
+    edge's last received copy of its parameters, the uplink's.
     """
 
     shard: Dataset
